@@ -55,8 +55,8 @@ class ModelConfig:
             raise ValueError(
                 f"decode grid {self.decode_grid} x output patch {self.output_patch} "
                 f"covers {covered}, expected {self.input_size}")
-        if not 0 <= self.mask_ratio < 1:
-            raise ValueError(f"mask_ratio {self.mask_ratio} outside [0, 1)")
+        if not 0 < self.mask_ratio < 1:
+            raise ValueError(f"mask_ratio {self.mask_ratio} outside (0, 1)")
 
     @property
     def token_grid(self):
@@ -163,7 +163,7 @@ def sample_mask(total, ratio, seed):
     """
     if not 0 < ratio < 1:
         raise ValueError(f"mask ratio must lie in (0, 1), got {ratio}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     n_masked = int(np.floor(ratio * total + 1e-9))
     perm = rng.permutation(total)
     kept = np.sort(perm[n_masked:])
@@ -216,6 +216,38 @@ def trunc_normal(rng, shape, std=0.02):
     return x * std
 
 
+class Layers:
+    """The parameters of one model, and the affine layers that read them.
+
+    The one naming and init scheme of the package: a linear layer `name`
+    owns `name.weight` (truncated normal) and `name.bias` (zeros); a norm
+    owns `name.scale` (ones) and `name.bias` (zeros). Weights are drawn
+    from `rng` in declaration order, and `params` keeps that order.
+    """
+
+    def __init__(self, rng, dtype):
+        self.rng = rng
+        self.dtype = dtype
+        self.params = {}
+
+    def add_weight(self, name, shape):
+        self.params[name] = nc.parameter(trunc_normal(self.rng, shape).astype(self.dtype))
+
+    def add_linear(self, name, n_in, n_out):
+        self.add_weight(f"{name}.weight", (n_in, n_out))
+        self.params[f"{name}.bias"] = nc.parameter(np.zeros(n_out, dtype=self.dtype))
+
+    def add_norm(self, name, n):
+        self.params[f"{name}.scale"] = nc.parameter(np.ones(n, dtype=self.dtype))
+        self.params[f"{name}.bias"] = nc.parameter(np.zeros(n, dtype=self.dtype))
+
+    def linear(self, name, x):
+        return x @ self.params[f"{name}.weight"] + self.params[f"{name}.bias"]
+
+    def norm(self, name, x):
+        return nc.layer_norm(x) * self.params[f"{name}.scale"] + self.params[f"{name}.bias"]
+
+
 @dataclass
 class FeatureMap:
     """T x K x C backbone activations for one clip."""
@@ -239,66 +271,33 @@ class MaskedVideoModel:
     def __init__(self, config, seed=0, dtype=np.float32):
         self.config = config
         self.dtype = dtype
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         w, m = config.width, config.mlp
-        p = {}
-
-        def weight(name, shape):
-            p[name] = nc.parameter(trunc_normal(rng, shape).astype(dtype))
-
-        def zeros(name, shape):
-            p[name] = nc.parameter(np.zeros(shape, dtype=dtype))
-
-        def ones(name, shape):
-            p[name] = nc.parameter(np.ones(shape, dtype=dtype))
-
-        weight("patch_embed.weight", (config.patch_dim, w))
-        zeros("patch_embed.bias", (w,))
-        weight("pos_embed", (config.num_tokens, w))
+        L = self.layers = Layers(np.random.default_rng(seed), dtype)
+        L.add_linear("patch_embed", config.patch_dim, w)
+        L.add_weight("pos_embed", (config.num_tokens, w))
         for i in range(config.depth):
             b = f"blocks.{i}"
-            ones(f"{b}.ln1.scale", (w,))
-            zeros(f"{b}.ln1.bias", (w,))
-            weight(f"{b}.attn.qkv.weight", (w, 3 * w))
-            zeros(f"{b}.attn.qkv.bias", (3 * w,))
-            weight(f"{b}.attn.proj.weight", (w, w))
-            zeros(f"{b}.attn.proj.bias", (w,))
-            ones(f"{b}.ln2.scale", (w,))
-            zeros(f"{b}.ln2.bias", (w,))
-            weight(f"{b}.mlp.fc1.weight", (w, m))
-            zeros(f"{b}.mlp.fc1.bias", (m,))
-            weight(f"{b}.mlp.fc2.weight", (m, w))
-            zeros(f"{b}.mlp.fc2.bias", (w,))
-        ones("final_norm.scale", (w,))
-        zeros("final_norm.bias", (w,))
-        weight("latent_tokens", (config.num_latents, w))
-        weight("decode.weight", (w, config.output_patch_dim))
-        zeros("decode.bias", (config.output_patch_dim,))
-        self.params = p
+            L.add_norm(f"{b}.ln1", w)
+            L.add_linear(f"{b}.attn.qkv", w, 3 * w)
+            L.add_linear(f"{b}.attn.proj", w, w)
+            L.add_norm(f"{b}.ln2", w)
+            L.add_linear(f"{b}.mlp.fc1", w, m)
+            L.add_linear(f"{b}.mlp.fc2", m, w)
+        L.add_norm("final_norm", w)
+        L.add_weight("latent_tokens", (config.num_latents, w))
+        L.add_linear("decode", w, config.output_patch_dim)
+        self.params = L.params
 
     def num_parameters(self):
         return sum(t.data.size for t in self.params.values())
 
-    def _norm(self, x, prefix):
-        y = nc.layer_norm(x)
-        return y * self.params[f"{prefix}.scale"] + self.params[f"{prefix}.bias"]
-
     def _block(self, x, i):
-        p, cfg = self.params, self.config
-        n = x.shape[0]
-        heads, dh = cfg.heads, cfg.width // cfg.heads
-        y = self._norm(x, f"blocks.{i}.ln1")
-        qkv = y @ p[f"blocks.{i}.attn.qkv.weight"] + p[f"blocks.{i}.attn.qkv.bias"]
-        q = nc.transpose(nc.reshape(qkv[:, :cfg.width], (n, heads, dh)), (1, 0, 2))
-        k = nc.transpose(nc.reshape(qkv[:, cfg.width:2 * cfg.width], (n, heads, dh)), (1, 0, 2))
-        v = nc.transpose(nc.reshape(qkv[:, 2 * cfg.width:], (n, heads, dh)), (1, 0, 2))
-        scores = (q @ nc.transpose(k, (0, 2, 1))) * (1.0 / np.sqrt(dh))
-        attn = nc.softmax(scores) @ v                              # (heads, n, dh)
-        merged = nc.reshape(nc.transpose(attn, (1, 0, 2)), (n, cfg.width))
-        x = x + (merged @ p[f"blocks.{i}.attn.proj.weight"] + p[f"blocks.{i}.attn.proj.bias"])
-        y = self._norm(x, f"blocks.{i}.ln2")
-        h = nc.gelu(y @ p[f"blocks.{i}.mlp.fc1.weight"] + p[f"blocks.{i}.mlp.fc1.bias"])
-        return x + (h @ p[f"blocks.{i}.mlp.fc2.weight"] + p[f"blocks.{i}.mlp.fc2.bias"])
+        L, b, w = self.layers, f"blocks.{i}", self.config.width
+        qkv = L.linear(f"{b}.attn.qkv", L.norm(f"{b}.ln1", x))
+        attn = nc.attention(qkv[:, :w], qkv[:, w:2 * w], qkv[:, 2 * w:], self.config.heads)
+        x = x + L.linear(f"{b}.attn.proj", attn)
+        h = nc.gelu(L.linear(f"{b}.mlp.fc1", L.norm(f"{b}.ln2", x)))
+        return x + L.linear(f"{b}.mlp.fc2", h)
 
     def encode(self, frames, plan, collect=()):
         """Run the trunk on the kept tokens of one (T,H,W,3) clip.
@@ -311,7 +310,7 @@ class MaskedVideoModel:
             raise ValueError(f"mask plan covers {plan.total} tokens, model expects {cfg.num_tokens}")
         tokens = patchify(np.asarray(frames, dtype=self.dtype), cfg.input_patch)
         kept = Tensor(tokens[plan.kept])
-        x = kept @ p["patch_embed.weight"] + p["patch_embed.bias"]
+        x = self.layers.linear("patch_embed", kept)
         x = x + nc.gather(p["pos_embed"], plan.kept, axis=0)
         n_visible = len(plan.kept)
         join_at = cfg.depth - cfg.latent_layers
@@ -329,8 +328,7 @@ class MaskedVideoModel:
         cfg = self.config
         x, collected = self.encode(frames, plan, collect=collect)
         latents = x[len(plan.kept):]
-        latents = self._norm(latents, "final_norm")
-        pixels = latents @ self.params["decode.weight"] + self.params["decode.bias"]
+        pixels = self.layers.linear("decode", self.layers.norm("final_norm", latents))
         gt, gh, gw = cfg.decode_grid
         pt, ph, pw = cfg.output_patch
         y = nc.reshape(pixels, (gt, gh, gw, pt, ph, pw, 3))
@@ -376,17 +374,6 @@ def mae_loss(reconstruction, frames):
                          f"!= clip shape {target.shape}")
     diff = reconstruction - Tensor(target.astype(reconstruction.dtype))
     return nc.mean(diff * diff)
-
-
-def masked_patch_mse(reconstruction, frames, plan, config):
-    """MSE restricted to masked output patches (diagnostic, not the loss).
-
-    Only meaningful when the decode grid equals the input token grid.
-    """
-    recon_tokens = patchify(np.asarray(reconstruction), config.input_patch)
-    target_tokens = patchify(np.asarray(frames), config.input_patch)
-    err = recon_tokens[plan.masked] - target_tokens[plan.masked]
-    return float(np.mean(err * err))
 
 
 def save_model(path, model):

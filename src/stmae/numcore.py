@@ -4,6 +4,12 @@ Every op builds a `Tensor` whose parents carry a closure computing the
 local vector-Jacobian product. `backward()` walks the graph once in
 reverse topological order and accumulates gradients into `.grad`.
 
+`attention` is the one multi-head attention of the package, used by the
+encoder's self-attention and by every readout's cross-attention. It
+splits and merges heads itself and has one hand-written VJP that keeps
+only the softmax weights (plus views of q, k and v) for backward; the
+three input gradients share one computation of the score gradient.
+
 Data is row-major float64 or float32; both dtypes run the same code
 path. Reductions delegate to numpy, whose summation order over the
 row-major layout is fixed within one build, so results are bitwise
@@ -346,6 +352,68 @@ def softmax(a):
     return _make(s, [(a, vjp)])
 
 
+def attention(q, k, v, heads):
+    """Multi-head scaled dot-product attention, softmax(q kᵀ / sqrt(dh)) v.
+
+    q is (..., nq, d); k and v are (..., nk, d); leading axes broadcast and
+    the output is (..., nq, d). The last axis splits into `heads`
+    contiguous slices of dh = d / heads channels, each attending on its
+    own; their outputs are merged back in the same order.
+    """
+    q, k, v = _wrap(q), _wrap(k), _wrap(v)
+    if (q.ndim < 2 or k.ndim < 2 or k.shape != v.shape or q.shape[-1] != k.shape[-1]
+            or heads < 1 or q.shape[-1] % heads):
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape} need equal "
+                         f"k and v shapes and a last axis shared and divisible by {heads} heads")
+    d = q.shape[-1]
+    dh = d // heads
+
+    def split(x):                    # (..., n, d) -> (..., heads, n, dh), a view
+        return x.reshape(x.shape[:-1] + (heads, dh)).swapaxes(-3, -2)
+
+    def merge(x):                    # (..., heads, n, dh) -> (..., n, d)
+        x = x.swapaxes(-3, -2)
+        return x.reshape(x.shape[:-2] + (d,))
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    try:
+        s = qh @ kh.swapaxes(-1, -2)
+    except ValueError:
+        raise ShapeError(f"attention: leading axes of q {q.shape} and k {k.shape} do not broadcast")
+    scale = np.asarray(1.0 / np.sqrt(dh), dtype=s.dtype)
+    s *= scale
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)   # softmax weights, the only array kept for backward
+
+    def grads(g):
+        gh = split(g)
+        out = {}
+        if v.requires_grad:
+            out[2] = merge(_unbroadcast(s.swapaxes(-1, -2) @ gh, vh.shape))
+        gs = gh @ vh.swapaxes(-1, -2)
+        gs = s * (gs - (gs * s).sum(axis=-1, keepdims=True)) * scale
+        if q.requires_grad:
+            out[0] = merge(_unbroadcast(gs @ kh, qh.shape))
+        if k.requires_grad:
+            out[1] = merge(_unbroadcast(qh.swapaxes(-1, -2) @ gs, kh.swapaxes(-1, -2).shape)
+                           .swapaxes(-1, -2))
+        return out
+
+    # backward calls the three vjps back to back with one g; the first call
+    # computes every gradient and each call takes its own
+    pending = {}
+
+    def vjp(i):
+        def fn(g):
+            if not pending:
+                pending.update(grads(g))
+            return pending.pop(i)
+        return fn
+
+    return _make(merge(s @ vh), [(q, vjp(0)), (k, vjp(1)), (v, vjp(2))])
+
+
 def log_softmax(a):
     """log(softmax) over the last axis, computed stably."""
     a = _wrap(a)
@@ -400,12 +468,6 @@ def softplus(a):
         return g / (1.0 + np.exp(-x))
 
     return _make(y, [(a, vjp)])
-
-
-def abs_(a):
-    """Elementwise |x|; subgradient 0 at x == 0."""
-    a = _wrap(a)
-    return _make(np.abs(a.data), [(a, lambda g: g * np.sign(a.data))])
 
 
 def huber(a, delta=1.0):
@@ -466,11 +528,11 @@ OPS = {
     "reshape": reshape,
     "layer_norm": layer_norm,
     "softmax": softmax,
+    "attention": attention,
     "log_softmax": log_softmax,
     "gelu": gelu,
     "sigmoid": sigmoid,
     "softplus": softplus,
-    "abs": abs_,
     "huber": huber,
     "sum": sum_,
     "mean": mean,

@@ -7,6 +7,10 @@ linear to the task output size. Queries are either learned vectors or
 Fourier-encoded geometry (points, boxes, space-time patch centers) passed
 through a small MLP. Tracking heads keep an attention output projection;
 learned-query heads omit it.
+
+Attention is `numcore.attention`, the op the encoder's blocks use, and
+every layer is declared and applied through `mae.Layers`, so heads and
+encoder share one naming and init scheme.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .mae import trunc_normal
+from .mae import Layers, trunc_normal
 from .numcore import Tensor
 
 FOURIER_BASES = 16
@@ -64,19 +68,8 @@ class SE3Pose:
             raise ValueError("rotation determinant is not +1")
         return self
 
-    def as_vector(self):
-        return np.concatenate([self.r.reshape(9), self.t.reshape(3)])
-
     def apply(self, points):
         return points @ self.r.T + self.t
-
-
-@dataclass
-class TrackPrediction:
-    """Per-frame point-track outputs; positions already sigmoid-squashed."""
-    positions: np.ndarray     # (tracks, frames, 2) in [0, 1]
-    vis_logits: np.ndarray    # (tracks, frames)
-    unc_logits: np.ndarray    # (tracks, frames)
 
 
 # ---------------------------------------------------------------------------
@@ -128,48 +121,26 @@ class CrossAttentionReadout:
     def __init__(self, config, seed=0, dtype=np.float32):
         self.config = config
         self.dtype = dtype
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         c, d, cq = config.feature_channels, config.qkv_size, config.query_channels
-        p = {}
-
-        def weight(name, shape):
-            p[name] = nc.parameter(trunc_normal(rng, shape).astype(dtype))
-
-        def zeros(name, shape):
-            p[name] = nc.parameter(np.zeros(shape, dtype=dtype))
-
-        def ones(name, shape):
-            p[name] = nc.parameter(np.ones(shape, dtype=dtype))
-
-        ones("feat_norm.scale", (c,))
-        zeros("feat_norm.bias", (c,))
-        weight("temporal_embed", (config.time_steps, c))
+        L = self.layers = Layers(np.random.default_rng(seed), dtype)
+        L.add_norm("feat_norm", c)
+        L.add_weight("temporal_embed", (config.time_steps, c))
         if config.query_kind == "learned":
-            weight("queries", (config.num_queries, cq))
+            L.add_weight("queries", (config.num_queries, cq))
         else:
             raw = _COORD_DIMS[config.query_kind] * 2 * FOURIER_BASES
-            weight("query_mlp.fc1.weight", (raw, FOURIER_MLP_SIZE))
-            zeros("query_mlp.fc1.bias", (FOURIER_MLP_SIZE,))
-            weight("query_mlp.fc2.weight", (FOURIER_MLP_SIZE, cq))
-            zeros("query_mlp.fc2.bias", (cq,))
-        weight("attn.q.weight", (cq, d))
-        zeros("attn.q.bias", (d,))
-        weight("attn.k.weight", (c, d))
-        zeros("attn.k.bias", (d,))
-        weight("attn.v.weight", (c, d))
-        zeros("attn.v.bias", (d,))
+            L.add_linear("query_mlp.fc1", raw, FOURIER_MLP_SIZE)
+            L.add_linear("query_mlp.fc2", FOURIER_MLP_SIZE, cq)
+        L.add_linear("attn.q", cq, d)
+        L.add_linear("attn.k", c, d)
+        L.add_linear("attn.v", c, d)
         if config.attn_out_proj:
-            weight("attn.out.weight", (d, d))
-            zeros("attn.out.bias", (d,))
-        ones("mlp_norm.scale", (d,))
-        zeros("mlp_norm.bias", (d,))
-        weight("mlp.fc1.weight", (d, 4 * d))
-        zeros("mlp.fc1.bias", (4 * d,))
-        weight("mlp.fc2.weight", (4 * d, d))
-        zeros("mlp.fc2.bias", (d,))
-        weight("head.weight", (d, config.output_size))
-        zeros("head.bias", (config.output_size,))
-        self.params = p
+            L.add_linear("attn.out", d, d)
+        L.add_norm("mlp_norm", d)
+        L.add_linear("mlp.fc1", d, 4 * d)
+        L.add_linear("mlp.fc2", 4 * d, d)
+        L.add_linear("head", d, config.output_size)
+        self.params = L.params
 
     def num_parameters(self):
         return sum(t.data.size for t in self.params.values())
@@ -177,17 +148,15 @@ class CrossAttentionReadout:
     def encode_queries(self, positions):
         """Fourier-encode (B, n, d) coordinates and run the query MLP."""
         raw = Tensor(fourier_features(positions).astype(self.dtype))
-        p = self.params
-        h = nc.gelu(raw @ p["query_mlp.fc1.weight"] + p["query_mlp.fc1.bias"])
-        return h @ p["query_mlp.fc2.weight"] + p["query_mlp.fc2.bias"]
+        return self.layers.linear("query_mlp.fc2", nc.gelu(self.layers.linear("query_mlp.fc1", raw)))
 
-    def learned_queries(self, batch):
+    def learned_queries(self):
         q = self.params["queries"]
         return nc.reshape(q, (1,) + tuple(q.shape))      # broadcasts over batch
 
     def forward(self, features, queries):
         """features: (B, T, K, C) Tensor or array; queries: (B?, Q, Cq) Tensor."""
-        cfg, p = self.config, self.params
+        cfg, L = self.config, self.layers
         x = features if isinstance(features, Tensor) else Tensor(np.asarray(features, dtype=self.dtype))
         b, t, k, c = x.shape
         if c != cfg.feature_channels:
@@ -197,30 +166,16 @@ class CrossAttentionReadout:
         if queries.shape[-1] != cfg.query_channels:
             raise ValueError(f"queries have {queries.shape[-1]} channels, "
                              f"readout expects {cfg.query_channels}")
-        x = nc.layer_norm(x) * p["feat_norm.scale"] + p["feat_norm.bias"]
-        x = x + nc.reshape(p["temporal_embed"], (t, 1, c))
+        x = L.norm("feat_norm", x)
+        x = x + nc.reshape(self.params["temporal_embed"], (t, 1, c))
         x = nc.reshape(x, (b, t * k, c))
-
-        heads, dh = cfg.heads, cfg.qkv_size // cfg.heads
-        n, nq = t * k, queries.shape[-2]
-
-        def split(z, count):
-            z4 = nc.reshape(z, tuple(z.shape[:-1]) + (heads, dh))
-            return nc.transpose(z4, (0, 2, 1, 3))        # (B, heads, count, dh)
-
-        q = split(queries @ p["attn.q.weight"] + p["attn.q.bias"], nq)
-        key = split(x @ p["attn.k.weight"] + p["attn.k.bias"], n)
-        val = split(x @ p["attn.v.weight"] + p["attn.v.bias"], n)
-        scores = (q @ nc.transpose(key, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
-        mix = nc.softmax(scores) @ val                   # (B, heads, Q, dh)
-        batch = mix.shape[0]
-        y = nc.reshape(nc.transpose(mix, (0, 2, 1, 3)), (batch, nq, cfg.qkv_size))
+        y = nc.attention(L.linear("attn.q", queries), L.linear("attn.k", x),
+                         L.linear("attn.v", x), cfg.heads)          # (B, Q, qkv_size)
         if cfg.attn_out_proj:
-            y = y @ p["attn.out.weight"] + p["attn.out.bias"]
-        z = nc.layer_norm(y) * p["mlp_norm.scale"] + p["mlp_norm.bias"]
-        z = nc.gelu(z @ p["mlp.fc1.weight"] + p["mlp.fc1.bias"])
-        y = y + (z @ p["mlp.fc2.weight"] + p["mlp.fc2.bias"])
-        return y @ p["head.weight"] + p["head.bias"]
+            y = L.linear("attn.out", y)
+        z = nc.gelu(L.linear("mlp.fc1", L.norm("mlp_norm", y)))
+        y = y + L.linear("mlp.fc2", z)
+        return L.linear("head", y)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +194,7 @@ class ClassHead:
         self.params = {f"class.{k}": v for k, v in self.readout.params.items()}
 
     def forward(self, features):
-        out = self.readout.forward(features, self.readout.learned_queries(None))
+        out = self.readout.forward(features, self.readout.learned_queries())
         return nc.reshape(out, (out.shape[0], out.shape[-1]))
 
 
@@ -265,7 +220,7 @@ class PoseHead:
         first = features[:, :1]
         last = features[:, features.shape[1] - 1:]
         both = nc.concat([first, last], axis=-1)         # (B, 1, K, 2C)
-        out = self.readout.forward(both, self.readout.learned_queries(None))
+        out = self.readout.forward(both, self.readout.learned_queries())
         return nc.reshape(out, (out.shape[0], 12))
 
     @staticmethod

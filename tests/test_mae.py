@@ -105,6 +105,8 @@ def test_config_invariants():
     with pytest.raises(ValueError):
         ModelConfig(width=64, depth=4, mlp=256, heads=4, input_size=(8, 64, 64),
                     decode_grid=(4, 4, 4), output_patch=(2, 8, 8))
+    with pytest.raises(ValueError, match="mask_ratio"):
+        ModelConfig(width=64, depth=4, mlp=256, heads=4, input_size=(8, 64, 64), mask_ratio=0.0)
 
 
 # ---------------------------------------------------------------------------

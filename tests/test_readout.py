@@ -104,7 +104,7 @@ def test_forward_matches_numpy_reference():
     r = CrossAttentionReadout(cfg, seed=1, dtype=np.float64)
     feats = random_features(rng, b=2, t=16, k=4, c=24)
     with nc.no_grad():
-        out = r.forward(Tensor(feats), r.learned_queries(None))
+        out = r.forward(Tensor(feats), r.learned_queries())
     queries_np = r.params["queries"].data[None]
     expected = readout_numpy(r.params, cfg, feats, queries_np)
     np.testing.assert_allclose(out.data, np.broadcast_to(expected, out.shape), rtol=1e-10)
@@ -118,7 +118,7 @@ def test_zero_final_linear_gives_zero_outputs():
     r.params["head.weight"].data[:] = 0.0
     r.params["head.bias"].data[:] = 0.0
     with nc.no_grad():
-        out = r.forward(Tensor(random_features(rng, c=8)), r.learned_queries(None))
+        out = r.forward(Tensor(random_features(rng, c=8)), r.learned_queries())
     assert np.all(out.data == 0.0)
 
 
@@ -130,7 +130,7 @@ def test_query_permutation_equivariance():
     feats = Tensor(random_features(rng, b=1, c=8))
     perm = rng.permutation(5)
     with nc.no_grad():
-        out = r.forward(feats, r.learned_queries(None))
+        out = r.forward(feats, r.learned_queries())
         out_perm = r.forward(feats, Tensor(r.params["queries"].data[perm][None]))
     np.testing.assert_allclose(out_perm.data[0], out.data[0][perm], atol=1e-12)
 
@@ -140,7 +140,7 @@ def test_forward_rejects_channel_mismatch():
                         output_size=3, feature_channels=8)
     r = CrossAttentionReadout(cfg, seed=0)
     with pytest.raises(ValueError):
-        r.forward(Tensor(np.zeros((1, 16, 4, 9))), r.learned_queries(None))
+        r.forward(Tensor(np.zeros((1, 16, 4, 9))), r.learned_queries())
 
 
 def test_forward_is_pure():
@@ -150,8 +150,8 @@ def test_forward_is_pure():
     r = CrossAttentionReadout(cfg, seed=4)
     feats = Tensor(random_features(rng, c=8).astype(np.float32))
     with nc.no_grad():
-        a = r.forward(feats, r.learned_queries(None)).data
-        b = r.forward(feats, r.learned_queries(None)).data
+        a = r.forward(feats, r.learned_queries()).data
+        b = r.forward(feats, r.learned_queries()).data
     np.testing.assert_array_equal(a, b)
 
 
