@@ -206,13 +206,17 @@ def unpatchify(tokens, grid, patch):
 # ---------------------------------------------------------------------------
 
 def trunc_normal(rng, shape, std=0.02):
-    """Normal(0, std) resampled until everything lies within 2 sigma."""
+    """Normal(0, std) resampled until everything lies within 2 sigma.
+
+    After the first draw only the entries just redrawn are checked again;
+    they are redrawn in ascending flat order, as a full scan would.
+    """
     x = rng.standard_normal(shape)
-    while True:
-        bad = np.abs(x) > 2.0
-        if not bad.any():
-            break
-        x[bad] = rng.standard_normal(int(bad.sum()))
+    flat = x.reshape(-1)
+    idx = np.flatnonzero(np.abs(flat) > 2.0)
+    while idx.size:
+        flat[idx] = rng.standard_normal(idx.size)
+        idx = idx[np.abs(flat[idx]) > 2.0]
     return x * std
 
 
@@ -299,15 +303,22 @@ class MaskedVideoModel:
         h = nc.gelu(L.linear(f"{b}.mlp.fc1", L.norm(f"{b}.ln2", x)))
         return x + L.linear(f"{b}.mlp.fc2", h)
 
-    def encode(self, frames, plan, collect=()):
-        """Run the trunk on the kept tokens of one (T,H,W,3) clip.
+    def encode(self, frames, plan, collect=(), blocks=None):
+        """Run blocks 1..`blocks` (all when None) on the kept tokens of one
+        (T,H,W,3) clip; the blocks after them are never computed.
 
-        Returns (token state after the final block, dict of collected
-        1-based block index -> patch-token activations as Tensors).
+        Returns (token state after the last block run, dict of collected
+        1-based block index -> patch-token activations as Tensors). Every
+        collected index must lie in 1..blocks.
         """
         cfg, p = self.config, self.params
         if plan.total != cfg.num_tokens:
             raise ValueError(f"mask plan covers {plan.total} tokens, model expects {cfg.num_tokens}")
+        blocks = cfg.depth if blocks is None else blocks
+        if not 1 <= blocks <= cfg.depth:
+            raise ValueError(f"blocks {blocks} outside 1..{cfg.depth}")
+        if any(not 1 <= c <= blocks for c in collect):
+            raise ValueError(f"collect {tuple(collect)} outside the blocks run, 1..{blocks}")
         tokens = patchify(np.asarray(frames, dtype=self.dtype), cfg.input_patch)
         kept = Tensor(tokens[plan.kept])
         x = self.layers.linear("patch_embed", kept)
@@ -315,7 +326,7 @@ class MaskedVideoModel:
         n_visible = len(plan.kept)
         join_at = cfg.depth - cfg.latent_layers
         collected = {}
-        for i in range(cfg.depth):
+        for i in range(blocks):
             if i == join_at:
                 x = nc.concat([x, p["latent_tokens"]], axis=0)
             x = self._block(x, i)
@@ -345,10 +356,10 @@ class MaskedVideoModel:
         block = feature_block_index(fraction_pct, cfg.depth)
         plan = full_plan(cfg.num_tokens)
         if grad:
-            _, collected = self.encode(frames, plan, collect=(block,))
+            _, collected = self.encode(frames, plan, collect=(block,), blocks=block)
             return collected[block]
         with nc.no_grad():
-            _, collected = self.encode(frames, plan, collect=(block,))
+            _, collected = self.encode(frames, plan, collect=(block,), blocks=block)
         nt, nh, nw = cfg.token_grid
         data = collected[block].data.reshape(nt, nh * nw, cfg.width)
         return FeatureMap(data=data, layer_fraction=fraction_pct)

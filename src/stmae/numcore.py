@@ -18,13 +18,16 @@ reproducible for identical inputs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import erf
 
 LN_EPS = 1e-6  # layer-normalization epsilon
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats: under NumPy 2 promotion an np.float64 scalar makes float32 arrays float64
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 _grad_enabled = True
 
@@ -339,19 +342,6 @@ def layer_norm(a, eps=LN_EPS):
     return _make(y, [(a, vjp)])
 
 
-def softmax(a):
-    """Row-stochastic softmax over the last axis."""
-    a = _wrap(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        return s * (g - (g * s).sum(axis=-1, keepdims=True))
-
-    return _make(s, [(a, vjp)])
-
-
 def attention(q, k, v, heads):
     """Multi-head scaled dot-product attention, softmax(q kᵀ / sqrt(dh)) v.
 
@@ -527,7 +517,6 @@ OPS = {
     "transpose": transpose,
     "reshape": reshape,
     "layer_norm": layer_norm,
-    "softmax": softmax,
     "attention": attention,
     "log_softmax": log_softmax,
     "gelu": gelu,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .mae import Layers, trunc_normal
+from .mae import Layers
 from .numcore import Tensor
 
 FOURIER_BASES = 16
@@ -244,9 +244,7 @@ class PointTrackHead:
             qkv_size=qkv_size, heads=heads, query_kind="fourier-point",
             num_queries=0, output_size=8, feature_channels=feature_channels,
         ), seed=seed, dtype=dtype)
-        rng = np.random.default_rng([seed, 1])
-        self.readout.params["query_time_embed"] = nc.parameter(
-            trunc_normal(rng, (self.replicas, FOURIER_MLP_SIZE)).astype(dtype))
+        self.readout.layers.add_weight("query_time_embed", (self.replicas, FOURIER_MLP_SIZE))
         self.params = {f"point.{k}": v for k, v in self.readout.params.items()}
 
     def forward(self, features, query_points):

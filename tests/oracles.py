@@ -50,6 +50,17 @@ def rel_err(a, b, floor=1e-3):
     return float(np.max(np.abs(a - b) / denom))
 
 
+def trunc_normal_full_scan(rng, shape, std=0.02):
+    """Truncated normal that rescans the whole array after every redraw."""
+    x = rng.standard_normal(shape)
+    while True:
+        bad = np.abs(x) > 2.0
+        if not bad.any():
+            break
+        x[bad] = rng.standard_normal(int(bad.sum()))
+    return x * std
+
+
 def mse_loop(a, b):
     total = 0.0
     fa, fb = np.asarray(a).reshape(-1), np.asarray(b).reshape(-1)

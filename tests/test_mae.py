@@ -8,13 +8,21 @@ import pytest
 import oracles
 from stmae import numcore as nc
 from stmae import mae
-from stmae.mae import (MaskPlan, MaskedVideoModel, ModelConfig, count_parameters,
-                       feature_block_index, full_plan, mae_loss, patchify, preset,
-                       sample_mask, unpatchify)
+from stmae.mae import (FEATURE_FRACTIONS, MaskPlan, MaskedVideoModel, ModelConfig,
+                       count_parameters, feature_block_index, full_plan, mae_loss, patchify,
+                       preset, sample_mask, unpatchify)
 
 
 def small_nano(dtype=np.float32, seed=0):
     cfg = preset("nano", input_size=(4, 32, 32))
+    return MaskedVideoModel(cfg, seed=seed, dtype=dtype)
+
+
+def deep_narrow(dtype=np.float32, seed=0):
+    """Eight narrow blocks: the feature fractions pick blocks 2, 4, 6, 6, 7 and
+    8, before and after the latents join at block 7."""
+    cfg = ModelConfig(width=32, depth=8, mlp=64, heads=4, input_size=(4, 32, 32),
+                      latent_layers=2)
     return MaskedVideoModel(cfg, seed=seed, dtype=dtype)
 
 
@@ -79,6 +87,19 @@ def test_mask_is_uniform_without_replacement():
         counts[sample_mask(100, 0.95, rng).kept] += 1
     freq = counts / draws
     assert np.all(np.abs(freq - 0.05) < 0.01)
+
+
+# ---------------------------------------------------------------------------
+# Initialization
+# ---------------------------------------------------------------------------
+
+def test_trunc_normal_matches_full_scan_reference():
+    for shape in [(1,), (7,), (3, 5), (64, 64), (2, 3, 4, 5), (5000,)]:
+        for seed in range(5):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            np.testing.assert_array_equal(mae.trunc_normal(rng, shape),
+                                          oracles.trunc_normal_full_scan(ref_rng, shape))
+            assert rng.standard_normal() == ref_rng.standard_normal()   # same draws consumed
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +185,17 @@ def test_forward_deterministic_bitwise():
     assert np.array_equal(run(), run())
 
 
+def test_float32_model_keeps_float32():
+    model = small_nano(dtype=np.float32)
+    frames = random_clip(np.random.default_rng(16), (4, 32, 32))
+    recon, _ = model.reconstruct(frames, sample_mask(8, 0.5, seed=6))
+    loss = mae_loss(recon, frames)
+    nc.backward(loss)
+    assert recon.dtype == np.float32 and loss.dtype == np.float32
+    assert {name: t.grad.dtype for name, t in model.params.items()} == {
+        name: np.float32 for name in model.params}
+
+
 def test_encoder_cost_tracks_kept_count():
     # coarse performance property: 95% masking beats no masking on wall clock
     cfg = ModelConfig(width=256, depth=4, mlp=1024, heads=8,
@@ -240,14 +272,37 @@ def test_features_shape_and_latent_exclusion():
 
 
 def test_features_match_block_activations():
-    model = small_nano(dtype=np.float64)
+    # features stop at their block; a full-depth pass collects the same bits
     frames = random_clip(np.random.default_rng(10), (4, 32, 32))
-    with nc.no_grad():
-        _, collected = model.encode(frames, full_plan(8), collect=(2, 4))
-    np.testing.assert_array_equal(
-        model.features(frames, 50).data.reshape(8, 64), collected[2].data)
-    np.testing.assert_array_equal(
-        model.features(frames, 100).data.reshape(8, 64), collected[4].data)
+    for dtype in (np.float32, np.float64):
+        model = deep_narrow(dtype)
+        depth = model.config.depth
+        with nc.no_grad():
+            _, collected = model.encode(frames, full_plan(8), collect=tuple(range(1, depth + 1)))
+        for pct in FEATURE_FRACTIONS:
+            block = collected[feature_block_index(pct, depth)].data
+            fmap = model.features(frames, pct)
+            assert fmap.data.dtype == dtype
+            np.testing.assert_array_equal(fmap.data.reshape(8, 32), block)
+            np.testing.assert_array_equal(model.features(frames, pct, grad=True).data, block)
+
+
+@pytest.mark.parametrize("pct", FEATURE_FRACTIONS)
+def test_features_run_only_the_requested_blocks(pct, monkeypatch):
+    model = deep_narrow()
+    run, block = [], MaskedVideoModel._block
+    monkeypatch.setattr(MaskedVideoModel, "_block",
+                        lambda self, x, i: run.append(i) or block(self, x, i))
+    model.features(random_clip(np.random.default_rng(18), (4, 32, 32)), pct)
+    assert run == list(range(feature_block_index(pct, model.config.depth)))
+
+
+def test_encode_rejects_blocks_outside_depth():
+    model = small_nano()
+    frames = random_clip(np.random.default_rng(19), (4, 32, 32))
+    for kw in (dict(blocks=0), dict(blocks=5), dict(blocks=2, collect=(3,))):
+        with pytest.raises(ValueError, match="blocks"):
+            model.encode(frames, full_plan(8), **kw)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,6 @@ OP_CASES = {
     "transpose": _case(lambda a: nc.transpose(a, (2, 0, 1)), (2, 3, 4)),
     "reshape": _case(lambda a: nc.reshape(a, (2, 6)), (3, 4)),
     "layer_norm": _case(nc.layer_norm, (4, 8)),
-    "softmax": _case(nc.softmax, (3, 5)),
     "attention": _case(lambda q, k, v: nc.attention(q, k, v, heads=2), (2, 3, 4), (2, 5, 4), (2, 5, 4)),
     "log_softmax": _case(nc.log_softmax, (3, 5)),
     "gelu": _case(nc.gelu, (3, 4)),
@@ -97,20 +96,20 @@ def test_op_gradients_match_finite_differences(name):
             assert oracles.rel_err(t.grad, fd) < 1e-4, f"{name} input {i} seed {seed}"
 
 
+@pytest.mark.parametrize("name", sorted(ALL_CASES))
+def test_op_keeps_float32(name):
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    build, arrays = ALL_CASES[name](rng)
+    tensors = [nc.parameter(a.astype(np.float32)) for a in arrays]
+    out = build(*tensors)
+    assert out.dtype == np.float32
+    nc.backward(nc.sum_(out * Tensor(rng.standard_normal(out.shape).astype(np.float32))))
+    assert [t.grad.dtype for t in tensors] == [np.float32] * len(tensors)
+
+
 # ---------------------------------------------------------------------------
 # Forward semantics
 # ---------------------------------------------------------------------------
-
-def test_softmax_uniform_on_equal_logits():
-    out = nc.softmax(Tensor([0.0, 0.0, 0.0]))
-    np.testing.assert_allclose(out.data, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
-
-
-def test_softmax_rows_sum_to_one():
-    rng = np.random.default_rng(0)
-    out = nc.softmax(Tensor(rng.standard_normal((40, 17)) * 30))
-    assert np.max(np.abs(out.data.sum(axis=-1) - 1.0)) < 1e-12
-
 
 def test_matmul_identity():
     rng = np.random.default_rng(1)
@@ -205,7 +204,7 @@ def test_deterministic_outputs_bitwise():
         rng = np.random.default_rng(77)
         a = Tensor(rng.standard_normal((16, 16)))
         b = Tensor(rng.standard_normal((16, 16)))
-        out = nc.softmax(nc.matmul(a, b))
+        out = nc.attention(a, b, nc.matmul(a, b), heads=4)
         return nc.mean(nc.gelu(out)).data.copy()
     assert np.array_equal(run(), run())
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from stmae import numcore as nc
+from stmae import metrics, numcore as nc
 from stmae.numcore import Tensor
 from stmae.readout import (BoxTrackHead, ClassHead, CrossAttentionReadout, DepthHead,
                            PointTrackHead, PoseHead, ReadoutConfig, SE3Pose,
@@ -326,7 +326,7 @@ def test_class_head_logits_and_softmax():
     feats = Tensor(random_features(np.random.default_rng(15), b=2, c=8).astype(np.float32))
     with nc.no_grad():
         logits = head.forward(feats)
-        probs = nc.softmax(logits).data
+        probs = np.exp(nc.log_softmax(logits).data)
     assert tuple(logits.shape) == (2, 174)
     np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
 
@@ -339,3 +339,46 @@ def test_gradients_reach_every_head_parameter():
     nc.backward(loss)
     missing = [k for k, v in head.params.items() if v.grad is None]
     assert missing == []
+
+
+def test_point_head_accepts_generator_seed():
+    head = PointTrackHead(feature_channels=8, num_frames=4, qkv_size=16, heads=2,
+                          seed=np.random.default_rng(0))
+    assert head.params["point.query_time_embed"].shape == (2, 512)
+    feats = Tensor(random_features(np.random.default_rng(17), b=1, c=8).astype(np.float32))
+    with nc.no_grad():
+        pos, _, _ = head.forward(feats, np.full((1, 2, 2), 0.5))
+    assert tuple(pos.shape) == (1, 2, 4, 2)
+
+
+def _task_loss_float32(name):
+    """One float32 head of each kind, its forward and its task loss from `metrics`."""
+    rng = np.random.default_rng(18)
+    kw = dict(qkv_size=16, heads=2, dtype=np.float32)
+    feats = Tensor(random_features(rng, b=2, t=16, k=4, c=8).astype(np.float32))
+    if name == "class":
+        head = ClassHead(8, num_classes=5, **kw)
+        return head, metrics.cross_entropy(head.forward(feats), [1, 3])
+    if name == "pose":
+        head = PoseHead(8, **kw)
+        return head, metrics.pose_loss(head.forward(feats), rng.standard_normal((2, 12)))
+    if name == "point":
+        head = PointTrackHead(8, num_frames=16, **kw)
+        pos, vis, unc = head.forward(feats, rng.random((2, 3, 2)))
+        return head, metrics.point_track_loss(pos * 32.0, vis, unc, rng.random((2, 3, 16, 2)) * 32,
+                                              rng.random((2, 3, 16)) > 0.3)
+    if name == "box":
+        head = BoxTrackHead(8, num_frames=16, **kw)
+        return head, metrics.box_track_loss(head.forward(feats, rng.random((2, 3, 4))),
+                                            rng.random((2, 3, 16, 4)))
+    head = DepthHead(8, clip_size=(16, 16, 16), **kw)
+    return head, metrics.depth_loss(head.forward(feats), rng.uniform(0.5, 20.0, (2, 16, 16, 16)))
+
+
+@pytest.mark.parametrize("name", ["class", "pose", "point", "box", "depth"])
+def test_float32_head_and_task_loss_keep_float32(name):
+    head, loss = _task_loss_float32(name)
+    nc.backward(loss)
+    assert loss.dtype == np.float32
+    assert {k: v.grad.dtype for k, v in head.params.items()} == {
+        k: np.float32 for k in head.params}
