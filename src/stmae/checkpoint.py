@@ -9,6 +9,7 @@ order. Writes are atomic (temp file + rename).
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -49,19 +50,40 @@ def save_tensors(path, tensors, config=None):
 
 
 def load_tensors(path):
-    """Read a container; returns (dict name -> float32 array, config dict)."""
+    """Read a container; returns (dict name -> float32 array, config dict).
+
+    A malformed file raises ValueError naming the path and, where one
+    entry is at fault, the tensor.
+    """
     with open(path, "rb") as fh:
-        header_len = int(fh.readline().decode("ascii").strip())
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        if header.get("format") != FORMAT_TAG:
+        line = fh.readline()
+        try:
+            header_len = int(line.decode("ascii"))
+        except ValueError:                   # UnicodeDecodeError included
+            raise ValueError(f"{path}: header length line {line[:40]!r} is not a byte count") from None
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"{path}: header is not JSON ({exc})") from None
+        if not isinstance(header, dict) or header.get("format") != FORMAT_TAG:
             raise ValueError(f"{path}: not a {FORMAT_TAG} container")
+        missing = sorted({"config", "tensors"} - header.keys())
+        if missing:
+            raise ValueError(f"{path}: header lacks {missing}")
         fh.read(1)  # newline after header
         data = fh.read()
     tensors = {}
-    for entry in header["tensors"]:
+    for index, entry in enumerate(header["tensors"]):
+        name = entry.get("name", f"#{index}")
+        missing = sorted({"name", "shape", "offset"} - entry.keys())
+        if missing:
+            raise ValueError(f"{path}: tensor {name!r} lacks {missing}")
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         start = entry["offset"]
+        if start < 0 or min(shape, default=0) < 0 or start + 4 * count > len(data):
+            raise ValueError(f"{path}: tensor {name!r} of shape {shape} at offset {start} "
+                             f"does not fit in {len(data)} data bytes")
         flat = np.frombuffer(data, dtype="<f4", count=count, offset=start)
-        tensors[entry["name"]] = flat.reshape(shape).copy()
+        tensors[name] = flat.reshape(shape).copy()
     return tensors, header["config"]

@@ -39,6 +39,10 @@ class ModelConfig:
     mask_ratio: float = 0.95
 
     def __post_init__(self):
+        for name in ("input_size", "input_patch", "decode_grid", "output_patch"):
+            value = getattr(self, name)
+            if value is not None:           # JSON configs carry lists
+                object.__setattr__(self, name, tuple(value))
         if self.decode_grid is None:
             object.__setattr__(self, "decode_grid", self.token_grid)
         if self.output_patch is None:
@@ -395,7 +399,6 @@ def save_model(path, model):
 def load_model(path, dtype=np.float32):
     from .checkpoint import load_tensors
     tensors, cfg = load_tensors(path)
-    cfg = {k: tuple(v) if isinstance(v, list) else v for k, v in cfg.items()}
     model = MaskedVideoModel(ModelConfig(**cfg), seed=0, dtype=dtype)
     model.load_state(tensors)
     return model

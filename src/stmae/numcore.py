@@ -8,12 +8,18 @@ reverse topological order and accumulates gradients into `.grad`.
 encoder's self-attention and by every readout's cross-attention. It
 splits and merges heads itself and has one hand-written VJP that keeps
 only the softmax weights (plus views of q, k and v) for backward; the
-three input gradients share one computation of the score gradient.
+three input gradients share one computation of the score gradient. Its
+forward runs in blocks of query rows of about `ATTENTION_BLOCK` score
+elements: with a gradient to take, the blocks fill the kept weights
+array; without one, a single scratch block is reused, so a frozen
+readout never holds its whole score tensor.
 
 Data is row-major float64 or float32; both dtypes run the same code
-path. Reductions delegate to numpy, whose summation order over the
-row-major layout is fixed within one build, so results are bitwise
-reproducible for identical inputs.
+path, except `gelu`, whose float32 kernel stays in float32 (within 3e-7
+absolute of the exact value) while float64 uses scipy's erf. Reductions
+delegate to numpy, whose summation order over the row-major layout is
+fixed within one build, so results are bitwise reproducible for
+identical inputs.
 """
 
 from __future__ import annotations
@@ -28,6 +34,15 @@ LN_EPS = 1e-6  # layer-normalization epsilon
 # Python floats: under NumPy 2 promotion an np.float64 scalar makes float32 arrays float64
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_HALF_INV_SQRT2 = 0.5 / math.sqrt(2.0)
+
+# Coefficients of P(t) in Numerical Recipes' `erfcc`, constant term first:
+# erfc(z) = t·exp(-z² + P(t)), t = 1/(1 + z/2), fractional error < 1.2e-7 for z >= 0
+_ERFCC = (-1.26551223, 1.00002368, 0.37409196, 0.09678418, -0.18628806,
+          0.27886807, -1.13520398, 1.48851587, -0.82215223, 0.17087277)
+_GELU_CHUNK = 1 << 15        # elements; a chunk's float32 buffers (768 KB) fit in L2
+
+ATTENTION_BLOCK = 1 << 21    # score elements per query block of `attention`
 
 _grad_enabled = True
 
@@ -349,14 +364,27 @@ def attention(q, k, v, heads):
     the output is (..., nq, d). The last axis splits into `heads`
     contiguous slices of dh = d / heads channels, each attending on its
     own; their outputs are merged back in the same order.
+
+    The softmax runs in blocks of query rows, each holding about
+    `ATTENTION_BLOCK` score elements over every leading axis, every head and
+    all nk keys. When a gradient will be taken the blocks are slices of
+    the full weights array that backward keeps; otherwise one scratch
+    block is reused, so memory stays bounded by the block whatever nq is.
+    Every block sees all the keys, so each row's arithmetic is the same
+    as for an unblocked softmax and both modes give the same bits.
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     if (q.ndim < 2 or k.ndim < 2 or k.shape != v.shape or q.shape[-1] != k.shape[-1]
             or heads < 1 or q.shape[-1] % heads):
         raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape} need equal "
                          f"k and v shapes and a last axis shared and divisible by {heads} heads")
+    try:
+        lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2])
+    except ValueError:
+        raise ShapeError(f"attention: leading axes of q {q.shape} and k {k.shape} do not broadcast")
     d = q.shape[-1]
     dh = d // heads
+    nq, nk = q.shape[-2], k.shape[-2]
 
     def split(x):                    # (..., n, d) -> (..., heads, n, dh), a view
         return x.reshape(x.shape[:-1] + (heads, dh)).swapaxes(-3, -2)
@@ -366,15 +394,26 @@ def attention(q, k, v, heads):
         return x.reshape(x.shape[:-2] + (d,))
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    try:
-        s = qh @ kh.swapaxes(-1, -2)
-    except ValueError:
-        raise ShapeError(f"attention: leading axes of q {q.shape} and k {k.shape} do not broadcast")
-    scale = np.asarray(1.0 / np.sqrt(dh), dtype=s.dtype)
-    s *= scale
-    s -= s.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)   # softmax weights, the only array kept for backward
+    kt = kh.swapaxes(-1, -2)
+    dtype = np.result_type(q.data, k.data)
+    scale = np.asarray(1.0 / np.sqrt(dh), dtype=dtype)
+    rows = max(2, ATTENTION_BLOCK // (math.prod(lead) * heads * nk))
+    keep = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
+    # softmax weights: the only array kept for backward, or one reused block
+    s = np.empty(lead + (heads, nq if keep else min(rows, nq), nk), dtype)
+    out = np.empty(lead + (nq, d), np.result_type(dtype, v.data))
+    for start in range(0, nq, rows):
+        # numpy sends a one-row product to gemv, whose bits differ from gemm's,
+        # so a last block of one row takes the row before it along
+        start = max(0, min(start, nq - 2))
+        block = slice(start, start + rows)
+        w = s[..., block, :] if keep else s[..., :min(rows, nq - start), :]
+        np.matmul(qh[..., block, :], kt, out=w)
+        w *= scale
+        w -= w.max(axis=-1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=-1, keepdims=True)
+        np.matmul(w, vh, out=split(out)[..., block, :])
 
     def grads(g):
         gh = split(g)
@@ -386,8 +425,7 @@ def attention(q, k, v, heads):
         if q.requires_grad:
             out[0] = merge(_unbroadcast(gs @ kh, qh.shape))
         if k.requires_grad:
-            out[1] = merge(_unbroadcast(qh.swapaxes(-1, -2) @ gs, kh.swapaxes(-1, -2).shape)
-                           .swapaxes(-1, -2))
+            out[1] = merge(_unbroadcast(qh.swapaxes(-1, -2) @ gs, kt.shape).swapaxes(-1, -2))
         return out
 
     # backward calls the three vjps back to back with one g; the first call
@@ -401,7 +439,7 @@ def attention(q, k, v, heads):
             return pending.pop(i)
         return fn
 
-    return _make(merge(s @ vh), [(q, vjp(0)), (k, vjp(1)), (v, vjp(2))])
+    return _make(out, [(q, vjp(0)), (k, vjp(1)), (v, vjp(2))])
 
 
 def log_softmax(a):
@@ -418,12 +456,71 @@ def log_softmax(a):
     return _make(y, [(a, vjp)])
 
 
+def _gelu_float32(x, with_cdf):
+    """float32 GELU as max(x, 0) - |x|·Phi(-|x|), one L2-sized chunk at a time.
+
+    Phi(-|x|) = erfc(|x|/sqrt2)/2 = t·exp(-x²/2 + P(t))/2 with t = 1/(1 + |x|/(2 sqrt2))
+    (Numerical Recipes `erfcc`); no select and no cancellation in the
+    negative tail, so y <= 0 for every x < 0. Returns y and, when asked,
+    Phi(x) = Phi(-|x|) + H(x)·(1 - 2 Phi(-|x|)) with H the unit step.
+    """
+    flat = np.ascontiguousarray(x).reshape(-1)
+    y = np.empty_like(flat)
+    cdf = np.empty_like(flat) if with_cdf else None
+    a, t, p = (np.empty(min(_GELU_CHUNK, flat.size), np.float32) for _ in range(3))
+    for start in range(0, flat.size, _GELU_CHUNK):
+        xc = flat[start:start + _GELU_CHUNK]
+        yc = y[start:start + _GELU_CHUNK]
+        n = xc.size
+        ac, tc, pc = a[:n], t[:n], p[:n]
+        np.abs(xc, out=ac)
+        # Phi(-|x|) is 0 in float32 well before |x| = 64: the same y for
+        # finite x, and x = ±inf gives max(x, 0) instead of inf·0 = nan
+        np.minimum(ac, 64.0, out=ac)
+        np.multiply(ac, _HALF_INV_SQRT2, out=tc)
+        tc += 1.0
+        np.divide(1.0, tc, out=tc)
+        np.multiply(tc, _ERFCC[-1], out=pc)
+        for c in _ERFCC[-2:0:-1]:
+            pc += c
+            pc *= tc
+        pc += _ERFCC[0]
+        np.multiply(ac, -0.5, out=yc)       # exact, so -x²/2 takes one rounding
+        yc *= ac
+        pc += yc
+        np.exp(pc, out=pc)
+        pc *= tc
+        pc *= 0.5                           # Phi(-|x|)
+        if with_cdf:
+            cc = cdf[start:start + n]
+            np.copysign(0.5, xc, out=tc)
+            tc += 0.5                       # t is spent; now H(x): 1 for x >= +0, else 0
+            np.multiply(pc, -2.0, out=cc)
+            cc += 1.0
+            cc *= tc
+            cc += pc
+        pc *= ac
+        np.maximum(xc, 0.0, out=yc)
+        yc -= pc
+    return y.reshape(x.shape), (cdf.reshape(x.shape) if with_cdf else None)
+
+
 def gelu(a):
-    """Exact Gaussian-CDF GELU: x * Phi(x)."""
+    """Exact Gaussian-CDF GELU: x * Phi(x).
+
+    float64 goes through scipy's erf. float32 stays float32 in
+    `_gelu_float32`: on [-12, 12] it is within 3e-7 absolute of the exact
+    value, within 16 ulp where |y| >= 1e-2 and 64 ulp where |y| >= 1e-6,
+    and never positive for negative x. Phi(x) is kept for backward only
+    when a gradient will be taken.
+    """
     a = _wrap(a)
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    y = x * cdf
+    if x.dtype == np.float32:
+        y, cdf = _gelu_float32(x, _grad_enabled and a.requires_grad)
+    else:
+        cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+        y = x * cdf
 
     def vjp(g):
         pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI

@@ -421,20 +421,33 @@ def generate(seed, count, resolution, frames=16):
 # Augmentation
 # ---------------------------------------------------------------------------
 
+def _lerp_axis(frames, axis, size):
+    """Pixel-center linear resampling of one axis to `size`, in the frames' dtype."""
+    n = frames.shape[axis]
+    pos = np.clip((np.arange(size) + 0.5) * (n / size) - 0.5, 0, n - 1)
+    lo = np.floor(pos).astype(int)
+    hi = np.minimum(lo + 1, n - 1)
+    weight = (pos - lo).astype(frames.dtype).reshape((size,) + (1,) * (frames.ndim - axis - 1))
+    a = np.take(frames, lo, axis=axis)
+    b = np.take(frames, hi, axis=axis)
+    b -= a
+    b *= weight
+    b += a
+    return b
+
+
 def resize_bilinear(frames, out_h, out_w):
-    """Pixel-center bilinear resize over the two spatial axes of (T,H,W,C)."""
-    t, h, w, c = frames.shape
-    ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0, h - 1)
-    xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0, w - 1)
-    y0 = np.floor(ys).astype(int)
-    x0 = np.floor(xs).astype(int)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = (ys - y0)[None, :, None, None]
-    wx = (xs - x0)[None, None, :, None]
-    top = frames[:, y0][:, :, x0] * (1 - wx) + frames[:, y0][:, :, x1] * wx
-    bot = frames[:, y1][:, :, x0] * (1 - wx) + frames[:, y1][:, :, x1] * wx
-    return (top * (1 - wy) + bot * wy).astype(frames.dtype)
+    """Pixel-center bilinear resize over the two spatial axes of (T,H,W,C).
+
+    Separable, rows then columns, in the frames' float dtype; an axis that
+    keeps its size is copied unchanged, so a same-size resize is the identity.
+    """
+    out = frames
+    if out_h != out.shape[1]:
+        out = _lerp_axis(out, 1, out_h)
+    if out_w != out.shape[2]:
+        out = _lerp_axis(out, 2, out_w)
+    return out.copy() if out is frames else out
 
 
 def resize_nearest(maps, out_h, out_w):

@@ -74,6 +74,48 @@ def gelu_scalar(x):
     return x * 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
+def gelu_float64(x):
+    """x·Phi(x) and its derivative in float64, with Phi(x) = erfc(-x/sqrt2)/2,
+    which has no cancellation in the negative tail."""
+    from scipy.special import erfc
+    x = np.asarray(x, dtype=np.float64)
+    cdf = 0.5 * erfc(-x / math.sqrt(2.0))
+    return x * cdf, cdf + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
+def attention_unblocked(q, k, v, heads):
+    """Multi-head softmax attention over the whole score tensor at once, with
+    the same per-row arithmetic as numcore.attention (so equal bits)."""
+    d = q.shape[-1]
+    dh = d // heads
+
+    def split(x):
+        return x.reshape(x.shape[:-1] + (heads, dh)).swapaxes(-3, -2)
+
+    s = split(q) @ split(k).swapaxes(-1, -2)
+    s *= np.asarray(1.0 / np.sqrt(dh), dtype=s.dtype)
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    out = (s @ split(v)).swapaxes(-3, -2)
+    return out.reshape(out.shape[:-2] + (d,))
+
+
+def resize_bilinear_4tap(frames, out_h, out_w):
+    """Pixel-center bilinear resize of (T,H,W,C) in float64, blending the four
+    neighbours of each output pixel at once (not axis by axis)."""
+    t, h, w, c = frames.shape
+    frames = np.asarray(frames, dtype=np.float64)
+    ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0, h - 1)
+    xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0, w - 1)
+    y0, x0 = np.floor(ys).astype(int), np.floor(xs).astype(int)
+    y1, x1 = np.minimum(y0 + 1, h - 1), np.minimum(x0 + 1, w - 1)
+    wy = (ys - y0)[None, :, None, None]
+    wx = (xs - x0)[None, None, :, None]
+    return (frames[:, y0][:, :, x0] * (1 - wy) * (1 - wx) + frames[:, y0][:, :, x1] * (1 - wy) * wx
+            + frames[:, y1][:, :, x0] * wy * (1 - wx) + frames[:, y1][:, :, x1] * wy * wx)
+
+
 def epe_loop(r_hat, t_hat, r, t, points):
     total = 0.0
     for p in points:

@@ -354,6 +354,24 @@ def test_checkpoint_roundtrip(tmp_path):
     np.testing.assert_array_equal(a.data, b.data)
 
 
+def test_config_from_lists_round_trips_through_checkpoint(tmp_path):
+    # JSON gives lists back; the config must equal (and hash like) the tuple one
+    cfg = ModelConfig(width=32, depth=2, mlp=64, heads=4, input_size=[4, 32, 32],
+                      input_patch=[2, 16, 16], latent_layers=1, decode_grid=[2, 2, 2],
+                      output_patch=[2, 16, 16])
+    assert cfg == ModelConfig(**{k: tuple(v) if isinstance(v, list) else v
+                                 for k, v in cfg.to_dict().items()})
+    assert hash(cfg) and all(isinstance(getattr(cfg, f), tuple) for f in
+                             ("input_size", "input_patch", "decode_grid", "output_patch"))
+    model = MaskedVideoModel(cfg, seed=3)
+    mae.save_model(tmp_path / "model.ckpt", model)
+    loaded = mae.load_model(tmp_path / "model.ckpt")
+    assert loaded.config == cfg
+    assert list(loaded.params) == list(model.params)
+    for name, t in model.params.items():
+        np.testing.assert_array_equal(loaded.params[name].data, t.data)
+
+
 def test_params_digest_tracks_changes():
     model = small_nano(seed=15)
     before = mae.params_digest(model.params)

@@ -1,5 +1,6 @@
 """Forward semantics and gradient checks for the autodiff core."""
 
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -123,6 +124,103 @@ def test_gelu_matches_scalar_reference():
     out = nc.gelu(Tensor(xs))
     expected = [oracles.gelu_scalar(float(x)) for x in xs]
     np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-14)
+
+
+def test_gelu_float32_accuracy():
+    x = np.linspace(-12.0, 12.0, 2_000_001, dtype=np.float32)
+    ref, ref_grad = oracles.gelu_float64(x)
+    t = nc.parameter(x)
+    out = nc.gelu(t)
+    nc.backward(nc.sum_(out))
+    y = out.data
+    assert y.dtype == np.float32 and t.grad.dtype == np.float32
+    err = np.abs(y.astype(np.float64) - ref)
+    ulps = err / np.spacing(np.abs(ref).astype(np.float32))
+    assert err.max() <= 3e-7
+    assert ulps[np.abs(ref) >= 1e-2].max() <= 16
+    assert ulps[np.abs(ref) >= 1e-6].max() <= 64
+    assert np.all(y[x < 0] <= 0)
+    assert np.abs(t.grad - ref_grad).max() <= 5e-7
+    with nc.no_grad():
+        again = nc.gelu(Tensor(x)).data
+    np.testing.assert_array_equal(again, y)
+    infinite = nc.gelu(Tensor(np.array([np.inf, -np.inf], dtype=np.float32))).data
+    np.testing.assert_array_equal(infinite, [np.inf, 0.0])
+
+
+def test_gelu_float32_elementwise_bits():
+    # chunk boundaries fall on other elements for a transposed layout and
+    # an odd length; no element's bits may depend on where it sits
+    x = np.random.default_rng(4).standard_normal((301, 257)).astype(np.float32) * 4
+    y = nc.gelu(Tensor(x)).data
+    np.testing.assert_array_equal(nc.gelu(Tensor(x.T)).data, y.T)
+    np.testing.assert_array_equal(nc.gelu(Tensor(x.reshape(-1)[5:])).data, y.reshape(-1)[5:])
+
+
+def test_gelu_float32_no_grad_allocates_only_its_output():
+    x = np.random.default_rng(5).standard_normal(1 << 22).astype(np.float32)
+    tracemalloc.start()
+    try:
+        with nc.no_grad():
+            nc.gelu(Tensor(x))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes + (1 << 20)
+
+
+# shapes spanning several query blocks once ATTENTION_BLOCK is shrunk to 600
+# score elements; the last block is ragged, one row long in some cases
+ATTENTION_BLOCK_CASES = [
+    ((2, 37, 16), (2, 11, 16), 4),      # 6 rows a block, last block 1 row
+    ((2, 40, 16), (2, 11, 16), 4),      # last block 4 rows
+    ((1, 29, 16), (3, 11, 16), 2),      # one query set against a batch: 9 rows, last 2
+    ((23, 8), (45, 8), 2),              # no leading axes: 6 rows, last 5
+    ((1, 16), (5, 16), 4),              # a single query row
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("q_shape, kv_shape, heads", ATTENTION_BLOCK_CASES)
+def test_attention_blocks_match_unblocked_formula(q_shape, kv_shape, heads, dtype, monkeypatch):
+    rng = np.random.default_rng(len(q_shape) * 100 + q_shape[-2])
+    q, k, v = (rng.standard_normal(s).astype(dtype) for s in (q_shape, kv_shape, kv_shape))
+    g = rng.standard_normal(oracles.attention_unblocked(q, k, v, heads).shape).astype(dtype)
+
+    def run(block):
+        monkeypatch.setattr(nc, "ATTENTION_BLOCK", block)
+        with nc.no_grad():
+            frozen = nc.attention(Tensor(q), Tensor(k), Tensor(v), heads).data
+        tensors = [nc.parameter(a) for a in (q, k, v)]
+        out = nc.attention(*tensors, heads)
+        nc.backward(nc.sum_(out * Tensor(g)))
+        return frozen, out.data, [t.grad for t in tensors]
+
+    expected = oracles.attention_unblocked(q, k, v, heads)
+    frozen, tracked, grads = run(600)
+    np.testing.assert_array_equal(frozen, expected)
+    np.testing.assert_array_equal(tracked, expected)
+    assert frozen.dtype == tracked.dtype == dtype
+    for a, b in zip(grads, run(1 << 40)[2]):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_attention_no_grad_memory_is_bounded():
+    # the depth readout at eval geometry: 16 heads x 2048 queries x 1024 keys
+    # make a 128 MB float32 score tensor
+    rng = np.random.default_rng(6)
+    q = Tensor(rng.standard_normal((1, 2048, 1024), dtype=np.float32))
+    k = Tensor(rng.standard_normal((1, 1024, 1024), dtype=np.float32))
+    v = Tensor(rng.standard_normal((1, 1024, 1024), dtype=np.float32))
+    scores_bytes = 16 * 2048 * 1024 * 4
+    tracemalloc.start()
+    try:
+        with nc.no_grad():
+            nc.attention(q, k, v, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < scores_bytes / 4
 
 
 def test_layer_norm_moments():
