@@ -250,7 +250,7 @@ class Layers:
         self.params[f"{name}.bias"] = nc.parameter(np.zeros(n, dtype=self.dtype))
 
     def linear(self, name, x):
-        return x @ self.params[f"{name}.weight"] + self.params[f"{name}.bias"]
+        return nc.affine(x, self.params[f"{name}.weight"], self.params[f"{name}.bias"])
 
     def norm(self, name, x):
         return nc.layer_norm(x) * self.params[f"{name}.scale"] + self.params[f"{name}.bias"]

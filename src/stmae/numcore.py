@@ -12,7 +12,9 @@ three input gradients share one computation of the score gradient. Its
 forward runs in blocks of query rows of about `ATTENTION_BLOCK` score
 elements: with a gradient to take, the blocks fill the kept weights
 array; without one, a single scratch block is reused, so a frozen
-readout never holds its whole score tensor.
+readout never holds its whole score tensor. `affine` is the one linear
+layer (`mae.Layers.linear`): one node and one output array, the bias
+added in place into the product.
 
 Data is row-major float64 or float32; both dtypes run the same code
 path, except `gelu`, whose float32 kernel stays in float32 (within 3e-7
@@ -267,6 +269,29 @@ def matmul(a, b):
     return _make(data, [
         (a, lambda g: _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape)),
         (b, lambda g: _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape)),
+    ])
+
+
+def affine(x, w, b):
+    """The linear layer x @ w + b: x (..., n, k), w (k, m), b (m,).
+
+    The bias goes into the fresh product in place, so the layer makes one
+    output array and one graph node; values and gradients have the bits
+    of `matmul` followed by `add`.
+    """
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"affine: x {x.shape}, w {w.shape} and b {b.shape} "
+                         f"need x (..., n, k), w (k, m) and b (m,)")
+    data = x.data @ w.data
+    if data.dtype == np.result_type(data, b.data):
+        data += b.data
+    else:
+        data = data + b.data
+    return _make(data, [
+        (x, lambda g: _unbroadcast(g @ w.data.swapaxes(-1, -2), x.shape)),
+        (w, lambda g: _unbroadcast(x.data.swapaxes(-1, -2) @ g, w.shape)),
+        (b, lambda g: _unbroadcast(g, b.shape)),
     ])
 
 
@@ -608,6 +633,7 @@ OPS = {
     "mul": mul,
     "neg": neg,
     "matmul": matmul,
+    "affine": affine,
     "concat": concat,
     "slice": slice_,
     "gather": gather,

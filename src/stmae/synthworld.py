@@ -5,8 +5,13 @@ one to three billboard sprites, viewed by a pinhole camera whose motion
 follows one of eight motion-pattern classes. Frames are rendered by
 z-buffered ray casting against the rectangles, so the depth map, the
 camera poses, the point tracks and the sprite boxes are exact by
-construction. Clip `i` of a stream draws all randomness from
-`default_rng([seed, i])`.
+construction. A rectangle's rays are cast only inside its screen window,
+the padded bounding box of its projection clipped to the space in front
+of the camera, and each pixel is then shaded once, in float32, by the
+nearest rectangle. Clip `i` of a stream draws all randomness from
+`default_rng([seed, i, attempt])`, where `attempt` is the first of up to
+20 scene draws whose camera stays clear of walls and sprites (almost
+always 0).
 
 Conventions: world x right, y down, z forward; the camera looks toward
 +z. Extrinsics map world to camera: Xc = R (Xw - c). Intrinsics are fixed
@@ -18,6 +23,7 @@ continuous pixel coordinates run 0..W with pixel (i, j) centered at
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +41,7 @@ CLASS_NAMES = (
 )
 OCCLUSION_TOLERANCE = 0.1   # meters of depth slack in the z-buffer test
 _RAY_EPS = 1e-9
+_MIN_T = 1e-6               # nearest ray hit; t is the hit's camera z
 
 
 # ---------------------------------------------------------------------------
@@ -51,19 +58,30 @@ class Texture:
     noise_amp: float
 
     def sample(self, u, v):
-        """Color at texture coordinates; u, v arrays in [0, 1]."""
-        angles = 2 * np.pi * (u[..., None] * self.freq[0] + v[..., None] * self.freq[1])
-        color = self.base + self.amp * np.sin(angles + self.phase)
+        """float32 colors (3, N) at texture coordinates u, v: float64 (N,) in [0, 1].
+
+        Channel-major, so each pass runs over N contiguous values. The noise
+        cell is picked from the float64 coordinates: rounded to float32
+        first, a coordinate on a cell boundary could land in the next cell
+        and move the color by up to `noise_amp`.
+        """
+        f32 = np.float32
+        color = (2 * np.pi * self.freq[0]).astype(f32)[:, None] * u.astype(f32)
+        color += (2 * np.pi * self.freq[1]).astype(f32)[:, None] * v.astype(f32)
+        color += self.phase.astype(f32)[:, None]
+        np.sin(color, out=color)
+        color *= self.amp.astype(f32)[:, None]
+        color += self.base.astype(f32)[:, None]
         g = self.noise.shape[0]
-        iu = np.clip((u * g).astype(int), 0, g - 1)
-        iv = np.clip((v * g).astype(int), 0, g - 1)
-        color = color + self.noise_amp * (self.noise[iu, iv] - 0.5)
-        return np.clip(color, 0.0, 1.0)
+        cell = np.clip((u * g).astype(int), 0, g - 1) * g + np.clip((v * g).astype(int), 0, g - 1)
+        noise = (self.noise_amp * (self.noise - 0.5)).astype(f32).reshape(g * g, 3).T
+        color += noise.take(cell, axis=1)
+        return np.clip(color, 0.0, 1.0, out=color)
 
 
 @dataclass
 class Rect:
-    """Textured parallelogram: origin corner plus two edge vectors."""
+    """Textured rectangle: origin corner plus two perpendicular edge vectors."""
     origin: np.ndarray
     edge_u: np.ndarray
     edge_v: np.ndarray
@@ -306,7 +324,7 @@ def _ray_dirs_world(r_w2c, width, height):
     return dirs_cam @ r_w2c                                     # = dirs_cam @ R = R^T dirs
 
 def _intersect(rect, origin, dirs):
-    """Ray-parallelogram hits: returns (t, u, v, valid) arrays."""
+    """Ray-rectangle hits: returns (t, u, v, valid) arrays."""
     normal = np.cross(rect.edge_u, rect.edge_v)
     denom = dirs @ normal
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -315,35 +333,93 @@ def _intersect(rect, origin, dirs):
     rel = hit - rect.origin
     uu = (rel @ rect.edge_u) / (rect.edge_u @ rect.edge_u)
     vv = (rel @ rect.edge_v) / (rect.edge_v @ rect.edge_v)
-    valid = (np.abs(denom) > _RAY_EPS) & (t > 1e-6) & \
+    valid = (np.abs(denom) > _RAY_EPS) & (t > _MIN_T) & \
             (uu >= 0) & (uu <= 1) & (vv >= 0) & (vv <= 1)
     return t, uu, vv, valid
 
 
+def _screen_window(rect, r_w2c, center, width, height):
+    """Pixel window (rows, cols) of slices outside which no ray hits `rect`.
+
+    A hit needs t > _MIN_T, and t is the hit's camera z, so the rectangle
+    is clipped to the half-space z >= _MIN_T in camera coordinates. Every
+    pixel whose ray hits it has its center inside the projection of that
+    polygon; the window is the polygon's bounding box padded by a pixel
+    and cut to the frame. None when the rectangle cannot be seen (every
+    corner at z <= _MIN_T, or a box outside the frame); the full frame when
+    a projected corner is not finite.
+    """
+    o = rect.origin - center
+    cam = np.array([o, o + rect.edge_u, o + rect.edge_u + rect.edge_v, o + rect.edge_v]) @ r_w2c.T
+    ahead = cam[:, 2] > _MIN_T
+    if not ahead.any():
+        return None
+    if not ahead.all():
+        # Sutherland-Hodgman against the one plane z = _MIN_T
+        clipped = []
+        for i in range(4):
+            a, b = cam[i], cam[(i + 1) % 4]
+            if ahead[i]:
+                clipped.append(a)
+            if ahead[i] != ahead[(i + 1) % 4]:
+                clipped.append(a + (_MIN_T - a[2]) / (b[2] - a[2]) * (b - a))
+        cam = np.array(clipped)
+    fx, fy, cx, cy = intrinsics(width, height)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = fx * cam[:, 0] / cam[:, 2] + cx
+        y = fy * cam[:, 1] / cam[:, 2] + cy
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        return slice(0, height), slice(0, width)
+    x0, x1 = max(0, math.floor(x.min()) - 1), min(width, math.ceil(x.max()) + 1)
+    y0, y1 = max(0, math.floor(y.min()) - 1), min(height, math.ceil(y.max()) + 1)
+    if x0 >= x1 or y0 >= y1:
+        return None
+    return slice(y0, y1), slice(x0, x1)
+
+
 def render_frame(spec, frame, width, height):
-    """One frame: returns (rgb (H,W,3), depth (H,W), surface id (H,W))."""
+    """One frame: rgb (H,W,3) float32, depth (H,W), surface id (H,W) and
+    sprite boxes (S,4), normalized (xmin, xmax, ymin, ymax), zero when hidden.
+
+    Each rectangle casts rays only inside its `_screen_window`; the z-buffer
+    takes a hit that is strictly nearer than the one it holds, in rectangle
+    order. Each pixel is then shaded once, in float32, by its nearest
+    rectangle, and a sprite's box is read from its window.
+    """
     r, _t = camera_extrinsic(spec.camera_yaw[frame], spec.camera_pitch[frame],
                              spec.camera_centers[frame])
     center = spec.camera_centers[frame]
     dirs = _ray_dirs_world(r, width, height)
     rects = _frame_rects(spec, frame)
+    windows = [_screen_window(rect, r, center, width, height) for rect in rects]
     depth = np.full((height, width), np.inf)
     surf = np.full((height, width), -1, dtype=np.int32)
     us = np.zeros((height, width))
     vs = np.zeros((height, width))
-    for ri, rect in enumerate(rects):
-        t, uu, vv, valid = _intersect(rect, center, dirs)
-        closer = valid & (t < depth)
-        depth[closer] = t[closer]
-        surf[closer] = ri
-        us[closer] = uu[closer]
-        vs[closer] = vv[closer]
-    rgb = np.zeros((height, width, 3))
-    for ri, rect in enumerate(rects):
-        mask = surf == ri
-        if mask.any():
-            rgb[mask] = rect.texture.sample(us[mask], vs[mask])
-    return rgb, depth, surf
+    for ri, (rect, win) in enumerate(zip(rects, windows)):
+        if win is None:
+            continue
+        t, uu, vv, valid = _intersect(rect, center, dirs[win])
+        closer = valid & (t < depth[win])
+        np.copyto(depth[win], t, where=closer)
+        np.copyto(surf[win], ri, where=closer)
+        np.copyto(us[win], uu, where=closer)
+        np.copyto(vs[win], vv, where=closer)
+    rgb = np.zeros((height * width, 3), dtype=np.float32)
+    boxes = np.zeros((len(spec.sprites), 4))
+    for ri, (rect, win) in enumerate(zip(rects, windows)):
+        if win is None:
+            continue
+        y0, x0 = win[0].start, win[1].start
+        rows, cols = np.divmod(np.flatnonzero(surf[win] == ri), win[1].stop - x0)
+        if not len(rows):
+            continue
+        pixels = (rows + y0) * width + (cols + x0)
+        rgb[pixels] = rect.texture.sample(us.take(pixels), vs.take(pixels)).T
+        if rect.sprite_index >= 0:
+            boxes[rect.sprite_index] = ((x0 + cols.min()) / width, (x0 + cols.max() + 1) / width,
+                                        (y0 + rows[0]) / height, (y0 + rows[-1] + 1) / height)
+    return rgb.reshape(height, width, 3), depth, surf, boxes
 
 
 def _track_positions(spec, frame):
@@ -361,7 +437,6 @@ def render_clip(spec, resolution, frames):
     width = height = resolution
     n_sprites = len(spec.sprites)
     n_tracks = len(spec.track_anchors)
-    n_statics = len(spec.statics)
 
     rgb = np.empty((frames, height, width, 3), dtype=np.float32)
     depth = np.empty((frames, height, width), dtype=np.float32)
@@ -372,18 +447,11 @@ def render_clip(spec, resolution, frames):
     poses = np.zeros((frames, 3, 4))
 
     for f in range(frames):
-        frame_rgb, frame_depth, surf = render_frame(spec, f, width, height)
-        rgb[f] = frame_rgb
-        depth[f] = frame_depth
+        rgb[f], depth[f], _surf, boxes[:, f] = render_frame(spec, f, width, height)
         r, t = camera_extrinsic(spec.camera_yaw[f], spec.camera_pitch[f],
                                 spec.camera_centers[f])
         poses[f, :, :3] = r
         poses[f, :, 3] = t
-        for si in range(n_sprites):
-            ys, xs = np.nonzero(surf == n_statics + si)
-            if len(xs):
-                boxes[si, f] = (xs.min() / width, (xs.max() + 1) / width,
-                                ys.min() / height, (ys.max() + 1) / height)
         world = _track_positions(spec, f)
         track_world[:, f] = world
         xy, z = project(world, r, t, width, height)
@@ -408,8 +476,9 @@ def render_clip(spec, resolution, frames):
 def generate(seed, count, resolution, frames=16):
     """Yield `count` deterministic (VideoClip, SceneLabels) pairs.
 
-    Clip i uses the rng stream [seed, i]; class ids rotate round-robin so
-    every window of clips is balanced.
+    Clip i draws its scene from the rng stream [seed, i, attempt], attempt
+    being the first feasible draw (see `_sample_scene`); class ids rotate
+    round-robin so every window of clips is balanced.
     """
     for index in range(count):
         class_id = index % NUM_CLASSES

@@ -238,3 +238,49 @@ def random_rotations(rng, count):
     m[:, 2, 1] = 2 * (y * z + x * w)
     m[:, 2, 2] = 1 - 2 * (x * x + y * y)
     return m
+
+
+def texture_sample_float64(texture, u, v):
+    """Texture color at (u, v), every step in float64."""
+    angles = 2 * np.pi * (u[..., None] * texture.freq[0] + v[..., None] * texture.freq[1])
+    color = texture.base + texture.amp * np.sin(angles + texture.phase)
+    g = texture.noise.shape[0]
+    iu = np.clip((u * g).astype(int), 0, g - 1)
+    iv = np.clip((v * g).astype(int), 0, g - 1)
+    color = color + texture.noise_amp * (texture.noise[iu, iv] - 0.5)
+    return np.clip(color, 0.0, 1.0)
+
+
+def render_frame_reference(spec, frame, width, height):
+    """synthworld.render_frame without screen windows: every rectangle
+    intersects every pixel's ray, one full-frame mask per rectangle shades in
+    float64, and each sprite box comes from a full-frame scan of its id."""
+    from stmae import synthworld as sw
+    r, _ = sw.camera_extrinsic(spec.camera_yaw[frame], spec.camera_pitch[frame],
+                               spec.camera_centers[frame])
+    center = spec.camera_centers[frame]
+    dirs = sw._ray_dirs_world(r, width, height)
+    rects = sw._frame_rects(spec, frame)
+    depth = np.full((height, width), np.inf)
+    surf = np.full((height, width), -1, dtype=np.int32)
+    us = np.zeros((height, width))
+    vs = np.zeros((height, width))
+    for ri, rect in enumerate(rects):
+        t, uu, vv, valid = sw._intersect(rect, center, dirs)
+        closer = valid & (t < depth)
+        depth[closer] = t[closer]
+        surf[closer] = ri
+        us[closer] = uu[closer]
+        vs[closer] = vv[closer]
+    rgb = np.zeros((height, width, 3))
+    for ri, rect in enumerate(rects):
+        mask = surf == ri
+        if mask.any():
+            rgb[mask] = texture_sample_float64(rect.texture, us[mask], vs[mask])
+    boxes = np.zeros((len(spec.sprites), 4))
+    for si in range(len(spec.sprites)):
+        ys, xs = np.nonzero(surf == len(spec.statics) + si)
+        if len(xs):
+            boxes[si] = (xs.min() / width, (xs.max() + 1) / width,
+                         ys.min() / height, (ys.max() + 1) / height)
+    return rgb, depth, surf, boxes

@@ -45,6 +45,7 @@ OP_CASES = {
     "mul": _case(nc.mul, (2, 3, 4), (4,)),
     "neg": _case(nc.neg, (3, 4)),
     "matmul": _case(nc.matmul, (2, 3, 4), (4, 5)),
+    "affine": _case(nc.affine, (2, 3, 4), (4, 5), (5,)),
     "concat": _case(lambda a, b: nc.concat([a, b], axis=1), (3, 2), (3, 4)),
     "slice": _case(lambda a: a[1:3, ::2], (4, 6)),
     "gather": _case(lambda a: nc.gather(a, np.array([0, 2, 2, 1]), axis=0), (4, 5)),
@@ -117,6 +118,26 @@ def test_matmul_identity():
     a = rng.standard_normal((3, 5))
     out = nc.matmul(Tensor(np.eye(3)), Tensor(a))
     np.testing.assert_array_equal(out.data, a)
+
+
+@pytest.mark.parametrize("dtypes", [(np.float32,) * 3, (np.float64,) * 3,
+                                    (np.float32, np.float32, np.float64)])
+def test_affine_matches_matmul_then_add_bitwise(dtypes):
+    rng = np.random.default_rng(4)
+    arrays = [rng.standard_normal(s).astype(d) for s, d in zip([(2, 7, 16), (16, 24), (24,)], dtypes)]
+    weights = Tensor(rng.standard_normal((2, 7, 24)).astype(dtypes[0]))
+    fused = [nc.parameter(a) for a in arrays]
+    chain = [nc.parameter(a) for a in arrays]
+    out = nc.affine(*fused)
+    ref = chain[0] @ chain[1] + chain[2]
+    assert out.dtype == ref.dtype
+    np.testing.assert_array_equal(out.data, ref.data)
+    assert len(out._parents) == 3 and all(p in fused for p, _ in out._parents)
+    nc.backward(nc.sum_(out * weights))
+    nc.backward(nc.sum_(ref * weights))
+    for a, b in zip(fused, chain):
+        assert a.grad.dtype == b.grad.dtype
+        np.testing.assert_array_equal(a.grad, b.grad)
 
 
 def test_gelu_matches_scalar_reference():
@@ -240,6 +261,7 @@ def test_sigmoid_extreme_logits_finite():
 @pytest.mark.parametrize("build, shapes", [
     (nc.add, [(3, 4), (5,)]),
     (nc.matmul, [(3, 4), (5, 6)]),
+    (nc.affine, [(3, 4), (4, 6), (4,)]),
     (lambda a, b: nc.concat([a, b], axis=0), [(3, 4), (3, 5)]),
     (lambda a: nc.reshape(a, (7, 2)), [(3, 4)]),
     (lambda a: nc.transpose(a, (0, 0, 1)), [(2, 3, 4)]),

@@ -102,3 +102,115 @@ def test_resize_bilinear_same_size_is_identity(clips):
     out = synthworld.resize_bilinear(frames, RES, RES)
     assert out is not frames
     np.testing.assert_array_equal(out, frames)
+
+
+# ---------------------------------------------------------------------------
+# Windowed rendering against the full-frame reference
+# ---------------------------------------------------------------------------
+
+def _recording(render, surfaces):
+    def call(spec, frame, width, height):
+        out = render(spec, frame, width, height)
+        surfaces.append(out[2])
+        return out
+    return call
+
+
+@pytest.mark.parametrize("count, res, frames", [(8, 48, 6), (2, 160, 16)])
+def test_render_matches_full_frame_reference(count, res, frames, monkeypatch):
+    fast_surf, ref_surf = [], []
+    monkeypatch.setattr(synthworld, "render_frame", _recording(synthworld.render_frame, fast_surf))
+    fast = list(synthworld.generate(11, count, res, frames))
+    monkeypatch.setattr(synthworld, "render_frame", _recording(oracles.render_frame_reference, ref_surf))
+    ref = list(synthworld.generate(11, count, res, frames))
+    assert len(fast_surf) == len(ref_surf) == count * frames
+    for a, b in zip(fast_surf, ref_surf):
+        np.testing.assert_array_equal(a, b)
+    for (clip, labels), (ref_clip, ref_labels) in zip(fast, ref):
+        assert clip.frames.dtype == np.float32
+        np.testing.assert_allclose(clip.frames, ref_clip.frames, rtol=0, atol=4e-6)
+        assert_labels_equal(labels, ref_labels)
+    assert any(labels.boxes.any() for _, labels in fast)
+
+
+def _corner_depths(rect, r, center):
+    corners = rect.origin + np.array([[0, 0], [1, 0], [1, 1], [0, 1]]) @ np.stack([rect.edge_u, rect.edge_v])
+    return ((corners - center) @ r.T)[:, 2]
+
+
+def test_screen_window_holds_every_hit():
+    """Random cameras and rectangles, many crossing or wholly behind the
+    camera plane: every ray the full-frame test marks as a hit lies inside
+    the window, and a rectangle without a window is hit by no ray."""
+    rng = np.random.default_rng(23)
+    width, height = 41, 29                 # unequal, so a swapped axis shows
+    kinds = {"ahead": 0, "crossing": 0, "behind": 0}
+    crossing_hits = 0
+    for _ in range(600):
+        center = rng.uniform(-1.0, 1.0, 3)
+        r, _ = synthworld.camera_extrinsic(rng.uniform(-np.pi, np.pi), rng.uniform(-1.2, 1.2), center)
+        edge_u, edge_v = rng.normal(0.0, 1.0, (2, 3))
+        edge_v -= (edge_v @ edge_u) / (edge_u @ edge_u) * edge_u
+        rect = synthworld.Rect(center + rng.normal(0.0, 1.5, 3), edge_u, edge_v, texture=None)
+        z = _corner_depths(rect, r, center)
+        kind = "ahead" if (z > 0).all() else "behind" if (z <= 0).all() else "crossing"
+        kinds[kind] += 1
+        _, _, _, valid = synthworld._intersect(rect, center, synthworld._ray_dirs_world(r, width, height))
+        inside = np.zeros_like(valid)
+        window = synthworld._screen_window(rect, r, center, width, height)
+        if window is not None:
+            inside[window] = True
+        assert not (valid & ~inside).any(), (kind, window)
+        crossing_hits += kind == "crossing" and valid.any()
+    assert min(kinds.values()) >= 100, kinds
+    assert crossing_hits >= 30
+
+
+def test_screen_windows_cover_few_pixels():
+    """Cost guard without a clock: per frame, the rays cast by all windows
+    of a 160 px clip add up to at most 2.5 frames' worth, one clip per
+    motion class (the full-frame cast took one frame per rectangle)."""
+    res, frames = 160, 16
+    for index in range(synthworld.NUM_CLASSES):
+        spec = synthworld._sample_scene((11, index), index, frames)
+        cast = 0
+        for f in range(frames):
+            r, _ = synthworld.camera_extrinsic(spec.camera_yaw[f], spec.camera_pitch[f],
+                                               spec.camera_centers[f])
+            for rect in synthworld._frame_rects(spec, f):
+                window = synthworld._screen_window(rect, r, spec.camera_centers[f], res, res)
+                if window is not None:
+                    cast += (window[0].stop - window[0].start) * (window[1].stop - window[1].start)
+        assert cast / (frames * res * res) <= 2.5, index
+
+
+# ---------------------------------------------------------------------------
+# Relative camera pose
+# ---------------------------------------------------------------------------
+
+def _camera_coords(camera_poses, frame, world):
+    return world @ camera_poses[frame, :, :3].T + camera_poses[frame, :, 3]
+
+
+def test_pose_first_to_last_maps_static_points(clips):
+    mirror = np.diag([-1.0, 1.0, 1.0])
+    checked = 0
+    for clip, labels in clips:
+        world = labels.track_world[:, 0]
+        static = np.all(labels.track_world == world[:, None], axis=(1, 2))
+        assert static.sum() >= 6          # the anchors on the back wall and panel
+        first = _camera_coords(labels.camera_poses, 0, world[static])
+        last = _camera_coords(labels.camera_poses, -1, world[static])
+        pose = labels.pose_first_to_last
+        np.testing.assert_allclose(first @ pose.r.T + pose.t, last, rtol=0, atol=1e-9)
+
+        _, flipped = full_view(clip, labels, flip=True)
+        # mirrored world points seen by mirrored cameras give mirrored camera coords
+        mirrored = world[static] @ mirror
+        m_first = _camera_coords(flipped.camera_poses, 0, mirrored)
+        m_last = _camera_coords(flipped.camera_poses, -1, mirrored)
+        np.testing.assert_allclose(m_first, first @ mirror, rtol=0, atol=1e-12)
+        pose = flipped.pose_first_to_last
+        np.testing.assert_allclose(m_first @ pose.r.T + pose.t, m_last, rtol=0, atol=1e-9)
+        checked += static.sum()
+    assert checked >= 48
