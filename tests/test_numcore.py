@@ -261,11 +261,11 @@ def test_sigmoid_extreme_logits_finite():
 @pytest.mark.parametrize("build, shapes", [
     (nc.add, [(3, 4), (5,)]),
     (nc.matmul, [(3, 4), (5, 6)]),
-    (nc.affine, [(3, 4), (4, 6), (4,)]),
     (lambda a, b: nc.concat([a, b], axis=0), [(3, 4), (3, 5)]),
     (lambda a: nc.reshape(a, (7, 2)), [(3, 4)]),
     (lambda a: nc.transpose(a, (0, 0, 1)), [(2, 3, 4)]),
     (lambda q, k, v: nc.attention(q, k, v, heads=2), [(3, 4), (5, 6), (5, 6)]),
+    (nc.affine, [(3, 4), (4, 6), (4,)]),
 ])
 def test_shape_mismatch_raises_descriptive_error(build, shapes):
     tensors = [Tensor(np.zeros(s)) for s in shapes]
