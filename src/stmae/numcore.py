@@ -2,7 +2,13 @@
 
 Every op builds a `Tensor` whose parents carry a closure computing the
 local vector-Jacobian product. `backward()` walks the graph once in
-reverse topological order and accumulates gradients into `.grad`.
+reverse topological order. Leaves (parameters) keep their gradients in
+`.grad` and accumulate over calls; op results hold none afterwards. The
+walk consumes the graph: each op result drops its gradient and its VJP
+closures, with the forward arrays they hold, as soon as its parents have
+their share, so backward memory follows the live frontier of the walk.
+A second backward through a consumed graph raises RuntimeError. A fresh
+VJP result becomes a parent's `.grad` without a copy.
 
 `attention` is the one multi-head attention of the package, used by the
 encoder's self-attention and by every readout's cross-attention. It
@@ -76,7 +82,11 @@ def _as_float_array(data):
 
 
 class Tensor:
-    """A dense array plus the graph edges needed for backpropagation."""
+    """A dense array plus the graph edges needed for backpropagation.
+
+    `_parents` holds (parent, vjp closure) pairs; backward sets it to None
+    once this op result has been consumed.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents")
 
@@ -177,9 +187,23 @@ def _unbroadcast(grad, shape):
 
 
 def backward(loss):
-    """Accumulate d(loss)/d(leaf) into .grad for every reachable tensor.
+    """Accumulate d(loss)/d(leaf) into .grad for every leaf reachable from `loss`.
 
-    `loss` must hold a single scalar.
+    `loss` must hold a single scalar. Leaves (parameters and any other
+    parentless tensor with requires_grad) keep their `.grad` and add to it
+    on every call. The walk consumes the graph: each op result gives its
+    gradient to its parents, then drops its `.grad` and its VJP closures
+    (and with them the forward arrays they hold), so memory follows the
+    live frontier of the walk and no op result holds a `.grad` afterwards.
+    A later backward that reaches a consumed result raises RuntimeError
+    before any gradient moves; run a fresh forward instead.
+
+    A VJP returns its incoming gradient `g`, a view of `g`, or an array it
+    made and keeps no reference to. A parent's first contribution of the
+    last kind becomes its `.grad` without a copy when it is writeable and
+    row-major, the layout a copy would have (downstream reductions sum in
+    memory order, so a kept transposed layout would change their bits).
+    Everything else is copied.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")
@@ -193,21 +217,30 @@ def backward(loss):
             continue
         if id(node) in seen:
             continue
+        if node._parents is None:
+            raise RuntimeError("backward: the graph was already consumed by an earlier "
+                               "backward; run the forward again to take another gradient")
         seen.add(id(node))
         stack.append((node, True))
         for parent, _ in node._parents:
             if id(parent) not in seen:
                 stack.append((parent, False))
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node.grad is None:
-            continue
-        for parent, vjp in node._parents:
-            contribution = vjp(node.grad)
-            if parent.grad is None:
-                parent.grad = contribution.copy()
-            else:
+    while topo:
+        node = topo.pop()
+        if not node._parents:
+            continue                        # a leaf keeps its gradient
+        g, parents = node.grad, node._parents
+        node.grad = node._parents = None    # consumed
+        for parent, vjp in parents:
+            contribution = vjp(g)
+            if parent.grad is not None:
                 parent.grad += contribution
+            elif (contribution.flags.writeable and contribution.flags.c_contiguous
+                  and not np.may_share_memory(contribution, g)):
+                parent.grad = contribution
+            else:
+                parent.grad = contribution.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +478,11 @@ def attention(q, k, v, heads):
         out = {}
         if v.requires_grad:
             out[2] = merge(_unbroadcast(s.swapaxes(-1, -2) @ gh, vh.shape))
+        # the softmax Jacobian in place: the bits of s * (gs - rowsum(gs * s)) * scale
         gs = gh @ vh.swapaxes(-1, -2)
-        gs = s * (gs - (gs * s).sum(axis=-1, keepdims=True)) * scale
+        gs -= (gs * s).sum(axis=-1, keepdims=True)
+        gs *= s
+        gs *= scale
         if q.requires_grad:
             out[0] = merge(_unbroadcast(gs @ kh, qh.shape))
         if k.requires_grad:
@@ -611,7 +647,7 @@ def sum_(a, axis=None, keepdims=False):
     a = _wrap(a)
     data = a.data.sum(axis=axis, keepdims=keepdims)
     return _make(np.asarray(data),
-                 [(a, lambda g: _expand_reduced(g, a.shape, axis, keepdims).copy())])
+                 [(a, lambda g: _expand_reduced(g, a.shape, axis, keepdims))])
 
 
 def mean(a, axis=None, keepdims=False):

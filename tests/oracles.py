@@ -101,6 +101,30 @@ def attention_unblocked(q, k, v, heads):
     return out.reshape(out.shape[:-2] + (d,))
 
 
+def backward_copying(loss):
+    """Reverse-mode walk that copies every first contribution and keeps the
+    graph: every reached tensor, op results too, ends with its own `.grad`,
+    and the graph can be walked again."""
+    topo, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((parent, False) for parent, _ in node._parents
+                         if id(parent) not in seen)
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(topo):
+        for parent, vjp in node._parents:
+            contribution = vjp(node.grad)
+            if parent.grad is None:
+                parent.grad = contribution.copy()
+            else:
+                parent.grad += contribution
+
+
 def resize_bilinear_4tap(frames, out_h, out_w):
     """Pixel-center bilinear resize of (T,H,W,C) in float64, blending the four
     neighbours of each output pixel at once (not axis by axis)."""

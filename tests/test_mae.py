@@ -11,6 +11,7 @@ from stmae import mae
 from stmae.mae import (FEATURE_FRACTIONS, MaskPlan, MaskedVideoModel, ModelConfig,
                        count_parameters, feature_block_index, full_plan, mae_loss, patchify,
                        preset, sample_mask, unpatchify)
+from stmae.readout import CrossAttentionReadout, ReadoutConfig
 
 
 def small_nano(dtype=np.float32, seed=0):
@@ -332,6 +333,46 @@ def test_model_gradient_matches_finite_differences(tensor_name):
     fd = oracles.finite_diff_entries(loss_value, target.data, entries)
     ad = target.grad.reshape(-1)[entries]
     assert oracles.rel_err(ad, fd) < 1e-4
+
+
+def test_heads_sharing_features_cannot_backprop_a_consumed_encoder():
+    model = small_nano(dtype=np.float64, seed=5)
+    frames = random_clip(np.random.default_rng(21), (4, 32, 32))
+    nt, nh, nw = model.config.token_grid
+    config = ReadoutConfig(qkv_size=16, heads=2, query_kind="learned", num_queries=1,
+                           output_size=3, feature_channels=model.config.width, time_steps=nt)
+    heads = [CrossAttentionReadout(config, seed=s, dtype=np.float64) for s in (1, 2)]
+
+    def head_losses():
+        feats = model.features(frames, 50, grad=True)
+        feats = nc.reshape(feats, (1, nt, nh * nw, model.config.width))
+        outs = [head.forward(feats, head.learned_queries()) for head in heads]
+        return [nc.mean(out * out) for out in outs]
+
+    first, second = head_losses()
+    nc.backward(first)
+    encoder = {name: t.grad.copy() for name, t in model.params.items() if t.grad is not None}
+    assert encoder
+    with pytest.raises(RuntimeError, match="backward: the graph was already consumed"):
+        nc.backward(second)
+    assert all(t.grad is None for t in heads[1].params.values())
+    for name, grad in encoder.items():
+        np.testing.assert_array_equal(model.params[name].grad, grad)
+
+    # a fresh forward on the same parameters backprops as the copying walk does
+    every = [*model.params.values(), *heads[0].params.values(), *heads[1].params.values()]
+    for t in every:
+        t.zero_grad()
+    nc.backward(head_losses()[1])
+    fresh = [t.grad for t in every]
+    for t in every:
+        t.zero_grad()
+    oracles.backward_copying(head_losses()[1])
+    assert [g is None for g in fresh] == [t.grad is None for t in every]
+    assert all(g is not None for g in fresh[-len(heads[1].params):])
+    for g, t in zip(fresh, every):
+        if g is not None:
+            np.testing.assert_array_equal(g, t.grad)
 
 
 # ---------------------------------------------------------------------------

@@ -343,3 +343,121 @@ def test_layer_norm_gradient_on_4x8_random():
 
     fd = oracles.finite_diff_grad(scalar, [x], 0)
     assert oracles.rel_err(t.grad, fd) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# Backward consumes the graph: leaves keep their gradients, op results drop
+# theirs, and first contributions are kept without a copy when nothing else
+# can see them.
+# ---------------------------------------------------------------------------
+
+def test_backward_keeps_leaf_grads_and_drops_op_result_grads():
+    x = nc.parameter(np.array([1.5, -2.0]))
+    y = x * x
+    loss = nc.sum_(y * x + y)
+    nc.backward(loss)
+    np.testing.assert_allclose(x.grad, 3 * x.data ** 2 + 2 * x.data, rtol=1e-12)
+    assert y.grad is None and loss.grad is None
+
+
+def test_backward_twice_through_the_same_loss_raises():
+    x = nc.parameter(np.array([3.0, 4.0]))
+    loss = nc.sum_(x * x)
+    nc.backward(loss)
+    first = x.grad.copy()
+    with pytest.raises(RuntimeError, match="backward: the graph was already consumed"):
+        nc.backward(loss)
+    np.testing.assert_array_equal(x.grad, first)
+
+
+def test_backward_through_a_consumed_intermediate_raises_before_any_gradient_moves():
+    x = nc.parameter(np.array([1.0, 2.0]))
+    w = nc.parameter(np.array([0.5, -1.0]))
+    shared = nc.gelu(x)
+    nc.backward(nc.sum_(shared * shared))
+    first = x.grad.copy()
+    # w is reached before the consumed node, but the walk checks the whole graph first
+    with pytest.raises(RuntimeError, match="consumed"):
+        nc.backward(nc.sum_(shared * w))
+    np.testing.assert_array_equal(x.grad, first)
+    assert w.grad is None
+
+
+def test_fresh_forward_on_the_same_parameters_accumulates():
+    x = nc.parameter(np.array([0.3, -1.2, 2.0]))
+    nc.backward(nc.sum_(nc.sigmoid(x) * x))
+    once = x.grad.copy()
+    nc.backward(nc.sum_(nc.sigmoid(x) * x))
+    np.testing.assert_array_equal(x.grad, once + once)
+
+
+def test_backward_memory_follows_the_walk_not_the_graph():
+    # a walk that kept every op result's gradient would hold 32 of 4 MB here
+    rng = np.random.default_rng(9)
+    x = nc.parameter(rng.standard_normal(1 << 20, dtype=np.float32))
+    c = Tensor(np.full(1 << 20, 0.5, dtype=np.float32))
+    y = x
+    for i in range(32):
+        y = (y * c, y + c, nc.sigmoid(y), nc.gelu(y))[i % 4]
+    loss = nc.sum_(y)
+    tracemalloc.start()
+    try:
+        nc.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.grad.shape == x.shape
+    assert peak < 4 * x.data.nbytes
+
+
+# Graphs that hand one array to two parents, or hand over views of the
+# incoming gradient; each maps leaf shapes to an output.
+ALIASING_CASES = {
+    "x+x": (lambda x: x + x, [(3, 4)]),
+    "add": (nc.add, [(3, 4), (3, 4)]),
+    "sub": (nc.sub, [(3, 4), (3, 4)]),
+    "add-broadcast-self": (lambda x: x + nc.sum_(x, axis=0), [(4, 4)]),
+    "reshape-transpose-slice": (lambda x: nc.transpose(nc.reshape(x, (4, 6)), (1, 0))[1:5, ::2],
+                                [(2, 12)]),
+    "reshape-of-self": (lambda x: nc.reshape(x, (3, 4)) * nc.reshape(x, (3, 4)), [(12,)]),
+    "concat-self": (lambda x: nc.concat([x, x], axis=1), [(3, 2)]),
+    "concat-self-rows": (lambda x: nc.concat([x, x, x], axis=0), [(2, 3)]),
+    "attention-self": (lambda x: nc.attention(x, x, x, heads=2), [(2, 5, 4)]),
+    "affine-shared": (lambda x, b: nc.affine(x, x, b), [(4, 4), (4,)]),
+    # attention's k gradient comes out column-major; summed for the bias in that
+    # layout it would take other bits than the row-major copy gives
+    "attention-affine-keys": (lambda x, w, b: nc.attention(x, nc.affine(x, w, b), x, heads=2),
+                              [(24, 8), (8, 8), (8,)]),
+    "affine-shared-bias": (lambda x, w, b: nc.affine(x, w, b) + b, [(2, 3, 4), (4, 5), (5,)]),
+    "mean-sum": (lambda x: nc.mean(x, axis=0, keepdims=True) * nc.sum_(x, axis=1, keepdims=True),
+                 [(3, 4)]),
+    "mean-sum-all": (lambda x: nc.mean(x) * nc.sum_(x) + x, [(3, 4)]),
+    "sum-axis": (lambda x: nc.sum_(x, axis=1), [(3, 4)]),
+}
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["sum", "weighted"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(ALIASING_CASES))
+def test_backward_owns_each_leaf_gradient(name, dtype, weighted):
+    build, shapes = ALIASING_CASES[name]
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    arrays = [rng.standard_normal(s).astype(dtype) for s in shapes]
+
+    def run(walk):
+        leaves = [nc.parameter(a.copy()) for a in arrays]
+        out = build(*leaves)
+        weights = np.random.default_rng(1).standard_normal(out.shape).astype(dtype)
+        walk(nc.sum_(out * Tensor(weights)) if weighted else nc.sum_(out))
+        return leaves
+
+    leaves = run(nc.backward)
+    reference = run(oracles.backward_copying)
+    for leaf, ref in zip(leaves, reference):
+        assert leaf.grad.dtype == ref.grad.dtype and leaf.grad.shape == ref.grad.shape
+        np.testing.assert_array_equal(leaf.grad, ref.grad)
+        assert leaf.grad.flags.writeable
+    held = [leaf.grad for leaf in leaves] + [leaf.data for leaf in leaves]
+    for i, grad in enumerate(held[:len(leaves)]):
+        for other in held[i + 1:]:
+            assert not np.shares_memory(grad, other), name

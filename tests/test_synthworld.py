@@ -214,3 +214,18 @@ def test_pose_first_to_last_maps_static_points(clips):
         np.testing.assert_allclose(m_first @ pose.r.T + pose.t, m_last, rtol=0, atol=1e-9)
         checked += static.sum()
     assert checked >= 48
+
+
+def test_flipped_cameras_project_the_flipped_tracks(clips):
+    mirror = np.diag([-1.0, 1.0, 1.0])
+    checked = 0
+    for clip, labels in clips:
+        _, flipped = full_view(clip, labels, flip=True)
+        world = flipped.track_world @ mirror
+        for f in range(FRAMES):
+            pose = flipped.camera_poses[f]
+            xy, _ = synthworld.project(world[:, f], pose[:, :3], pose[:, 3], RES, RES)
+            vis = flipped.track_vis[:, f]
+            np.testing.assert_allclose(xy[vis], flipped.track_xy[vis, f], rtol=0, atol=1e-9)
+            checked += vis.sum()
+    assert checked >= 400
