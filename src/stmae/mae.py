@@ -269,7 +269,7 @@ FEATURE_FRACTIONS = (25, 50, 75, 85, 95, 100)
 def feature_block_index(fraction_pct, depth):
     """1-based block index for a depth percentage (integer floor, min 1)."""
     if fraction_pct not in FEATURE_FRACTIONS:
-        raise ValueError(f"layer fraction {fraction_pct}%% unsupported; use {FEATURE_FRACTIONS}")
+        raise ValueError(f"layer fraction {fraction_pct}% unsupported; use {FEATURE_FRACTIONS}")
     return max(1, (fraction_pct * depth) // 100)
 
 

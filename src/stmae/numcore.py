@@ -203,7 +203,11 @@ def backward(loss):
     last kind becomes its `.grad` without a copy when it is writeable and
     row-major, the layout a copy would have (downstream reductions sum in
     memory order, so a kept transposed layout would change their bits).
-    Everything else is copied.
+    So does `g` itself, or a row-major view spanning all of it, for the
+    node's last parent: every `.grad` is owned by one tensor, and no later
+    VJP of the node reads `g`. Everything else is copied: views of `g` for
+    earlier parents, partial views (`concat` and `slice_` keys), read-only
+    broadcasts and other layouts.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")
@@ -232,15 +236,23 @@ def backward(loss):
             continue                        # a leaf keeps its gradient
         g, parents = node.grad, node._parents
         node.grad = node._parents = None    # consumed
-        for parent, vjp in parents:
+        last = len(parents) - 1
+        for i, (parent, vjp) in enumerate(parents):
             contribution = vjp(g)
             if parent.grad is not None:
                 parent.grad += contribution
-            elif (contribution.flags.writeable and contribution.flags.c_contiguous
-                  and not np.may_share_memory(contribution, g)):
+            elif contribution.flags.writeable and contribution.flags.c_contiguous and (
+                    not np.may_share_memory(contribution, g)
+                    or (i == last and _covers(contribution, g))):
                 parent.grad = contribution
             else:
                 parent.grad = contribution.copy()
+
+
+def _covers(view, base):
+    """True when the row-major `view` spans exactly the memory of `base`."""
+    return (view.nbytes == base.nbytes
+            and view.__array_interface__["data"][0] == base.__array_interface__["data"][0])
 
 
 # ---------------------------------------------------------------------------

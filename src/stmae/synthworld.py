@@ -3,12 +3,15 @@
 Each clip is a textured 5 m room (6 walls plus a wall panel) containing
 one to three billboard sprites, viewed by a pinhole camera whose motion
 follows one of eight motion-pattern classes. Frames are rendered by
-z-buffered ray casting against the rectangles, so the depth map, the
-camera poses, the point tracks and the sprite boxes are exact by
-construction. A rectangle's rays are cast only inside its screen window,
-the padded bounding box of its projection clipped to the space in front
-of the camera, and each pixel is then shaded once, in float32, by the
-nearest rectangle. Clip `i` of a stream draws all randomness from
+z-buffered rasterization of the rectangles, with no ray casting: moved
+into camera coordinates once per frame, a rectangle gives the depth and
+texture coordinates of the point each pixel sees as ratios of forms that
+are affine in the pixel coordinates, so the depth map, the camera poses,
+the point tracks and the sprite boxes are exact by construction. A
+rectangle's forms are evaluated only inside its screen window, the padded
+bounding box of its projection clipped to the space in front of the
+camera, and each pixel is then shaded once, in float32, by the nearest
+rectangle. Clip `i` of a stream draws all randomness from
 `default_rng([seed, i, attempt])`, where `attempt` is the first of up to
 20 scene draws whose camera stays clear of walls and sprites (almost
 always 0).
@@ -22,6 +25,7 @@ continuous pixel coordinates run 0..W with pixel (i, j) centered at
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -81,7 +85,14 @@ class Texture:
 
 @dataclass
 class Rect:
-    """Textured rectangle: origin corner plus two perpendicular edge vectors."""
+    """Textured rectangle: origin corner plus two perpendicular edge vectors.
+
+    The rasterizer's texture coordinates u, v solve origin + u edge_u +
+    v edge_v for the point a pixel sees, exact for any two independent
+    edges; the reference ray caster in the tests projects the point onto
+    each edge instead, which agrees only for perpendicular edges, as every
+    scene rectangle has.
+    """
     origin: np.ndarray
     edge_u: np.ndarray
     edge_v: np.ndarray
@@ -315,31 +326,71 @@ def _frame_rects(spec, frame):
     return rects
 
 
-def _ray_dirs_world(r_w2c, width, height):
+@functools.lru_cache(maxsize=8)
+def _pixel_centres(width, height):
+    """Camera-plane coordinates of the pixel centres at z = 1: X as (1, W),
+    Y as (H, 1), read-only, so pixel (i, j) looks along (X[0, j], Y[i, 0], 1)."""
     fx, fy, cx, cy = intrinsics(width, height)
-    xs = (np.arange(width) + 0.5 - cx) / fx
-    ys = (np.arange(height) + 0.5 - cy) / fy
-    gx, gy = np.meshgrid(xs, ys)
-    dirs_cam = np.stack([gx, gy, np.ones_like(gx)], axis=-1)   # z = 1: t equals depth
-    return dirs_cam @ r_w2c                                     # = dirs_cam @ R = R^T dirs
+    xs = ((np.arange(width) + 0.5 - cx) / fx)[None, :]
+    ys = ((np.arange(height) + 0.5 - cy) / fy)[:, None]
+    xs.flags.writeable = ys.flags.writeable = False
+    return xs, ys
 
-def _intersect(rect, origin, dirs):
-    """Ray-rectangle hits: returns (t, u, v, valid) arrays."""
-    normal = np.cross(rect.edge_u, rect.edge_v)
-    denom = dirs @ normal
+
+def _cross(a, b):
+    return a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
+
+
+def _camera_rect(rect, r_w2c, center):
+    """(O, U, V): `rect`'s origin corner and edges in camera coordinates,
+    O = R (origin - c), U = R edge_u, V = R edge_v, as float triples.
+
+    Plain scalar arithmetic: on 3-vectors it is several times cheaper than
+    numpy calls.
+    """
+    rows = r_w2c.tolist()
+
+    def rotate(p):
+        return tuple(a * p[0] + b * p[1] + c * p[2] for a, b, c in rows)
+    return (rotate((rect.origin - center).tolist()),
+            rotate(rect.edge_u.tolist()), rotate(rect.edge_v.tolist()))
+
+
+def _plane_hits(cam, xs, ys):
+    """Hits of the pixel rays (X, Y, 1) on a camera-frame rectangle `cam` =
+    (O, U, V), for X `xs` (1, w) and Y `ys` (h, 1): (t, u, v, valid), each (h, w).
+
+    A ray d meets the plane at t = (O . n) / (d . n), n = U x V, and the
+    triple-product identities give u = d . (V x O) / (d . n) and
+    v = d . (O x U) / (d . n). Every dot product with d is affine in X and Y,
+    so each is one (h, w) sum of an (h, 1) and a (1, w) array, and the three
+    share one reciprocal. t is the hit's camera z; a hit needs
+    |d . n| > _RAY_EPS, t > _MIN_T and u, v in [0, 1].
+    """
+    o, u_edge, v_edge = cam
+    n = _cross(u_edge, v_edge)
+    a = _cross(v_edge, o)
+    b = _cross(o, u_edge)
+    denom = xs * n[0] + (ys * n[1] + n[2])
+    valid = np.abs(denom) > _RAY_EPS
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = ((rect.origin - origin) @ normal) / denom
-    hit = origin + t[..., None] * dirs
-    rel = hit - rect.origin
-    uu = (rel @ rect.edge_u) / (rect.edge_u @ rect.edge_u)
-    vv = (rel @ rect.edge_v) / (rect.edge_v @ rect.edge_v)
-    valid = (np.abs(denom) > _RAY_EPS) & (t > _MIN_T) & \
-            (uu >= 0) & (uu <= 1) & (vv >= 0) & (vv <= 1)
+        inv = np.reciprocal(denom, out=denom)
+        t = (o[0] * n[0] + o[1] * n[1] + o[2] * n[2]) * inv
+        uu = xs * a[0] + (ys * a[1] + a[2])
+        uu *= inv
+        vv = xs * b[0] + (ys * b[1] + b[2])
+        vv *= inv
+    valid &= t > _MIN_T
+    valid &= uu >= 0
+    valid &= uu <= 1
+    valid &= vv >= 0
+    valid &= vv <= 1
     return t, uu, vv, valid
 
 
-def _screen_window(rect, r_w2c, center, width, height):
-    """Pixel window (rows, cols) of slices outside which no ray hits `rect`.
+def _screen_window(cam, width, height):
+    """Pixel window (rows, cols) of slices outside which no ray hits the
+    camera-frame rectangle `cam` = (O, U, V) of `_camera_rect`.
 
     A hit needs t > _MIN_T, and t is the hit's camera z, so the rectangle
     is clipped to the half-space z >= _MIN_T in camera coordinates. Every
@@ -349,59 +400,64 @@ def _screen_window(rect, r_w2c, center, width, height):
     corner at z <= _MIN_T, or a box outside the frame); the full frame when
     a projected corner is not finite.
     """
-    o = rect.origin - center
-    cam = np.array([o, o + rect.edge_u, o + rect.edge_u + rect.edge_v, o + rect.edge_v]) @ r_w2c.T
-    ahead = cam[:, 2] > _MIN_T
-    if not ahead.any():
+    o, u, v = cam
+    ou = tuple(p + q for p, q in zip(o, u))
+    corners = [o, ou, tuple(p + q for p, q in zip(ou, v)), tuple(p + q for p, q in zip(o, v))]
+    ahead = [c[2] > _MIN_T for c in corners]
+    if not any(ahead):
         return None
-    if not ahead.all():
+    if not all(ahead):
         # Sutherland-Hodgman against the one plane z = _MIN_T
         clipped = []
         for i in range(4):
-            a, b = cam[i], cam[(i + 1) % 4]
+            a, b = corners[i], corners[(i + 1) % 4]
             if ahead[i]:
                 clipped.append(a)
             if ahead[i] != ahead[(i + 1) % 4]:
-                clipped.append(a + (_MIN_T - a[2]) / (b[2] - a[2]) * (b - a))
-        cam = np.array(clipped)
+                s = (_MIN_T - a[2]) / (b[2] - a[2])
+                clipped.append((a[0] + s * (b[0] - a[0]), a[1] + s * (b[1] - a[1]), _MIN_T))
+        corners = clipped
     fx, fy, cx, cy = intrinsics(width, height)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = fx * cam[:, 0] / cam[:, 2] + cx
-        y = fy * cam[:, 1] / cam[:, 2] + cy
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+    x = [fx * c[0] / c[2] + cx for c in corners]
+    y = [fy * c[1] / c[2] + cy for c in corners]
+    if not all(map(math.isfinite, x + y)):
         return slice(0, height), slice(0, width)
-    x0, x1 = max(0, math.floor(x.min()) - 1), min(width, math.ceil(x.max()) + 1)
-    y0, y1 = max(0, math.floor(y.min()) - 1), min(height, math.ceil(y.max()) + 1)
+    x0, x1 = max(0, math.floor(min(x)) - 1), min(width, math.ceil(max(x)) + 1)
+    y0, y1 = max(0, math.floor(min(y)) - 1), min(height, math.ceil(max(y)) + 1)
     if x0 >= x1 or y0 >= y1:
         return None
     return slice(y0, y1), slice(x0, x1)
 
 
 def render_frame(spec, frame, width, height):
-    """One frame: rgb (H,W,3) float32, depth (H,W), surface id (H,W) and
-    sprite boxes (S,4), normalized (xmin, xmax, ymin, ymax), zero when hidden.
+    """One frame: rgb (H,W,3) float32, depth (H,W), surface id (H,W), sprite
+    boxes (S,4), normalized (xmin, xmax, ymin, ymax), zero when hidden, and
+    the camera pose (3,4), world-to-camera [R | t].
 
-    Each rectangle casts rays only inside its `_screen_window`; the z-buffer
-    takes a hit that is strictly nearer than the one it holds, in rectangle
-    order. Each pixel is then shaded once, in float32, by its nearest
-    rectangle, and a sprite's box is read from its window.
+    Each rectangle is rasterized, not ray cast: moved to camera coordinates
+    once, it gives depth and texture coordinates as ratios of affine forms
+    in the pixel coordinates (`_plane_hits`), evaluated only inside its
+    `_screen_window`. The z-buffer takes a hit that is strictly nearer than
+    the one it holds, in rectangle order. Each pixel is then shaded once,
+    in float32, by its nearest rectangle, and a sprite's box is read from
+    its window.
     """
-    r, _t = camera_extrinsic(spec.camera_yaw[frame], spec.camera_pitch[frame],
-                             spec.camera_centers[frame])
     center = spec.camera_centers[frame]
-    dirs = _ray_dirs_world(r, width, height)
+    r, t = camera_extrinsic(spec.camera_yaw[frame], spec.camera_pitch[frame], center)
+    xs, ys = _pixel_centres(width, height)
     rects = _frame_rects(spec, frame)
-    windows = [_screen_window(rect, r, center, width, height) for rect in rects]
+    cams = [_camera_rect(rect, r, center) for rect in rects]
+    windows = [_screen_window(cam, width, height) for cam in cams]
     depth = np.full((height, width), np.inf)
     surf = np.full((height, width), -1, dtype=np.int32)
     us = np.zeros((height, width))
     vs = np.zeros((height, width))
-    for ri, (rect, win) in enumerate(zip(rects, windows)):
+    for ri, (cam, win) in enumerate(zip(cams, windows)):
         if win is None:
             continue
-        t, uu, vv, valid = _intersect(rect, center, dirs[win])
-        closer = valid & (t < depth[win])
-        np.copyto(depth[win], t, where=closer)
+        hit_t, uu, vv, valid = _plane_hits(cam, xs[:, win[1]], ys[win[0]])
+        closer = valid & (hit_t < depth[win])
+        np.copyto(depth[win], hit_t, where=closer)
         np.copyto(surf[win], ri, where=closer)
         np.copyto(us[win], uu, where=closer)
         np.copyto(vs[win], vv, where=closer)
@@ -419,7 +475,7 @@ def render_frame(spec, frame, width, height):
         if rect.sprite_index >= 0:
             boxes[rect.sprite_index] = ((x0 + cols.min()) / width, (x0 + cols.max() + 1) / width,
                                         (y0 + rows[0]) / height, (y0 + rows[-1] + 1) / height)
-    return rgb.reshape(height, width, 3), depth, surf, boxes
+    return rgb.reshape(height, width, 3), depth, surf, boxes, np.column_stack([r, t])
 
 
 def _track_positions(spec, frame):
@@ -447,11 +503,8 @@ def render_clip(spec, resolution, frames):
     poses = np.zeros((frames, 3, 4))
 
     for f in range(frames):
-        rgb[f], depth[f], _surf, boxes[:, f] = render_frame(spec, f, width, height)
-        r, t = camera_extrinsic(spec.camera_yaw[f], spec.camera_pitch[f],
-                                spec.camera_centers[f])
-        poses[f, :, :3] = r
-        poses[f, :, 3] = t
+        rgb[f], depth[f], _surf, boxes[:, f], poses[f] = render_frame(spec, f, width, height)
+        r, t = poses[f, :, :3], poses[f, :, 3]
         world = _track_positions(spec, f)
         track_world[:, f] = world
         xy, z = project(world, r, t, width, height)

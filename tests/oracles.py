@@ -275,24 +275,54 @@ def texture_sample_float64(texture, u, v):
     return np.clip(color, 0.0, 1.0)
 
 
+def ray_dirs_world(r_w2c, width, height):
+    """World-frame ray directions (H, W, 3) of every pixel, scaled to camera z = 1."""
+    from stmae.synthworld import intrinsics
+    fx, fy, cx, cy = intrinsics(width, height)
+    xs = (np.arange(width) + 0.5 - cx) / fx
+    ys = (np.arange(height) + 0.5 - cy) / fy
+    gx, gy = np.meshgrid(xs, ys)
+    dirs_cam = np.stack([gx, gy, np.ones_like(gx)], axis=-1)   # z = 1: t equals depth
+    return dirs_cam @ r_w2c                                     # = dirs_cam @ R = R^T dirs
+
+
+def intersect(rect, origin, dirs):
+    """Ray-rectangle hits in world coordinates: returns (t, u, v, valid) arrays.
+
+    u and v project the hit onto each edge, exact for perpendicular edges."""
+    from stmae.synthworld import _MIN_T, _RAY_EPS
+    normal = np.cross(rect.edge_u, rect.edge_v)
+    denom = dirs @ normal
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = ((rect.origin - origin) @ normal) / denom
+    hit = origin + t[..., None] * dirs
+    rel = hit - rect.origin
+    uu = (rel @ rect.edge_u) / (rect.edge_u @ rect.edge_u)
+    vv = (rel @ rect.edge_v) / (rect.edge_v @ rect.edge_v)
+    valid = (np.abs(denom) > _RAY_EPS) & (t > _MIN_T) & \
+            (uu >= 0) & (uu <= 1) & (vv >= 0) & (vv <= 1)
+    return t, uu, vv, valid
+
+
 def render_frame_reference(spec, frame, width, height):
-    """synthworld.render_frame without screen windows: every rectangle
-    intersects every pixel's ray, one full-frame mask per rectangle shades in
-    float64, and each sprite box comes from a full-frame scan of its id."""
+    """synthworld.render_frame by full-frame ray casting: every rectangle
+    intersects every pixel's world ray, one full-frame mask per rectangle
+    shades in float64, and each sprite box comes from a full-frame scan of
+    its id."""
     from stmae import synthworld as sw
-    r, _ = sw.camera_extrinsic(spec.camera_yaw[frame], spec.camera_pitch[frame],
+    r, t = sw.camera_extrinsic(spec.camera_yaw[frame], spec.camera_pitch[frame],
                                spec.camera_centers[frame])
     center = spec.camera_centers[frame]
-    dirs = sw._ray_dirs_world(r, width, height)
+    dirs = ray_dirs_world(r, width, height)
     rects = sw._frame_rects(spec, frame)
     depth = np.full((height, width), np.inf)
     surf = np.full((height, width), -1, dtype=np.int32)
     us = np.zeros((height, width))
     vs = np.zeros((height, width))
     for ri, rect in enumerate(rects):
-        t, uu, vv, valid = sw._intersect(rect, center, dirs)
-        closer = valid & (t < depth)
-        depth[closer] = t[closer]
+        t_hit, uu, vv, valid = intersect(rect, center, dirs)
+        closer = valid & (t_hit < depth)
+        depth[closer] = t_hit[closer]
         surf[closer] = ri
         us[closer] = uu[closer]
         vs[closer] = vv[closer]
@@ -307,4 +337,4 @@ def render_frame_reference(spec, frame, width, height):
         if len(xs):
             boxes[si] = (xs.min() / width, (xs.max() + 1) / width,
                          ys.min() / height, (ys.max() + 1) / height)
-    return rgb, depth, surf, boxes
+    return rgb, depth, surf, boxes, np.column_stack([r, t])

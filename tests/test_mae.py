@@ -259,7 +259,7 @@ def test_feature_block_indices():
     assert feature_block_index(95, 64) == 60
     assert feature_block_index(75, 56) == 42
     assert feature_block_index(25, 4) == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^layer fraction 60% unsupported; use \(25, 50, 75, 85, 95, 100\)$"):
         feature_block_index(60, 4)
 
 

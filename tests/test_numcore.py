@@ -410,6 +410,33 @@ def test_backward_memory_follows_the_walk_not_the_graph():
     assert peak < 4 * x.data.nbytes
 
 
+def test_backward_hands_pass_through_gradients_over():
+    # each add hands its gradient to the reshape branch, and each reshape hands
+    # its gradient on as a view: a walk that copied them held 3 arrays here
+    x = nc.parameter(np.random.default_rng(9).standard_normal(1 << 20, dtype=np.float32))
+    y = x
+    for _ in range(8):
+        y = y + nc.reshape(nc.reshape(y, (1024, 1024)), (1 << 20,))
+    loss = nc.sum_(y)
+    tracemalloc.start()
+    try:
+        nc.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(x.grad, np.full(x.shape, 2.0 ** 8, dtype=np.float32))
+    assert peak < 2.5 * x.data.nbytes
+
+
+def _residual_chain(x, w):
+    """Residual blocks: pass-through adds and subs around reshape views."""
+    y = x
+    for _ in range(3):
+        y = y + nc.reshape(nc.matmul(nc.reshape(y, (2, 2, 6)), w), (4, 6))
+        y = nc.gelu(y) - y
+    return y
+
+
 # Graphs that hand one array to two parents, or hand over views of the
 # incoming gradient; each maps leaf shapes to an output.
 ALIASING_CASES = {
@@ -433,6 +460,7 @@ ALIASING_CASES = {
                  [(3, 4)]),
     "mean-sum-all": (lambda x: nc.mean(x) * nc.sum_(x) + x, [(3, 4)]),
     "sum-axis": (lambda x: nc.sum_(x, axis=1), [(3, 4)]),
+    "residual-chain": (_residual_chain, [(4, 6), (6, 6)]),
 }
 
 

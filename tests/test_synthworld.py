@@ -133,19 +133,61 @@ def test_render_matches_full_frame_reference(count, res, frames, monkeypatch):
     assert any(labels.boxes.any() for _, labels in fast)
 
 
+@pytest.mark.parametrize("res", [48, 160])
+def test_render_frame_float64_matches_ray_cast_reference(res):
+    """The raw float64 output of the rasterizer against the full-frame ray
+    caster, before render_clip rounds depth to float32: 8 scenes, one per
+    motion class, every frame."""
+    frames = 16
+    for index in range(8):
+        spec = synthworld._sample_scene((5, index), index, frames)
+        for f in range(frames):
+            rgb, depth, surf, boxes, pose = synthworld.render_frame(spec, f, res, res)
+            ref_rgb, ref_depth, ref_surf, ref_boxes, ref_pose = \
+                oracles.render_frame_reference(spec, f, res, res)
+            np.testing.assert_array_equal(surf, ref_surf)
+            np.testing.assert_array_equal(boxes, ref_boxes)
+            np.testing.assert_array_equal(pose, ref_pose)
+            assert depth.dtype == np.float64 and np.isfinite(depth).all()
+            np.testing.assert_allclose(depth, ref_depth, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(rgb, ref_rgb, rtol=0, atol=4e-6)
+
+
+def test_render_clip_builds_each_pose_once(monkeypatch):
+    extrinsic, calls = synthworld.camera_extrinsic, []
+
+    def counting(*args):
+        calls.append(args)
+        return extrinsic(*args)
+    monkeypatch.setattr(synthworld, "camera_extrinsic", counting)
+    spec = synthworld._sample_scene((11, 4), 4, FRAMES)
+    _, labels = synthworld.render_clip(spec, RES, FRAMES)
+    assert len(calls) == FRAMES
+    for f in range(FRAMES):
+        r, t = extrinsic(spec.camera_yaw[f], spec.camera_pitch[f], spec.camera_centers[f])
+        np.testing.assert_array_equal(labels.camera_poses[f], np.column_stack([r, t]))
+
+
 def _corner_depths(rect, r, center):
     corners = rect.origin + np.array([[0, 0], [1, 0], [1, 1], [0, 1]]) @ np.stack([rect.edge_u, rect.edge_v])
     return ((corners - center) @ r.T)[:, 2]
 
 
+EDGE_EPS = 1e-9       # a hit test may differ only where u or v is this close to an edge
+
+
 def test_screen_window_holds_every_hit():
     """Random cameras and rectangles, many crossing or wholly behind the
-    camera plane: every ray the full-frame test marks as a hit lies inside
-    the window, and a rectangle without a window is hit by no ray."""
+    camera plane: every ray the full-frame ray caster marks as a hit lies
+    inside the window, and a rectangle without a window is hit by no ray.
+    The rasterizer's affine forms, evaluated over the full frame, mark no
+    hit outside the window either, and mark the ray caster's hits: a pixel
+    may differ only within EDGE_EPS of an edge (none does on these cameras)."""
     rng = np.random.default_rng(23)
     width, height = 41, 29                 # unequal, so a swapped axis shows
+    xs, ys = synthworld._pixel_centres(width, height)
     kinds = {"ahead": 0, "crossing": 0, "behind": 0}
-    crossing_hits = 0
+    crossing_hits = near_edge = 0
     for _ in range(600):
         center = rng.uniform(-1.0, 1.0, 3)
         r, _ = synthworld.camera_extrinsic(rng.uniform(-np.pi, np.pi), rng.uniform(-1.2, 1.2), center)
@@ -155,21 +197,29 @@ def test_screen_window_holds_every_hit():
         z = _corner_depths(rect, r, center)
         kind = "ahead" if (z > 0).all() else "behind" if (z <= 0).all() else "crossing"
         kinds[kind] += 1
-        _, _, _, valid = synthworld._intersect(rect, center, synthworld._ray_dirs_world(r, width, height))
+        _, u, v, valid = oracles.intersect(rect, center, oracles.ray_dirs_world(r, width, height))
+        cam = synthworld._camera_rect(rect, r, center)
         inside = np.zeros_like(valid)
-        window = synthworld._screen_window(rect, r, center, width, height)
+        window = synthworld._screen_window(cam, width, height)
         if window is not None:
             inside[window] = True
         assert not (valid & ~inside).any(), (kind, window)
+        _, _, _, hits = synthworld._plane_hits(cam, xs, ys)
+        assert not (hits & ~inside).any(), (kind, window)
+        differ = hits != valid
+        edge_dist = np.minimum(np.minimum(np.abs(u), np.abs(1 - u)), np.minimum(np.abs(v), np.abs(1 - v)))
+        assert (edge_dist[differ] < EDGE_EPS).all(), kind
+        near_edge += differ.sum()
         crossing_hits += kind == "crossing" and valid.any()
     assert min(kinds.values()) >= 100, kinds
     assert crossing_hits >= 30
+    assert near_edge == 0
 
 
 def test_screen_windows_cover_few_pixels():
-    """Cost guard without a clock: per frame, the rays cast by all windows
-    of a 160 px clip add up to at most 2.5 frames' worth, one clip per
-    motion class (the full-frame cast took one frame per rectangle)."""
+    """Cost guard without a clock: per frame, the pixels of all windows of
+    a 160 px clip add up to at most 2.5 frames' worth, one clip per motion
+    class (the full-frame cast took one frame per rectangle)."""
     res, frames = 160, 16
     for index in range(synthworld.NUM_CLASSES):
         spec = synthworld._sample_scene((11, index), index, frames)
@@ -178,7 +228,8 @@ def test_screen_windows_cover_few_pixels():
             r, _ = synthworld.camera_extrinsic(spec.camera_yaw[f], spec.camera_pitch[f],
                                                spec.camera_centers[f])
             for rect in synthworld._frame_rects(spec, f):
-                window = synthworld._screen_window(rect, r, spec.camera_centers[f], res, res)
+                cam = synthworld._camera_rect(rect, r, spec.camera_centers[f])
+                window = synthworld._screen_window(cam, res, res)
                 if window is not None:
                     cast += (window[0].stop - window[0].start) * (window[1].stop - window[1].start)
         assert cast / (frames * res * res) <= 2.5, index
