@@ -70,6 +70,8 @@ def load_tensors(path):
         missing = sorted({"config", "tensors"} - header.keys())
         if missing:
             raise ValueError(f"{path}: header lacks {missing}")
+        if not isinstance(header["config"], dict):
+            raise ValueError(f"{path}: header config is not a JSON object")
         fh.read(1)  # newline after header
         data = fh.read()
     tensors = {}

@@ -11,9 +11,10 @@ block, with latent tokens stripped.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,15 +142,8 @@ def count_parameters(config):
 
 
 # ---------------------------------------------------------------------------
-# Clips, patches, masks
+# Patches and masks
 # ---------------------------------------------------------------------------
-
-@dataclass
-class VideoClip:
-    """T x H x W x 3 pixel block in [0, 1]."""
-    frames: np.ndarray
-    frame_stride: int = 2
-
 
 @dataclass
 class MaskPlan:
@@ -209,8 +203,11 @@ def unpatchify(tokens, grid, patch):
 # Model
 # ---------------------------------------------------------------------------
 
-def trunc_normal(rng, shape, std=0.02):
-    """Normal(0, std) resampled until everything lies within 2 sigma.
+INIT_STD = 0.02             # weights are drawn from a truncated Normal(0, INIT_STD)
+
+
+def trunc_normal(rng, shape):
+    """Normal(0, INIT_STD) resampled until everything lies within 2 sigma.
 
     After the first draw only the entries just redrawn are checked again;
     they are redrawn in ascending flat order, as a full scan would.
@@ -221,7 +218,7 @@ def trunc_normal(rng, shape, std=0.02):
     while idx.size:
         flat[idx] = rng.standard_normal(idx.size)
         idx = idx[np.abs(flat[idx]) > 2.0]
-    return x * std
+    return x * INIT_STD
 
 
 class Layers:
@@ -254,13 +251,6 @@ class Layers:
 
     def norm(self, name, x):
         return nc.layer_norm(x) * self.params[f"{name}.scale"] + self.params[f"{name}.bias"]
-
-
-@dataclass
-class FeatureMap:
-    """T x K x C backbone activations for one clip."""
-    data: np.ndarray
-    layer_fraction: int
 
 
 FEATURE_FRACTIONS = (25, 50, 75, 85, 95, 100)
@@ -351,22 +341,20 @@ class MaskedVideoModel:
         return nc.reshape(y, cfg.input_size + (3,)), collected
 
     def features(self, frames, fraction_pct, grad=False):
-        """T x K x C activations at a depth fraction; no masking, latents dropped.
+        """(T, K, C) Tensor of the activations at a depth fraction: T token
+        frames, K tokens per frame, C channels; no masking, latents dropped.
 
-        With grad=False the graph is skipped and a plain FeatureMap returns;
-        with grad=True the (T*K, C) activation Tensor returns for finetuning.
+        Both modes give the same shape and bits. With grad=False no graph is
+        built; with grad=True the Tensor backpropagates into the encoder, for
+        finetuning.
         """
         cfg = self.config
         block = feature_block_index(fraction_pct, cfg.depth)
         plan = full_plan(cfg.num_tokens)
-        if grad:
-            _, collected = self.encode(frames, plan, collect=(block,), blocks=block)
-            return collected[block]
-        with nc.no_grad():
+        with contextlib.nullcontext() if grad else nc.no_grad():
             _, collected = self.encode(frames, plan, collect=(block,), blocks=block)
         nt, nh, nw = cfg.token_grid
-        data = collected[block].data.reshape(nt, nh * nw, cfg.width)
-        return FeatureMap(data=data, layer_fraction=fraction_pct)
+        return nc.reshape(collected[block], (nt, nh * nw, cfg.width))
 
     def state(self):
         return {name: t.data for name, t in self.params.items()}
@@ -397,8 +385,17 @@ def save_model(path, model):
 
 
 def load_model(path, dtype=np.float32):
+    """A model saved by `save_model`. A file whose config is not a
+    ModelConfig (a clip, say) raises ValueError naming the path and keys."""
     from .checkpoint import load_tensors
     tensors, cfg = load_tensors(path)
+    fields = dataclasses.fields(ModelConfig)
+    unexpected = sorted(cfg.keys() - {f.name for f in fields})
+    missing = sorted(f.name for f in fields
+                     if f.default is dataclasses.MISSING and f.name not in cfg)
+    if unexpected or missing:
+        raise ValueError(f"{path}: config is not a ModelConfig: unexpected keys {unexpected}, "
+                         f"missing keys {missing}")
     model = MaskedVideoModel(ModelConfig(**cfg), seed=0, dtype=dtype)
     model.load_state(tensors)
     return model

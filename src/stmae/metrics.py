@@ -33,19 +33,20 @@ def cube_points():
 # Metrics (numpy, pure)
 # ---------------------------------------------------------------------------
 
-def epe_pose(pose_hat, pose, cube=None):
+def epe_pose(pose_hat, pose):
     """Mean distance between cube points moved by the two poses."""
-    points = cube_points() if cube is None else np.asarray(cube)
+    points = cube_points()
     a = pose.apply(points)
     b = pose_hat.apply(points)
     return float(np.mean(np.linalg.norm(a - b, axis=-1)))
 
 
-def average_jaccard(pred_xy, pred_vis_logits, gt_xy, gt_vis, thresholds=AJ_THRESHOLDS):
+def average_jaccard(pred_xy, pred_vis_logits, gt_xy, gt_vis):
     """Mean Jaccard over pixel thresholds for tracked points with visibility.
 
     pred_xy/gt_xy: (tracks, frames, 2) pixel coordinates. Prediction counts
-    as visible when sigmoid(logit) > 0.5, i.e. logit > 0. Per threshold:
+    as visible when sigmoid(logit) > 0.5, i.e. logit > 0. Per threshold
+    of AJ_THRESHOLDS:
     true positives are predicted-visible points within the threshold of a
     visible ground-truth point; false positives are predicted-visible
     points that are occluded in ground truth or farther than the
@@ -59,7 +60,7 @@ def average_jaccard(pred_xy, pred_vis_logits, gt_xy, gt_vis, thresholds=AJ_THRES
     pred_vis = np.asarray(pred_vis_logits) > 0.0
     dist = np.linalg.norm(pred_xy - gt_xy, axis=-1)
     values = []
-    for thr in thresholds:
+    for thr in AJ_THRESHOLDS:
         within = dist <= thr
         tp = np.count_nonzero(pred_vis & gt_vis & within)
         fp = np.count_nonzero(pred_vis & ~(gt_vis & within))
@@ -84,13 +85,13 @@ class DepthPair:
         return cls(d_pred=d_pred, d_gt=d_gt, mask=(d_gt > lo) & (d_gt < hi))
 
 
-def absrel(pair, eps=ABSREL_EPS):
-    """Mean |d_pred - d_gt| / (d_gt + eps) over valid pixels."""
+def absrel(pair):
+    """Mean |d_pred - d_gt| / (d_gt + ABSREL_EPS) over valid pixels."""
     if not np.any(pair.mask):
         raise ValueError("absrel: empty validity mask")
     p = pair.d_pred[pair.mask]
     g = pair.d_gt[pair.mask]
-    return float(np.mean(np.abs(p - g) / (g + eps)))
+    return float(np.mean(np.abs(p - g) / (g + ABSREL_EPS)))
 
 
 def _box_area(b):
@@ -106,22 +107,20 @@ def iou_single(box_a, box_b):
     return inter / union if union > 0 else 0.0
 
 
-def mean_iou(pred_boxes, gt_boxes, return_excluded=False):
+def mean_iou(pred_boxes, gt_boxes):
     """IoU averaged over boxes and frames, skipping the given initial frame.
 
-    Zero-area ground-truth boxes are excluded from the average and counted.
+    Zero-area ground-truth boxes are excluded from the average.
     """
     pred_boxes, gt_boxes = np.asarray(pred_boxes), np.asarray(gt_boxes)
-    total, count, excluded = 0.0, 0, 0
+    total, count = 0.0, 0
     for bi in range(gt_boxes.shape[0]):
         for fi in range(1, gt_boxes.shape[1]):
             if _box_area(gt_boxes[bi, fi]) <= 0.0:
-                excluded += 1
                 continue
             total += iou_single(pred_boxes[bi, fi], gt_boxes[bi, fi])
             count += 1
-    value = total / count if count else 0.0
-    return (value, excluded) if return_excluded else value
+    return total / count if count else 0.0
 
 
 def top1(logits, labels):
@@ -148,22 +147,21 @@ def bce_with_logits(logits, targets):
     return nc.softplus(logits) - logits * targets
 
 
-def point_track_loss(pred_xy, vis_logits, unc_logits, gt_xy, gt_vis,
-                     huber_delta=HUBER_DELTA, unc_threshold=UNCERTAINTY_THRESHOLD,
-                     weights=POINT_LOSS_WEIGHTS):
+def point_track_loss(pred_xy, vis_logits, unc_logits, gt_xy, gt_vis):
     """Weighted tracking loss: Huber positions + BCE visibility + BCE uncertainty.
 
     Coordinates are pixel-space. The Huber term only counts frames where
     ground truth is visible; the uncertainty target is 1 when the position
-    error exceeds `unc_threshold` pixels.
+    error exceeds UNCERTAINTY_THRESHOLD pixels. POINT_LOSS_WEIGHTS weighs
+    the three terms.
     """
     pred_xy = _tensor(pred_xy)
     gt_xy_np = np.asarray(gt_xy, dtype=np.float64)
     vis_np = np.asarray(gt_vis, dtype=bool)
-    w_pos, w_vis, w_unc = weights
+    w_pos, w_vis, w_unc = POINT_LOSS_WEIGHTS
 
     diff = pred_xy - _tensor(gt_xy_np, dtype=pred_xy.dtype)
-    per_coord = nc.huber(diff, delta=huber_delta)
+    per_coord = nc.huber(diff, delta=HUBER_DELTA)
     per_point = nc.sum_(per_coord, axis=-1)              # (tracks, frames)
     vis_mask = vis_np.astype(per_point.dtype)
     visible_count = max(int(vis_np.sum()), 1)
@@ -172,7 +170,7 @@ def point_track_loss(pred_xy, vis_logits, unc_logits, gt_xy, gt_vis,
     vis_term = nc.mean(bce_with_logits(vis_logits, vis_np.astype(np.float64)))
     # uncertainty target is an error indicator; no gradient flows through it
     err = np.linalg.norm(np.asarray(pred_xy.data) - gt_xy_np, axis=-1)
-    unc_target = (err > unc_threshold).astype(np.float64)
+    unc_target = (err > UNCERTAINTY_THRESHOLD).astype(np.float64)
     unc_term = nc.mean(bce_with_logits(unc_logits, unc_target))
     return pos_term * w_pos + vis_term * w_vis + unc_term * w_unc
 

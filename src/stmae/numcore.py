@@ -108,9 +108,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -137,14 +134,8 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
     def __getitem__(self, key):
         return slice_(self, key)
-
-    def backward(self):
-        backward(self)
 
 
 def _wrap(x):
@@ -300,29 +291,12 @@ def neg(a):
     return _make(-a.data, [(a, lambda g: -g)])
 
 
-def matmul(a, b):
-    """Matrix product over the last two axes; leading axes broadcast.
-
-    Both operands must have ndim >= 2 and a.shape[-1] == b.shape[-2].
-    """
-    a, b = _wrap(a), _wrap(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul: operands need ndim>=2, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dims differ for {a.shape} @ {b.shape}")
-    data = a.data @ b.data
-    return _make(data, [
-        (a, lambda g: _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape)),
-        (b, lambda g: _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape)),
-    ])
-
-
 def affine(x, w, b):
     """The linear layer x @ w + b: x (..., n, k), w (k, m), b (m,).
 
     The bias goes into the fresh product in place, so the layer makes one
     output array and one graph node; values and gradients have the bits
-    of `matmul` followed by `add`.
+    of numpy's `x @ w` followed by `+ b`.
     """
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
@@ -410,13 +384,13 @@ def reshape(a, shape):
     return _make(data, [(a, lambda g: g.reshape(a.shape))])
 
 
-def layer_norm(a, eps=LN_EPS):
+def layer_norm(a):
     """Normalize the last axis to zero mean / unit variance (no affine)."""
     a = _wrap(a)
     mu = a.data.mean(axis=-1, keepdims=True)
     centered = a.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LN_EPS)
     y = centered * inv_std
 
     def vjp(g):
@@ -680,7 +654,6 @@ OPS = {
     "sub": sub,
     "mul": mul,
     "neg": neg,
-    "matmul": matmul,
     "affine": affine,
     "concat": concat,
     "slice": slice_,

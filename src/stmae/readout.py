@@ -3,10 +3,18 @@
 The shared pipeline: layer-normalize the T x K x C backbone features, add
 learned per-time embeddings, let task queries cross-attend to all T*K
 tokens, run a residual MLP (hidden 4x the attention width), then a final
-linear to the task output size. Queries are either learned vectors or
-Fourier-encoded geometry (points, boxes, space-time patch centers) passed
-through a small MLP. Tracking heads keep an attention output projection;
-learned-query heads omit it.
+linear to the task output size.
+
+A `ReadoutConfig`'s query kind fixes the rest of the query path. "learned"
+queries are `num_queries` vectors of `qkv_size` channels (the class and
+pose heads use one), and the attention has no output projection. The
+Fourier kinds ("fourier-point", "fourier-box", "spatial-patch") encode
+geometry (points, boxes, space-time patch centers) with FOURIER_BASES
+frequencies per coordinate and pass it through a query MLP to
+FOURIER_MLP_SIZE channels; their attention keeps an output projection.
+Their query count is set by each call's geometry, so the point, box and
+depth heads leave `num_queries` unset. `query_channels` and
+`attn_out_proj` are read-only properties derived from the query kind.
 
 Attention is `numcore.attention`, the op the encoder's blocks use, and
 every layer is declared and applied through `mae.Layers`, so heads and
@@ -27,6 +35,7 @@ FOURIER_BASES = 16
 FOURIER_MLP_SIZE = 512
 QUERY_KINDS = ("learned", "fourier-point", "fourier-box", "spatial-patch")
 _COORD_DIMS = {"fourier-point": 2, "fourier-box": 4, "spatial-patch": 3}
+POSE_TOL = 1e-6             # SE3Pose.validate: orthonormality and det(R) = 1
 
 
 @dataclass(frozen=True)
@@ -34,12 +43,10 @@ class ReadoutConfig:
     qkv_size: int
     heads: int
     query_kind: str
-    num_queries: int
     output_size: int
     feature_channels: int
     time_steps: int = 16
-    query_channels: int = None       # learned queries default to qkv_size
-    attn_out_proj: bool = None       # default: only for fourier queries
+    num_queries: int = 1             # read by learned queries only
 
     def __post_init__(self):
         if self.query_kind not in QUERY_KINDS:
@@ -48,11 +55,14 @@ class ReadoutConfig:
             raise ValueError(f"qkv_size {self.qkv_size} not divisible by heads {self.heads}")
         if self.output_size < 1:
             raise ValueError("output_size must be >= 1")
-        if self.query_channels is None:
-            default = self.qkv_size if self.query_kind == "learned" else FOURIER_MLP_SIZE
-            object.__setattr__(self, "query_channels", default)
-        if self.attn_out_proj is None:
-            object.__setattr__(self, "attn_out_proj", self.query_kind != "learned")
+
+    @property
+    def query_channels(self):
+        return self.qkv_size if self.query_kind == "learned" else FOURIER_MLP_SIZE
+
+    @property
+    def attn_out_proj(self):
+        return self.query_kind != "learned"
 
 
 @dataclass
@@ -61,10 +71,10 @@ class SE3Pose:
     r: np.ndarray
     t: np.ndarray
 
-    def validate(self, tol=1e-6):
-        if np.linalg.norm(self.r.T @ self.r - np.eye(3)) > tol:
+    def validate(self):
+        if np.linalg.norm(self.r.T @ self.r - np.eye(3)) > POSE_TOL:
             raise ValueError("rotation is not orthonormal")
-        if abs(np.linalg.det(self.r) - 1.0) > tol:
+        if abs(np.linalg.det(self.r) - 1.0) > POSE_TOL:
             raise ValueError("rotation determinant is not +1")
         return self
 
@@ -76,39 +86,35 @@ class SE3Pose:
 # Query encodings
 # ---------------------------------------------------------------------------
 
-def fourier_features(positions, bases=FOURIER_BASES):
-    """sin/cos at geometric frequencies pi * 2^0..2^(bases-1) per coordinate.
+def fourier_features(positions):
+    """sin/cos at geometric frequencies pi * 2^0..2^(FOURIER_BASES-1) per coordinate.
 
-    positions: (..., d) in [0, 1] -> (..., d * 2 * bases).
+    positions: (..., d) in [0, 1] -> (..., d * 2 * FOURIER_BASES).
     """
     pos = np.asarray(positions, dtype=np.float64)
     if pos.size and (pos.min() < 0.0 or pos.max() > 1.0):
         raise ValueError(f"coordinates must lie in [0, 1], got range "
                          f"[{pos.min():.4f}, {pos.max():.4f}]")
-    freqs = np.pi * (2.0 ** np.arange(bases))
+    freqs = np.pi * (2.0 ** np.arange(FOURIER_BASES))
     angles = pos[..., None] * freqs                      # (..., d, bases)
     feats = np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
-    return feats.reshape(*pos.shape[:-1], pos.shape[-1] * 2 * bases)
+    return feats.reshape(*pos.shape[:-1], pos.shape[-1] * 2 * FOURIER_BASES)
 
 
-def procrustes_so3(m, with_degeneracy=False):
+def procrustes_so3(m):
     """Nearest rotation (Frobenius norm) to a 3x3 matrix via SVD.
 
     R = U diag(1, 1, det(U V^T)) V^T. Degenerate inputs (rank deficiency
-    making the minimizer non-unique) still return a valid minimizer with
-    the flag set.
+    making the minimizer non-unique) still return a valid minimizer.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
-    u, s, vt = np.linalg.svd(m)
-    d = np.linalg.det(u @ vt)
-    sign = 1.0 if d >= 0 else -1.0
-    r = (u * np.array([1.0, 1.0, sign])) @ vt
-    degenerate = bool(s[1] + s[2] < 1e-12 or (sign < 0 and s[1] - s[2] < 1e-12))
-    return (r, degenerate) if with_degeneracy else r
+    u, _, vt = np.linalg.svd(m)
+    sign = 1.0 if np.linalg.det(u @ vt) >= 0 else -1.0
+    return (u * np.array([1.0, 1.0, sign])) @ vt
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +194,7 @@ class ClassHead:
     def __init__(self, feature_channels, num_classes, qkv_size=768, heads=12,
                  seed=0, dtype=np.float32):
         self.readout = CrossAttentionReadout(ReadoutConfig(
-            qkv_size=qkv_size, heads=heads, query_kind="learned", num_queries=1,
+            qkv_size=qkv_size, heads=heads, query_kind="learned",
             output_size=num_classes, feature_channels=feature_channels,
         ), seed=seed, dtype=dtype)
         self.params = {f"class.{k}": v for k, v in self.readout.params.items()}
@@ -207,7 +213,7 @@ class PoseHead:
 
     def __init__(self, feature_channels, qkv_size=256, heads=8, seed=0, dtype=np.float32):
         self.readout = CrossAttentionReadout(ReadoutConfig(
-            qkv_size=qkv_size, heads=heads, query_kind="learned", num_queries=1,
+            qkv_size=qkv_size, heads=heads, query_kind="learned",
             output_size=12, feature_channels=2 * feature_channels, time_steps=1,
         ), seed=seed, dtype=dtype)
         self.readout.params["head.weight"].data[:] = 0.0
@@ -242,7 +248,7 @@ class PointTrackHead:
         self.max_tracks = max_tracks
         self.readout = CrossAttentionReadout(ReadoutConfig(
             qkv_size=qkv_size, heads=heads, query_kind="fourier-point",
-            num_queries=0, output_size=8, feature_channels=feature_channels,
+            output_size=8, feature_channels=feature_channels,
         ), seed=seed, dtype=dtype)
         self.readout.layers.add_weight("query_time_embed", (self.replicas, FOURIER_MLP_SIZE))
         self.params = {f"point.{k}": v for k, v in self.readout.params.items()}
@@ -276,7 +282,7 @@ class BoxTrackHead:
         self.num_frames = num_frames
         self.readout = CrossAttentionReadout(ReadoutConfig(
             qkv_size=qkv_size, heads=heads, query_kind="fourier-box",
-            num_queries=0, output_size=4 * num_frames, feature_channels=feature_channels,
+            output_size=4 * num_frames, feature_channels=feature_channels,
         ), seed=seed, dtype=dtype)
         self.params = {f"box.{k}": v for k, v in self.readout.params.items()}
 
@@ -319,8 +325,7 @@ class DepthHead:
         self.query_positions = centers                     # (Q, 3) in [0,1]
         self.readout = CrossAttentionReadout(ReadoutConfig(
             qkv_size=qkv_size, heads=heads, query_kind="spatial-patch",
-            num_queries=len(centers), output_size=pt * ph * pw,
-            feature_channels=feature_channels,
+            output_size=pt * ph * pw, feature_channels=feature_channels,
         ), seed=seed, dtype=dtype)
         self.params = {f"depth.{k}": v for k, v in self.readout.params.items()}
 

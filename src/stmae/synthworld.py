@@ -28,11 +28,10 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .mae import VideoClip
 from .readout import SE3Pose
 
 log = logging.getLogger(__name__)
@@ -46,6 +45,10 @@ CLASS_NAMES = (
 OCCLUSION_TOLERANCE = 0.1   # meters of depth slack in the z-buffer test
 _RAY_EPS = 1e-9
 _MIN_T = 1e-6               # nearest ray hit; t is the hit's camera z
+CROP_AREA_RANGE = (0.3, 1.0)    # augment: crop area, as a share of the frame
+CROP_ASPECT_RANGE = (0.5, 2.0)  # augment: crop width / height, drawn log-uniform
+FLIP_P = 0.5                    # augment and pretrain_view: horizontal flip chance
+VIEW_RESIZE = 1.15              # pretrain_view: short side over the view size
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +119,12 @@ class SceneSpec:
     camera_yaw: np.ndarray      # (T,)
     camera_pitch: np.ndarray    # (T,)
     track_anchors: list         # list[(rect_ref, u, v)] with rect_ref ("static"/"sprite", idx)
+
+
+@dataclass
+class VideoClip:
+    """T x H x W x 3 float32 pixel block in [0, 1]."""
+    frames: np.ndarray
 
 
 @dataclass
@@ -523,7 +532,7 @@ def render_clip(spec, resolution, frames):
     labels = SceneLabels(depth=depth, pose_first_to_last=rel, camera_poses=poses,
                          track_xy=track_xy, track_vis=track_vis, track_world=track_world,
                          boxes=boxes, class_id=spec.class_id)
-    return VideoClip(frames=rgb, frame_stride=2), labels
+    return VideoClip(frames=rgb), labels
 
 
 def generate(seed, count, resolution, frames=16):
@@ -580,10 +589,10 @@ def resize_nearest(maps, out_h, out_w):
     return maps[:, yi][:, :, xi]
 
 
-def _sample_crop(rng, h, w, area_range, aspect_range, attempts=10):
+def _sample_crop(rng, h, w, attempts=10):
     for _ in range(attempts):
-        area = rng.uniform(*area_range) * h * w
-        aspect = np.exp(rng.uniform(np.log(aspect_range[0]), np.log(aspect_range[1])))
+        area = rng.uniform(*CROP_AREA_RANGE) * h * w
+        aspect = np.exp(rng.uniform(np.log(CROP_ASPECT_RANGE[0]), np.log(CROP_ASPECT_RANGE[1])))
         cw = int(round(np.sqrt(area * aspect)))
         ch = int(round(np.sqrt(area / aspect)))
         if 0 < cw <= w and 0 < ch <= h:
@@ -594,8 +603,7 @@ def _sample_crop(rng, h, w, area_range, aspect_range, attempts=10):
     return (h - side) // 2, (w - side) // 2, side, side
 
 
-def augment(clip, labels, rng, out_hw=None, crop=None, flip=None,
-            area_range=(0.3, 1.0), aspect_range=(0.5, 2.0), flip_p=0.5):
+def augment(clip, labels, rng, out_hw=None, crop=None, flip=None):
     """Random resized crop plus horizontal flip, with consistent labels.
 
     crop is (y0, x0, ch, cw) in source pixels (sampled when None); out_hw
@@ -606,9 +614,9 @@ def augment(clip, labels, rng, out_hw=None, crop=None, flip=None,
     frames = clip.frames
     t, h, w, _ = frames.shape
     if crop is None:
-        crop = _sample_crop(rng, h, w, area_range, aspect_range)
+        crop = _sample_crop(rng, h, w)
     if flip is None:
-        flip = bool(rng.random() < flip_p)
+        flip = bool(rng.random() < FLIP_P)
     y0, x0, ch, cw = crop
     if y0 < 0 or x0 < 0 or y0 + ch > h or x0 + cw > w:
         raise ValueError(f"crop {crop} does not fit inside {h}x{w}")
@@ -620,9 +628,7 @@ def augment(clip, labels, rng, out_hw=None, crop=None, flip=None,
         cropped = resize_bilinear(cropped, out_h, out_w)
     if flip:
         cropped = cropped[:, :, ::-1]
-    new_clip = VideoClip(frames=np.ascontiguousarray(cropped), frame_stride=clip.frame_stride)
-    if labels is None:
-        return new_clip, None
+    new_clip = VideoClip(frames=np.ascontiguousarray(cropped))
 
     depth = labels.depth[:, y0:y0 + ch, x0:x0 + cw]
     if (out_h, out_w) != (ch, cw):
@@ -667,24 +673,22 @@ def augment(clip, labels, rng, out_hw=None, crop=None, flip=None,
     return new_clip, new_labels
 
 
-def pretrain_view(clip, rng, out_size, min_resize=1.15, flip_p=0.5, out_frames=None):
-    """Pretraining augmentation: resize the short side to `min_resize` times
-    the target, take a random spatial crop and temporal crop, maybe flip."""
+def pretrain_view(clip, rng, out_size):
+    """Pretraining augmentation: resize the short side to VIEW_RESIZE times
+    `out_size`, take a random out_size x out_size crop of every frame, and
+    flip it with chance FLIP_P."""
     frames = clip.frames
-    t, h, w, _ = frames.shape
+    _, h, w, _ = frames.shape
     small = min(h, w)
-    target_small = int(round(min_resize * out_size))
+    target_small = int(round(VIEW_RESIZE * out_size))
     if small != target_small:
         scale = target_small / small
         frames = resize_bilinear(frames, int(round(h * scale)), int(round(w * scale)))
-        t, h, w, _ = frames.shape
-    if out_frames is not None and t > out_frames:
-        t0 = int(rng.integers(0, t - out_frames + 1))
-        frames = frames[t0:t0 + out_frames]
+        _, h, w, _ = frames.shape
     y0 = int(rng.integers(0, h - out_size + 1))
     x0 = int(rng.integers(0, w - out_size + 1))
     view = frames[:, y0:y0 + out_size, x0:x0 + out_size]
-    if rng.random() < flip_p:
+    if rng.random() < FLIP_P:
         view = view[:, :, ::-1]
     return np.ascontiguousarray(view)
 
@@ -692,6 +696,10 @@ def pretrain_view(clip, rng, out_size, min_resize=1.15, flip_p=0.5, out_frames=N
 # ---------------------------------------------------------------------------
 # Clip cache
 # ---------------------------------------------------------------------------
+
+_CLIP_TENSORS = frozenset({"frames", "depth", "pose_r", "pose_t", "camera_poses",
+                           "track_xy", "track_vis", "track_world", "boxes"})
+
 
 def save_clip(path, clip, labels):
     from .checkpoint import save_tensors
@@ -706,13 +714,18 @@ def save_clip(path, clip, labels):
         "track_vis": labels.track_vis.astype(np.float32),
         "track_world": labels.track_world,
         "boxes": labels.boxes,
-    }, config={"class_id": int(labels.class_id), "frame_stride": int(clip.frame_stride)})
+    }, config={"class_id": int(labels.class_id)})
 
 
 def load_clip(path):
+    """A clip and its labels saved by `save_clip`. A file that lacks any of
+    them (a model checkpoint, say) raises ValueError naming the path and keys."""
     from .checkpoint import load_tensors
     tensors, cfg = load_tensors(path)
-    clip = VideoClip(frames=tensors["frames"], frame_stride=cfg["frame_stride"])
+    missing = sorted(_CLIP_TENSORS - tensors.keys()) + sorted({"class_id"} - cfg.keys())
+    if missing:
+        raise ValueError(f"{path}: not a clip file: lacks {missing}")
+    clip = VideoClip(frames=tensors["frames"])
     labels = SceneLabels(
         depth=tensors["depth"],
         pose_first_to_last=SE3Pose(r=tensors["pose_r"].astype(np.float64),

@@ -51,6 +51,13 @@ def test_negative_offset_or_extent_names_path_and_tensor(tmp_path, shape, offset
         load_tensors(path)
 
 
+def test_config_that_is_not_an_object_names_the_path(tmp_path):
+    path = tmp_path / "c.stm"
+    write_raw(path, {"format": FORMAT_TAG, "config": [], "tensors": []})
+    with pytest.raises(ValueError, match=r"c\.stm: header config is not a JSON object"):
+        load_tensors(path)
+
+
 @pytest.mark.parametrize("header, named", [
     ({"format": FORMAT_TAG, "config": {}}, "tensors"),
     (header_of({"name": "w", "shape": [2]}), "'w'.*offset"),

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from stmae import numcore as nc
-from stmae import mae
+from stmae import mae, synthworld
 from stmae.mae import (FEATURE_FRACTIONS, MaskPlan, MaskedVideoModel, ModelConfig,
                        count_parameters, feature_block_index, full_plan, mae_loss, patchify,
                        preset, sample_mask, unpatchify)
@@ -268,12 +268,12 @@ def test_features_shape_and_latent_exclusion():
     frames = random_clip(np.random.default_rng(9), (4, 32, 32))
     for pct in (50, 100):
         fmap = model.features(frames, pct)
-        assert fmap.data.shape == (2, 4, 64)    # (T/2, 2x2 tokens, width)
-        assert fmap.layer_fraction == pct
+        assert fmap.shape == (2, 4, 64)    # (T/2, 2x2 tokens, width)
 
 
 def test_features_match_block_activations():
-    # features stop at their block; a full-depth pass collects the same bits
+    # features stop at their block; a full-depth pass collects the same bits,
+    # and with or without a graph they are one (T, K, C) Tensor
     frames = random_clip(np.random.default_rng(10), (4, 32, 32))
     for dtype in (np.float32, np.float64):
         model = deep_narrow(dtype)
@@ -283,9 +283,12 @@ def test_features_match_block_activations():
         for pct in FEATURE_FRACTIONS:
             block = collected[feature_block_index(pct, depth)].data
             fmap = model.features(frames, pct)
-            assert fmap.data.dtype == dtype
+            tracked = model.features(frames, pct, grad=True)
+            assert fmap.shape == tracked.shape == (2, 4, 32)
+            assert fmap.dtype == tracked.dtype == dtype
+            assert tracked.requires_grad and not fmap.requires_grad
             np.testing.assert_array_equal(fmap.data.reshape(8, 32), block)
-            np.testing.assert_array_equal(model.features(frames, pct, grad=True).data, block)
+            np.testing.assert_array_equal(tracked.data, fmap.data)
 
 
 @pytest.mark.parametrize("pct", FEATURE_FRACTIONS)
@@ -319,7 +322,7 @@ def test_model_gradient_matches_finite_differences(tensor_name):
     plan = sample_mask(8, 0.5, seed=4)
 
     for t in model.params.values():
-        t.zero_grad()
+        t.grad = None
     recon, _ = model.reconstruct(frames, plan)
     nc.backward(mae_loss(recon, frames))
     target = model.params[tensor_name]
@@ -362,11 +365,11 @@ def test_heads_sharing_features_cannot_backprop_a_consumed_encoder():
     # a fresh forward on the same parameters backprops as the copying walk does
     every = [*model.params.values(), *heads[0].params.values(), *heads[1].params.values()]
     for t in every:
-        t.zero_grad()
+        t.grad = None
     nc.backward(head_losses()[1])
     fresh = [t.grad for t in every]
     for t in every:
-        t.zero_grad()
+        t.grad = None
     oracles.backward_copying(head_losses()[1])
     assert [g is None for g in fresh] == [t.grad is None for t in every]
     assert all(g is not None for g in fresh[-len(heads[1].params):])
@@ -411,6 +414,14 @@ def test_config_from_lists_round_trips_through_checkpoint(tmp_path):
     assert list(loaded.params) == list(model.params)
     for name, t in model.params.items():
         np.testing.assert_array_equal(loaded.params[name].data, t.data)
+
+
+def test_load_model_on_a_clip_file_names_the_config_keys(tmp_path):
+    clip, labels = next(synthworld.generate(0, 1, 16, 2))
+    synthworld.save_clip(tmp_path / "clip.stm", clip, labels)
+    with pytest.raises(ValueError, match=r"clip\.stm: config is not a ModelConfig: unexpected keys "
+                                         r"\['class_id'\], missing keys \['depth', 'heads', 'mlp', 'width'\]"):
+        mae.load_model(tmp_path / "clip.stm")
 
 
 def test_params_digest_tracks_changes():

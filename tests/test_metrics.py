@@ -196,8 +196,8 @@ def test_iou_degenerate_gt_excluded_and_counted():
     pred = np.tile(np.array([0.0, 1.0, 0.0, 1.0]), (1, 3, 1))
     gt = pred.copy()
     gt[0, 2] = [0.3, 0.3, 0.1, 0.9]   # zero width
-    value, excluded = mean_iou(pred, gt, return_excluded=True)
-    assert value == 1.0 and excluded == 1
+    # counted, the zero-width box would pull the mean of frames 1 and 2 to 0.5
+    assert mean_iou(pred, gt) == 1.0
 
 
 def test_iou_matches_rasterization_oracle():

@@ -44,7 +44,6 @@ OP_CASES = {
     "sub": _case(nc.sub, (3, 4), (3, 1)),
     "mul": _case(nc.mul, (2, 3, 4), (4,)),
     "neg": _case(nc.neg, (3, 4)),
-    "matmul": _case(nc.matmul, (2, 3, 4), (4, 5)),
     "affine": _case(nc.affine, (2, 3, 4), (4, 5), (5,)),
     "concat": _case(lambda a, b: nc.concat([a, b], axis=1), (3, 2), (3, 4)),
     "slice": _case(lambda a: a[1:3, ::2], (4, 6)),
@@ -113,31 +112,26 @@ def test_op_keeps_float32(name):
 # Forward semantics
 # ---------------------------------------------------------------------------
 
-def test_matmul_identity():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((3, 5))
-    out = nc.matmul(Tensor(np.eye(3)), Tensor(a))
-    np.testing.assert_array_equal(out.data, a)
-
-
 @pytest.mark.parametrize("dtypes", [(np.float32,) * 3, (np.float64,) * 3,
                                     (np.float32, np.float32, np.float64)])
 def test_affine_matches_matmul_then_add_bitwise(dtypes):
     rng = np.random.default_rng(4)
     arrays = [rng.standard_normal(s).astype(d) for s, d in zip([(2, 7, 16), (16, 24), (24,)], dtypes)]
-    weights = Tensor(rng.standard_normal((2, 7, 24)).astype(dtypes[0]))
+    weights = rng.standard_normal((2, 7, 24)).astype(dtypes[0])
     fused = [nc.parameter(a) for a in arrays]
-    chain = [nc.parameter(a) for a in arrays]
     out = nc.affine(*fused)
-    ref = chain[0] @ chain[1] + chain[2]
+    x, w, b = arrays
+    ref = x @ w + b
     assert out.dtype == ref.dtype
-    np.testing.assert_array_equal(out.data, ref.data)
+    np.testing.assert_array_equal(out.data, ref)
     assert len(out._parents) == 3 and all(p in fused for p, _ in out._parents)
-    nc.backward(nc.sum_(out * weights))
-    nc.backward(nc.sum_(ref * weights))
-    for a, b in zip(fused, chain):
-        assert a.grad.dtype == b.grad.dtype
-        np.testing.assert_array_equal(a.grad, b.grad)
+    nc.backward(nc.sum_(out * Tensor(weights)))
+    # the VJPs of the product, its leading axis summed for w, and of the broadcast add
+    g = np.ones(ref.shape, ref.dtype) * weights
+    expected = [g @ w.T, (x.swapaxes(-1, -2) @ g).sum(axis=0), g.sum(axis=(0, 1))]
+    for t, e in zip(fused, expected):
+        assert t.grad.dtype == e.dtype
+        np.testing.assert_array_equal(t.grad, e)
 
 
 def test_gelu_matches_scalar_reference():
@@ -260,7 +254,7 @@ def test_sigmoid_extreme_logits_finite():
 
 @pytest.mark.parametrize("build, shapes", [
     (nc.add, [(3, 4), (5,)]),
-    (nc.matmul, [(3, 4), (5, 6)]),
+    (nc.mul, [(3, 4), (5,)]),
     (lambda a, b: nc.concat([a, b], axis=0), [(3, 4), (3, 5)]),
     (lambda a: nc.reshape(a, (7, 2)), [(3, 4)]),
     (lambda a: nc.transpose(a, (0, 0, 1)), [(2, 3, 4)]),
@@ -324,7 +318,7 @@ def test_deterministic_outputs_bitwise():
         rng = np.random.default_rng(77)
         a = Tensor(rng.standard_normal((16, 16)))
         b = Tensor(rng.standard_normal((16, 16)))
-        out = nc.attention(a, b, nc.matmul(a, b), heads=4)
+        out = nc.attention(a, b, nc.affine(a, b, np.zeros(16)), heads=4)
         return nc.mean(nc.gelu(out)).data.copy()
     assert np.array_equal(run(), run())
 
@@ -432,7 +426,7 @@ def _residual_chain(x, w):
     """Residual blocks: pass-through adds and subs around reshape views."""
     y = x
     for _ in range(3):
-        y = y + nc.reshape(nc.matmul(nc.reshape(y, (2, 2, 6)), w), (4, 6))
+        y = y + nc.reshape(nc.affine(nc.reshape(y, (2, 2, 6)), w, np.zeros(6, w.dtype)), (4, 6))
         y = nc.gelu(y) - y
     return y
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from stmae import synthworld
+from stmae import mae, synthworld
 
 RES, FRAMES = 48, 6
 
@@ -34,7 +34,7 @@ def test_save_load_clip_round_trip(clips, tmp_path):
     path = tmp_path / "clip.stm"
     synthworld.save_clip(path, clip, labels)
     loaded, loaded_labels = synthworld.load_clip(path)
-    assert loaded.frame_stride == clip.frame_stride
+    assert isinstance(loaded, synthworld.VideoClip)
     np.testing.assert_array_equal(loaded.frames, clip.frames)
     np.testing.assert_array_equal(loaded_labels.depth, labels.depth)
     np.testing.assert_array_equal(loaded_labels.track_vis, labels.track_vis)
@@ -46,6 +46,14 @@ def test_save_load_clip_round_trip(clips, tmp_path):
     for part in ("r", "t"):
         np.testing.assert_array_equal(getattr(loaded_labels.pose_first_to_last, part),
                                       getattr(labels.pose_first_to_last, part).astype(np.float32))
+
+
+def test_load_clip_on_a_model_checkpoint_names_the_missing_keys(tmp_path):
+    path = tmp_path / "model.ckpt"
+    mae.save_model(path, mae.MaskedVideoModel(mae.preset("nano", input_size=(2, 16, 16)), seed=0))
+    with pytest.raises(ValueError, match=r"model\.ckpt: not a clip file: lacks \['boxes', 'camera_poses', "
+                                         r"'depth', 'frames', .*'track_xy', 'class_id'\]"):
+        synthworld.load_clip(path)
 
 
 def full_view(clip, labels, flip):
