@@ -72,10 +72,13 @@ def load_tensors(path):
             raise ValueError(f"{path}: header lacks {missing}")
         if not isinstance(header["config"], dict):
             raise ValueError(f"{path}: header config is not a JSON object")
+        manifest = header["tensors"]
+        if not isinstance(manifest, list) or not all(isinstance(e, dict) for e in manifest):
+            raise ValueError(f"{path}: header tensors is not a list of JSON objects")
         fh.read(1)  # newline after header
         data = fh.read()
     tensors = {}
-    for index, entry in enumerate(header["tensors"]):
+    for index, entry in enumerate(manifest):
         name = entry.get("name", f"#{index}")
         missing = sorted({"name", "shape", "offset"} - entry.keys())
         if missing:

@@ -360,9 +360,10 @@ class MaskedVideoModel:
         return {name: t.data for name, t in self.params.items()}
 
     def load_state(self, tensors):
+        missing = [name for name in self.params if name not in tensors]
+        if missing:
+            raise ValueError(f"checkpoint lacks tensors {missing}")
         for name, t in self.params.items():
-            if name not in tensors:
-                raise KeyError(f"checkpoint missing tensor '{name}'")
             if tuple(tensors[name].shape) != t.data.shape:
                 raise ValueError(f"tensor '{name}' has shape {tensors[name].shape}, "
                                  f"expected {t.data.shape}")
@@ -386,7 +387,8 @@ def save_model(path, model):
 
 def load_model(path, dtype=np.float32):
     """A model saved by `save_model`. A file whose config is not a
-    ModelConfig (a clip, say) raises ValueError naming the path and keys."""
+    ModelConfig (a clip, say), or that lacks a tensor or holds one of the
+    wrong shape, raises ValueError naming the path and the keys at fault."""
     from .checkpoint import load_tensors
     tensors, cfg = load_tensors(path)
     fields = dataclasses.fields(ModelConfig)
@@ -397,7 +399,10 @@ def load_model(path, dtype=np.float32):
         raise ValueError(f"{path}: config is not a ModelConfig: unexpected keys {unexpected}, "
                          f"missing keys {missing}")
     model = MaskedVideoModel(ModelConfig(**cfg), seed=0, dtype=dtype)
-    model.load_state(tensors)
+    try:
+        model.load_state(tensors)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return model
 
 

@@ -30,12 +30,12 @@ import numpy as np
 from . import numcore as nc
 from .mae import Layers
 from .numcore import Tensor
+from .synthworld import SE3Pose
 
 FOURIER_BASES = 16
 FOURIER_MLP_SIZE = 512
 QUERY_KINDS = ("learned", "fourier-point", "fourier-box", "spatial-patch")
 _COORD_DIMS = {"fourier-point": 2, "fourier-box": 4, "spatial-patch": 3}
-POSE_TOL = 1e-6             # SE3Pose.validate: orthonormality and det(R) = 1
 
 
 @dataclass(frozen=True)
@@ -63,23 +63,6 @@ class ReadoutConfig:
     @property
     def attn_out_proj(self):
         return self.query_kind != "learned"
-
-
-@dataclass
-class SE3Pose:
-    """Rotation matrix plus translation, metric units."""
-    r: np.ndarray
-    t: np.ndarray
-
-    def validate(self):
-        if np.linalg.norm(self.r.T @ self.r - np.eye(3)) > POSE_TOL:
-            raise ValueError("rotation is not orthonormal")
-        if abs(np.linalg.det(self.r) - 1.0) > POSE_TOL:
-            raise ValueError("rotation determinant is not +1")
-        return self
-
-    def apply(self, points):
-        return points @ self.r.T + self.t
 
 
 # ---------------------------------------------------------------------------

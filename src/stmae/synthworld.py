@@ -32,8 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .readout import SE3Pose
-
 log = logging.getLogger(__name__)
 
 ROOM_HALF = 2.5
@@ -49,6 +47,7 @@ CROP_AREA_RANGE = (0.3, 1.0)    # augment: crop area, as a share of the frame
 CROP_ASPECT_RANGE = (0.5, 2.0)  # augment: crop width / height, drawn log-uniform
 FLIP_P = 0.5                    # augment and pretrain_view: horizontal flip chance
 VIEW_RESIZE = 1.15              # pretrain_view: short side over the view size
+POSE_TOL = 1e-6                 # SE3Pose.validate: orthonormality and det(R) = 1
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +118,23 @@ class SceneSpec:
     camera_yaw: np.ndarray      # (T,)
     camera_pitch: np.ndarray    # (T,)
     track_anchors: list         # list[(rect_ref, u, v)] with rect_ref ("static"/"sprite", idx)
+
+
+@dataclass
+class SE3Pose:
+    """Rotation matrix plus translation, metric units."""
+    r: np.ndarray
+    t: np.ndarray
+
+    def validate(self):
+        if np.linalg.norm(self.r.T @ self.r - np.eye(3)) > POSE_TOL:
+            raise ValueError("rotation is not orthonormal")
+        if abs(np.linalg.det(self.r) - 1.0) > POSE_TOL:
+            raise ValueError("rotation determinant is not +1")
+        return self
+
+    def apply(self, points):
+        return points @ self.r.T + self.t
 
 
 @dataclass

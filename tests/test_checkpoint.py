@@ -61,6 +61,8 @@ def test_config_that_is_not_an_object_names_the_path(tmp_path):
 @pytest.mark.parametrize("header, named", [
     ({"format": FORMAT_TAG, "config": {}}, "tensors"),
     (header_of({"name": "w", "shape": [2]}), "'w'.*offset"),
+    ({"format": FORMAT_TAG, "config": {}, "tensors": [1]}, "tensors is not a list of JSON objects"),
+    ({"format": FORMAT_TAG, "config": {}, "tensors": {"a": 1}}, "tensors is not a list of JSON objects"),
 ])
 def test_missing_header_keys_are_named(tmp_path, header, named):
     path = tmp_path / "c.stm"

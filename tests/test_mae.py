@@ -8,6 +8,7 @@ import pytest
 import oracles
 from stmae import numcore as nc
 from stmae import mae, synthworld
+from stmae.checkpoint import save_tensors
 from stmae.mae import (FEATURE_FRACTIONS, MaskPlan, MaskedVideoModel, ModelConfig,
                        count_parameters, feature_block_index, full_plan, mae_loss, patchify,
                        preset, sample_mask, unpatchify)
@@ -422,6 +423,16 @@ def test_load_model_on_a_clip_file_names_the_config_keys(tmp_path):
     with pytest.raises(ValueError, match=r"clip\.stm: config is not a ModelConfig: unexpected keys "
                                          r"\['class_id'\], missing keys \['depth', 'heads', 'mlp', 'width'\]"):
         mae.load_model(tmp_path / "clip.stm")
+
+
+def test_load_model_names_the_path_and_every_missing_tensor(tmp_path):
+    model = small_nano(seed=16)
+    state = model.state()
+    del state["decode.bias"], state["pos_embed"]
+    save_tensors(tmp_path / "model.ckpt", state, config=model.config.to_dict())
+    with pytest.raises(ValueError, match=r"model\.ckpt: checkpoint lacks tensors "
+                                         r"\['pos_embed', 'decode\.bias'\]"):
+        mae.load_model(tmp_path / "model.ckpt")
 
 
 def test_params_digest_tracks_changes():

@@ -1,5 +1,7 @@
 """Forward semantics and gradient checks for the autodiff core."""
 
+import ctypes
+import resource
 import tracemalloc
 import zlib
 
@@ -402,6 +404,35 @@ def test_backward_memory_follows_the_walk_not_the_graph():
         tracemalloc.stop()
     assert x.grad.shape == x.shape
     assert peak < 4 * x.data.nbytes
+
+
+def _libc_has_mallopt():
+    try:
+        ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return False
+    return True
+
+
+@pytest.mark.skipif(not _libc_has_mallopt(), reason="the C library has no mallopt")
+def test_a_repeated_step_reuses_the_memory_it_freed():
+    # importing stmae keeps freed memory in the process, so the second run of a
+    # graph reuses the first run's pages; returned to the kernel, every array of
+    # the run would be faulted back in (tens of thousands of pages here)
+    x = nc.parameter(np.random.default_rng(9).standard_normal(1 << 20, dtype=np.float32))
+
+    def step():
+        y = x
+        for _ in range(16):
+            y = nc.gelu(y * 0.5 + 1.0)
+        nc.backward(nc.sum_(y))
+        x.grad = None
+
+    step()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    step()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < x.data.nbytes // resource.getpagesize()
 
 
 def test_backward_hands_pass_through_gradients_over():

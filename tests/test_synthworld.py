@@ -1,5 +1,9 @@
 """Independent oracles for the synthetic world, its augmentations and its clip cache."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -288,3 +292,12 @@ def test_flipped_cameras_project_the_flipped_tracks(clips):
             np.testing.assert_allclose(xy[vis], flipped.track_xy[vis, f], rtol=0, atol=1e-9)
             checked += vis.sum()
     assert checked >= 400
+
+
+def test_importing_synthworld_loads_no_model_code():
+    code = ("import sys, stmae.synthworld; print(' '.join(m for m in ('stmae.readout', "
+            "'stmae.mae', 'stmae.numcore', 'scipy.special') if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(synthworld.__file__))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.stdout.split() == []
