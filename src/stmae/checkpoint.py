@@ -83,12 +83,24 @@ def load_tensors(path):
         missing = sorted({"name", "shape", "offset"} - entry.keys())
         if missing:
             raise ValueError(f"{path}: tensor {name!r} lacks {missing}")
-        shape = tuple(entry["shape"])
+        if not isinstance(name, str):
+            raise ValueError(f"{path}: tensor #{index} has name {name!r}, not a string")
+        if name in tensors:
+            raise ValueError(f"{path}: tensor #{index} repeats the name {name!r}")
+        shape, start = entry["shape"], entry["offset"]
+        if not (isinstance(shape, list) and all(map(_is_count, shape)) and _is_count(start)):
+            raise ValueError(f"{path}: tensor {name!r} has shape {shape!r} and offset {start!r}; "
+                             f"expected a list of non-negative ints and a non-negative int")
+        shape = tuple(shape)
         count = math.prod(shape)
-        start = entry["offset"]
-        if start < 0 or min(shape, default=0) < 0 or start + 4 * count > len(data):
+        if start + 4 * count > len(data):
             raise ValueError(f"{path}: tensor {name!r} of shape {shape} at offset {start} "
                              f"does not fit in {len(data)} data bytes")
         flat = np.frombuffer(data, dtype="<f4", count=count, offset=start)
         tensors[name] = flat.reshape(shape).copy()
     return tensors, header["config"]
+
+
+def _is_count(value):
+    """A JSON non-negative integer; JSON's true and false are not counts."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0

@@ -44,10 +44,16 @@ class ModelConfig:
             value = getattr(self, name)
             if value is not None:           # JSON configs carry lists
                 object.__setattr__(self, name, tuple(value))
-        if self.decode_grid is None:
-            object.__setattr__(self, "decode_grid", self.token_grid)
         if self.output_patch is None:
             object.__setattr__(self, "output_patch", self.input_patch)
+        for name in ("heads", "latent_layers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} {getattr(self, name)} must be >= 1")
+        for name in ("input_patch", "output_patch"):
+            if min(getattr(self, name)) < 1:
+                raise ValueError(f"{name} {getattr(self, name)} has an extent below 1")
+        if self.decode_grid is None:
+            object.__setattr__(self, "decode_grid", self.token_grid)
         if self.width % self.heads != 0:
             raise ValueError(f"width {self.width} not divisible by heads {self.heads}")
         if self.latent_layers > self.depth:
@@ -191,12 +197,13 @@ def patchify(frames, patch):
 
 
 def unpatchify(tokens, grid, patch):
-    """Inverse of patchify for a (N, t*h*w*3) token array."""
-    nt, nh, nw = grid
-    pt, ph, pw = patch
-    x = tokens.reshape(nt, nh, nw, pt, ph, pw, 3)
-    x = x.transpose(0, 3, 1, 4, 2, 5, 6)
-    return np.ascontiguousarray(x.reshape(nt * pt, nh * ph, nw * pw, 3))
+    """Inverse of patchify: (..., N, t*h*w*C) tokens on a `grid` of patches
+    -> (..., T, H, W, C) Tensor, for any leading axes and channel count."""
+    *lead, _, _ = tokens.shape
+    x = nc.reshape(tokens, (*lead, *grid, *patch, -1))
+    order = tuple(range(len(lead))) + tuple(len(lead) + a for a in (0, 3, 1, 4, 2, 5, 6))
+    x = nc.transpose(x, order)
+    return nc.reshape(x, (*lead, *(g * p for g, p in zip(grid, patch)), x.shape[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -226,31 +233,37 @@ class Layers:
 
     The one naming and init scheme of the package: a linear layer `name`
     owns `name.weight` (truncated normal) and `name.bias` (zeros); a norm
-    owns `name.scale` (ones) and `name.bias` (zeros). Weights are drawn
-    from `rng` in declaration order, and `params` keeps that order.
+    owns `name.scale` (ones) and `name.bias` (zeros), keyed `namespace.name`
+    in `params` (bare `name` for an empty namespace) and read back by `name`.
+    Weights are drawn from `rng` in declaration order, and `params` keeps it.
     """
 
-    def __init__(self, rng, dtype):
+    def __init__(self, rng, dtype, namespace):
         self.rng = rng
         self.dtype = dtype
+        self.prefix = f"{namespace}." if namespace else ""
         self.params = {}
 
+    def __getitem__(self, name):
+        return self.params[self.prefix + name]
+
     def add_weight(self, name, shape):
-        self.params[name] = nc.parameter(trunc_normal(self.rng, shape).astype(self.dtype))
+        weight = trunc_normal(self.rng, shape).astype(self.dtype)
+        self.params[self.prefix + name] = nc.parameter(weight)
 
     def add_linear(self, name, n_in, n_out):
         self.add_weight(f"{name}.weight", (n_in, n_out))
-        self.params[f"{name}.bias"] = nc.parameter(np.zeros(n_out, dtype=self.dtype))
+        self.params[f"{self.prefix}{name}.bias"] = nc.parameter(np.zeros(n_out, dtype=self.dtype))
 
     def add_norm(self, name, n):
-        self.params[f"{name}.scale"] = nc.parameter(np.ones(n, dtype=self.dtype))
-        self.params[f"{name}.bias"] = nc.parameter(np.zeros(n, dtype=self.dtype))
+        self.params[f"{self.prefix}{name}.scale"] = nc.parameter(np.ones(n, dtype=self.dtype))
+        self.params[f"{self.prefix}{name}.bias"] = nc.parameter(np.zeros(n, dtype=self.dtype))
 
     def linear(self, name, x):
-        return nc.affine(x, self.params[f"{name}.weight"], self.params[f"{name}.bias"])
+        return nc.affine(x, self[f"{name}.weight"], self[f"{name}.bias"])
 
     def norm(self, name, x):
-        return nc.layer_norm(x) * self.params[f"{name}.scale"] + self.params[f"{name}.bias"]
+        return nc.layer_norm(x) * self[f"{name}.scale"] + self[f"{name}.bias"]
 
 
 FEATURE_FRACTIONS = (25, 50, 75, 85, 95, 100)
@@ -270,7 +283,7 @@ class MaskedVideoModel:
         self.config = config
         self.dtype = dtype
         w, m = config.width, config.mlp
-        L = self.layers = Layers(np.random.default_rng(seed), dtype)
+        L = self.layers = Layers(np.random.default_rng(seed), dtype, "")
         L.add_linear("patch_embed", config.patch_dim, w)
         L.add_weight("pos_embed", (config.num_tokens, w))
         for i in range(config.depth):
@@ -313,7 +326,11 @@ class MaskedVideoModel:
             raise ValueError(f"blocks {blocks} outside 1..{cfg.depth}")
         if any(not 1 <= c <= blocks for c in collect):
             raise ValueError(f"collect {tuple(collect)} outside the blocks run, 1..{blocks}")
-        tokens = patchify(np.asarray(frames, dtype=self.dtype), cfg.input_patch)
+        frames = np.asarray(frames, dtype=self.dtype)
+        if frames.shape != cfg.input_size + (3,):
+            raise ValueError(f"clip has shape {frames.shape}, expected config.input_size "
+                             f"{cfg.input_size} + (3,)")
+        tokens = patchify(frames, cfg.input_patch)
         kept = Tensor(tokens[plan.kept])
         x = self.layers.linear("patch_embed", kept)
         x = x + nc.gather(p["pos_embed"], plan.kept, axis=0)
@@ -330,15 +347,10 @@ class MaskedVideoModel:
 
     def reconstruct(self, frames, plan, collect=()):
         """Full forward pass: returns (reconstruction Tensor (T,H,W,3), collected)."""
-        cfg = self.config
         x, collected = self.encode(frames, plan, collect=collect)
         latents = x[len(plan.kept):]
         pixels = self.layers.linear("decode", self.layers.norm("final_norm", latents))
-        gt, gh, gw = cfg.decode_grid
-        pt, ph, pw = cfg.output_patch
-        y = nc.reshape(pixels, (gt, gh, gw, pt, ph, pw, 3))
-        y = nc.transpose(y, (0, 3, 1, 4, 2, 5, 6))
-        return nc.reshape(y, cfg.input_size + (3,)), collected
+        return unpatchify(pixels, self.config.decode_grid, self.config.output_patch), collected
 
     def features(self, frames, fraction_pct, grad=False):
         """(T, K, C) Tensor of the activations at a depth fraction: T token
@@ -363,6 +375,9 @@ class MaskedVideoModel:
         missing = [name for name in self.params if name not in tensors]
         if missing:
             raise ValueError(f"checkpoint lacks tensors {missing}")
+        unexpected = [name for name in tensors if name not in self.params]
+        if unexpected:
+            raise ValueError(f"checkpoint has tensors the model lacks {unexpected}")
         for name, t in self.params.items():
             if tuple(tensors[name].shape) != t.data.shape:
                 raise ValueError(f"tensor '{name}' has shape {tensors[name].shape}, "
@@ -387,8 +402,9 @@ def save_model(path, model):
 
 def load_model(path, dtype=np.float32):
     """A model saved by `save_model`. A file whose config is not a
-    ModelConfig (a clip, say), or that lacks a tensor or holds one of the
-    wrong shape, raises ValueError naming the path and the keys at fault."""
+    ModelConfig (a clip, say), or that lacks a tensor, holds one the model
+    lacks or one of the wrong shape, raises ValueError naming the path and
+    the keys at fault."""
     from .checkpoint import load_tensors
     tensors, cfg = load_tensors(path)
     fields = dataclasses.fields(ModelConfig)

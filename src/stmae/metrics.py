@@ -81,8 +81,13 @@ class DepthPair:
     def from_depths(cls, d_pred, d_gt):
         """Mask excludes ground truth outside the metric (0.001, 10) range."""
         d_pred, d_gt = np.asarray(d_pred), np.asarray(d_gt)
-        lo, hi = DEPTH_VALID_RANGE
-        return cls(d_pred=d_pred, d_gt=d_gt, mask=(d_gt > lo) & (d_gt < hi))
+        return cls(d_pred=d_pred, d_gt=d_gt, mask=_valid_depth(d_gt))
+
+
+def _valid_depth(d_gt):
+    """Ground truth inside the open DEPTH_VALID_RANGE, as a boolean mask."""
+    lo, hi = DEPTH_VALID_RANGE
+    return (d_gt > lo) & (d_gt < hi)
 
 
 def absrel(pair):
@@ -196,9 +201,8 @@ def depth_loss(pred_depth, gt_depth):
     """Masked L2 on depth values; the mask follows the metric convention."""
     pred = _tensor(pred_depth)
     gt = np.asarray(gt_depth)
-    lo, hi = DEPTH_VALID_RANGE
-    mask = ((gt > lo) & (gt < hi)).astype(np.float64)
-    count = max(int(mask.sum()), 1)
+    mask = _valid_depth(gt)
+    count = max(np.count_nonzero(mask), 1)
     diff = pred - _tensor(gt, dtype=pred.dtype)
     return nc.sum_(diff * diff * Tensor(mask.astype(diff.dtype))) * (1.0 / count)
 

@@ -18,7 +18,10 @@ depth heads leave `num_queries` unset. `query_channels` and
 
 Attention is `numcore.attention`, the op the encoder's blocks use, and
 every layer is declared and applied through `mae.Layers`, so heads and
-encoder share one naming and init scheme.
+encoder share one naming and init scheme. Each task head subclasses
+`CrossAttentionReadout`, and its TASK namespaces the one `params` dict its
+forward reads ("pose.head.weight"); a bare readout's names are unprefixed.
+The depth head assembles its patches with `mae.unpatchify`.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .mae import Layers
+from .mae import Layers, unpatchify
 from .numcore import Tensor
 from .synthworld import SE3Pose
 
@@ -51,6 +54,8 @@ class ReadoutConfig:
     def __post_init__(self):
         if self.query_kind not in QUERY_KINDS:
             raise ValueError(f"unknown query kind '{self.query_kind}'")
+        if self.heads < 1:
+            raise ValueError(f"heads {self.heads} must be >= 1")
         if self.qkv_size % self.heads != 0:
             raise ValueError(f"qkv_size {self.qkv_size} not divisible by heads {self.heads}")
         if self.output_size < 1:
@@ -106,12 +111,13 @@ def procrustes_so3(m):
 
 class CrossAttentionReadout:
     """LayerNorm -> temporal embeddings -> cross-attention -> residual MLP -> linear."""
+    TASK = ""               # a task head's name, the namespace of its parameters
 
     def __init__(self, config, seed=0, dtype=np.float32):
         self.config = config
         self.dtype = dtype
         c, d, cq = config.feature_channels, config.qkv_size, config.query_channels
-        L = self.layers = Layers(np.random.default_rng(seed), dtype)
+        L = self.layers = Layers(np.random.default_rng(seed), dtype, self.TASK)
         L.add_norm("feat_norm", c)
         L.add_weight("temporal_embed", (config.time_steps, c))
         if config.query_kind == "learned":
@@ -140,7 +146,7 @@ class CrossAttentionReadout:
         return self.layers.linear("query_mlp.fc2", nc.gelu(self.layers.linear("query_mlp.fc1", raw)))
 
     def learned_queries(self):
-        q = self.params["queries"]
+        q = self.layers["queries"]
         return nc.reshape(q, (1,) + tuple(q.shape))      # broadcasts over batch
 
     def forward(self, features, queries):
@@ -156,7 +162,7 @@ class CrossAttentionReadout:
             raise ValueError(f"queries have {queries.shape[-1]} channels, "
                              f"readout expects {cfg.query_channels}")
         x = L.norm("feat_norm", x)
-        x = x + nc.reshape(self.params["temporal_embed"], (t, 1, c))
+        x = x + nc.reshape(L["temporal_embed"], (t, 1, c))
         x = nc.reshape(x, (b, t * k, c))
         y = nc.attention(L.linear("attn.q", queries), L.linear("attn.k", x),
                          L.linear("attn.v", x), cfg.heads)          # (B, Q, qkv_size)
@@ -171,45 +177,44 @@ class CrossAttentionReadout:
 # Task heads
 # ---------------------------------------------------------------------------
 
-class ClassHead:
+class ClassHead(CrossAttentionReadout):
     """Single learned query -> class logits."""
+    TASK = "class"
 
     def __init__(self, feature_channels, num_classes, qkv_size=768, heads=12,
                  seed=0, dtype=np.float32):
-        self.readout = CrossAttentionReadout(ReadoutConfig(
+        super().__init__(ReadoutConfig(
             qkv_size=qkv_size, heads=heads, query_kind="learned",
             output_size=num_classes, feature_channels=feature_channels,
         ), seed=seed, dtype=dtype)
-        self.params = {f"class.{k}": v for k, v in self.readout.params.items()}
 
     def forward(self, features):
-        out = self.readout.forward(features, self.readout.learned_queries())
+        out = super().forward(features, self.learned_queries())
         return nc.reshape(out, (out.shape[0], out.shape[-1]))
 
 
-class PoseHead:
+class PoseHead(CrossAttentionReadout):
     """First/last-frame features, channel-concatenated, -> 12-d pose vector.
 
     The final linear starts at zero weights with an identity-pose bias, so
     the untrained head predicts the identity transform.
     """
+    TASK = "pose"
 
     def __init__(self, feature_channels, qkv_size=256, heads=8, seed=0, dtype=np.float32):
-        self.readout = CrossAttentionReadout(ReadoutConfig(
+        super().__init__(ReadoutConfig(
             qkv_size=qkv_size, heads=heads, query_kind="learned",
             output_size=12, feature_channels=2 * feature_channels, time_steps=1,
         ), seed=seed, dtype=dtype)
-        self.readout.params["head.weight"].data[:] = 0.0
-        self.readout.params["head.bias"].data[:] = np.array(
-            [1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0], dtype=dtype)
-        self.params = {f"pose.{k}": v for k, v in self.readout.params.items()}
+        self.layers["head.weight"].data[:] = 0.0
+        self.layers["head.bias"].data[:] = [1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0]
 
     def forward(self, features):
         """features: (B, T, K, C) -> (B, 12) raw pose vectors."""
         first = features[:, :1]
         last = features[:, features.shape[1] - 1:]
         both = nc.concat([first, last], axis=-1)         # (B, 1, K, 2C)
-        out = self.readout.forward(both, self.readout.learned_queries())
+        out = super().forward(both, self.learned_queries())
         return nc.reshape(out, (out.shape[0], 12))
 
     @staticmethod
@@ -219,8 +224,9 @@ class PoseHead:
         return SE3Pose(r=procrustes_so3(vec12[:9].reshape(3, 3)), t=vec12[9:].copy())
 
 
-class PointTrackHead:
+class PointTrackHead(CrossAttentionReadout):
     """Fourier point queries, replicated per 2-frame chunk, -> (x,y,vis,unc)."""
+    TASK = "point"
 
     def __init__(self, feature_channels, num_frames=16, qkv_size=1024, heads=8,
                  max_tracks=64, seed=0, dtype=np.float32):
@@ -229,12 +235,11 @@ class PointTrackHead:
         self.num_frames = num_frames
         self.replicas = num_frames // 2
         self.max_tracks = max_tracks
-        self.readout = CrossAttentionReadout(ReadoutConfig(
+        super().__init__(ReadoutConfig(
             qkv_size=qkv_size, heads=heads, query_kind="fourier-point",
             output_size=8, feature_channels=feature_channels,
         ), seed=seed, dtype=dtype)
-        self.readout.layers.add_weight("query_time_embed", (self.replicas, FOURIER_MLP_SIZE))
-        self.params = {f"point.{k}": v for k, v in self.readout.params.items()}
+        self.layers.add_weight("query_time_embed", (self.replicas, FOURIER_MLP_SIZE))
 
     def forward(self, features, query_points):
         """query_points: (B, tracks, 2) frame-0 positions in [0, 1].
@@ -245,29 +250,29 @@ class PointTrackHead:
         b, tracks = query_points.shape[:2]
         if tracks > self.max_tracks:
             raise ValueError(f"{tracks} tracks exceed the configured maximum {self.max_tracks}")
-        emb = self.readout.encode_queries(query_points)   # (B, tracks, 512)
+        emb = self.encode_queries(query_points)            # (B, tracks, 512)
         emb = nc.reshape(emb, (b, tracks, 1, FOURIER_MLP_SIZE))
-        emb = emb + self.readout.params["query_time_embed"]
+        emb = emb + self.layers["query_time_embed"]
         queries = nc.reshape(emb, (b, tracks * self.replicas, FOURIER_MLP_SIZE))
-        out = self.readout.forward(features, queries)     # (B, tracks*reps, 8)
+        out = super().forward(features, queries)          # (B, tracks*reps, 8)
         out = nc.reshape(out, (b, tracks, self.num_frames, 4))
         positions = nc.sigmoid(out[:, :, :, :2])
         return positions, out[:, :, :, 2], out[:, :, :, 3]
 
 
-class BoxTrackHead:
+class BoxTrackHead(CrossAttentionReadout):
     """One Fourier box query per track predicting every frame; raw outputs."""
 
+    TASK = "box"
     MAX_BOXES = 25
 
     def __init__(self, feature_channels, num_frames=16, qkv_size=1024, heads=4,
                  seed=0, dtype=np.float32):
         self.num_frames = num_frames
-        self.readout = CrossAttentionReadout(ReadoutConfig(
+        super().__init__(ReadoutConfig(
             qkv_size=qkv_size, heads=heads, query_kind="fourier-box",
             output_size=4 * num_frames, feature_channels=feature_channels,
         ), seed=seed, dtype=dtype)
-        self.params = {f"box.{k}": v for k, v in self.readout.params.items()}
 
     def forward(self, features, query_boxes):
         """query_boxes: (B, boxes, 4) first-frame (xmin,xmax,ymin,ymax) in [0,1].
@@ -278,18 +283,18 @@ class BoxTrackHead:
         b, boxes = query_boxes.shape[:2]
         if boxes > self.MAX_BOXES:
             raise ValueError(f"{boxes} boxes exceed the maximum {self.MAX_BOXES}")
-        queries = self.readout.encode_queries(query_boxes)
-        out = self.readout.forward(features, queries)
+        out = super().forward(features, self.encode_queries(query_boxes))
         return nc.reshape(out, (b, boxes, self.num_frames, 4))
 
 
-class DepthHead:
+class DepthHead(CrossAttentionReadout):
     """Fourier space-time patch queries, each emitting one depth patch.
 
     Output patch is (2, 8, 8): 128 depth values per query, softplus-mapped
     so depths stay positive, assembled to the full T x H x W map.
     """
 
+    TASK = "depth"
     PATCH = (2, 8, 8)
 
     def __init__(self, feature_channels, clip_size, qkv_size=1024, heads=16,
@@ -298,7 +303,6 @@ class DepthHead:
         pt, ph, pw = self.PATCH
         if t % pt or h % ph or w % pw:
             raise ValueError(f"clip size {clip_size} not divisible by depth patch {self.PATCH}")
-        self.clip_size = clip_size
         self.grid = (t // pt, h // ph, w // pw)
         centers = np.stack(np.meshgrid(
             (np.arange(self.grid[0]) + 0.5) / self.grid[0],
@@ -306,20 +310,14 @@ class DepthHead:
             (np.arange(self.grid[2]) + 0.5) / self.grid[2],
             indexing="ij"), axis=-1).reshape(-1, 3)
         self.query_positions = centers                     # (Q, 3) in [0,1]
-        self.readout = CrossAttentionReadout(ReadoutConfig(
+        super().__init__(ReadoutConfig(
             qkv_size=qkv_size, heads=heads, query_kind="spatial-patch",
             output_size=pt * ph * pw, feature_channels=feature_channels,
         ), seed=seed, dtype=dtype)
-        self.params = {f"depth.{k}": v for k, v in self.readout.params.items()}
 
     def forward(self, features):
         """-> (B, T, H, W) strictly positive depth."""
-        b = features.shape[0]
-        queries = self.readout.encode_queries(self.query_positions[None])  # (1, Q, 512)
-        out = self.readout.forward(features, queries)       # (B, Q, 128)
-        out = nc.softplus(out)
-        gt, gh, gw = self.grid
-        pt, ph, pw = self.PATCH
-        y = nc.reshape(out, (b, gt, gh, gw, pt, ph, pw))
-        y = nc.transpose(y, (0, 1, 4, 2, 5, 3, 6))
-        return nc.reshape(y, (b,) + tuple(self.clip_size))
+        queries = self.encode_queries(self.query_positions[None])   # (1, Q, 512)
+        out = nc.softplus(super().forward(features, queries))       # (B, Q, 128)
+        depth = unpatchify(out, self.grid, self.PATCH)              # (B, T, H, W, 1)
+        return nc.reshape(depth, depth.shape[:-1])

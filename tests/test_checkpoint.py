@@ -43,7 +43,8 @@ def test_truncated_tensor_names_path_and_tensor(tmp_path):
         load_tensors(path)
 
 
-@pytest.mark.parametrize("shape, offset", [([2], -4), ([-1], 0)])
+@pytest.mark.parametrize("shape, offset", [([2], -4), ([-1], 0),
+                                           ("ab", 0), ([2], "0"), ([1.5], 0), ([True, 2], 0)])
 def test_negative_offset_or_extent_names_path_and_tensor(tmp_path, shape, offset):
     path = tmp_path / "c.stm"
     write_raw(path, header_of({"name": "w", "shape": shape, "offset": offset}), bytes(8))
@@ -63,6 +64,8 @@ def test_config_that_is_not_an_object_names_the_path(tmp_path):
     (header_of({"name": "w", "shape": [2]}), "'w'.*offset"),
     ({"format": FORMAT_TAG, "config": {}, "tensors": [1]}, "tensors is not a list of JSON objects"),
     ({"format": FORMAT_TAG, "config": {}, "tensors": {"a": 1}}, "tensors is not a list of JSON objects"),
+    (header_of({"name": 3, "shape": [2], "offset": 0}), "tensor #0 has name 3"),
+    (header_of(*[{"name": "w", "shape": [1], "offset": 0}] * 2), "tensor #1 repeats the name 'w'"),
 ])
 def test_missing_header_keys_are_named(tmp_path, header, named):
     path = tmp_path / "c.stm"

@@ -58,12 +58,13 @@ def test_patchify_rejects_non_divisible():
     ((8, 64, 64), (2, 16, 16)),
     ((4, 32, 32), (1, 8, 8)),
     ((6, 48, 32), (3, 16, 8)),
+    ((2, 4, 16, 16, 1), (2, 8, 8)),         # a batch of one-channel maps, as depth is assembled
 ])
 def test_unpatchify_roundtrip_identity(size, patch):
     rng = np.random.default_rng(0)
-    frames = random_clip(rng, size)
-    grid = tuple(s // p for s, p in zip(size, patch))
-    np.testing.assert_array_equal(unpatchify(patchify(frames, patch), grid, patch), frames)
+    frames = rng.random(size if len(size) > 3 else size + (3,))
+    grid = tuple(s // p for s, p in zip(frames.shape[-4:-1], patch))
+    np.testing.assert_array_equal(unpatchify(patchify(frames, patch), grid, patch).data, frames)
 
 
 def test_mask_plan_partition_and_counts():
@@ -130,6 +131,10 @@ def test_config_invariants():
                     decode_grid=(4, 4, 4), output_patch=(2, 8, 8))
     with pytest.raises(ValueError, match="mask_ratio"):
         ModelConfig(width=64, depth=4, mlp=256, heads=4, input_size=(8, 64, 64), mask_ratio=0.0)
+    for field, bad in [("latent_layers", 0), ("heads", 0), ("input_patch", (2, 0, 16)),
+                       ("output_patch", (0, 16, 16))]:
+        with pytest.raises(ValueError, match=field):
+            preset("nano", **{field: bad})
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +160,7 @@ def test_masked_pixels_do_not_enter_forward():
     # scribble over every masked patch; forward output must be bit-identical
     tokens = patchify(frames, model.config.input_patch)
     tokens[plan.masked] = rng.random(tokens[plan.masked].shape)
-    scribbled = unpatchify(tokens, model.config.token_grid, model.config.input_patch)
+    scribbled = unpatchify(tokens, model.config.token_grid, model.config.input_patch).data
     with nc.no_grad():
         recon_b, _ = model.reconstruct(scribbled, plan)
     np.testing.assert_array_equal(recon_a.data, recon_b.data)
@@ -308,6 +313,8 @@ def test_encode_rejects_blocks_outside_depth():
     for kw in (dict(blocks=0), dict(blocks=5), dict(blocks=2, collect=(3,))):
         with pytest.raises(ValueError, match="blocks"):
             model.encode(frames, full_plan(8), **kw)
+    with pytest.raises(ValueError, match=r"clip has shape \(8, 32, 32, 3\), expected config\.input_size"):
+        model.encode(random_clip(np.random.default_rng(19), (8, 32, 32)), full_plan(8))
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +440,11 @@ def test_load_model_names_the_path_and_every_missing_tensor(tmp_path):
     with pytest.raises(ValueError, match=r"model\.ckpt: checkpoint lacks tensors "
                                          r"\['pos_embed', 'decode\.bias'\]"):
         mae.load_model(tmp_path / "model.ckpt")
+    stray = {**model.state(), "blocks.9.attn.qkv.weight": np.zeros((64, 192))}
+    save_tensors(tmp_path / "stray.ckpt", stray, config=model.config.to_dict())
+    with pytest.raises(ValueError, match=r"stray\.ckpt: checkpoint has tensors the model lacks "
+                                         r"\['blocks\.9\.attn\.qkv\.weight'\]"):
+        mae.load_model(tmp_path / "stray.ckpt")
 
 
 def test_params_digest_tracks_changes():

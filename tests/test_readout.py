@@ -36,7 +36,7 @@ def test_published_large_class_readout_param_count():
 
 def test_published_pose_readout_param_count():
     head = PoseHead(feature_channels=1024)
-    assert head.readout.num_parameters() == 1_650_444
+    assert head.num_parameters() == 1_650_444
 
 
 def test_published_depth_readout_param_count_learned_variant():
@@ -49,21 +49,21 @@ def test_published_depth_readout_param_count_learned_variant():
 
 def test_published_box_readout_param_count():
     head = BoxTrackHead(feature_channels=1024, num_frames=16)
-    assert head.readout.num_parameters() == 12_482_624
+    assert head.num_parameters() == 12_482_624
 
 
 def test_published_point_readout_param_count():
     head = PointTrackHead(feature_channels=1024, num_frames=16)
-    assert head.readout.num_parameters() == 12_396_552
+    assert head.num_parameters() == 12_396_552
 
 
 # ---------------------------------------------------------------------------
 # Pipeline against an independent numpy reimplementation
 # ---------------------------------------------------------------------------
 
-def readout_numpy(params, cfg, features, queries):
-    """Plain-numpy reference of the readout pipeline."""
-    g = {k: np.asarray(v.data, dtype=np.float64) for k, v in params.items()}
+def readout_numpy(params, cfg, features, queries, prefix=""):
+    """Plain-numpy reference of the readout pipeline; `prefix` is stripped from the names."""
+    g = {k.removeprefix(prefix): np.asarray(v.data, dtype=np.float64) for k, v in params.items()}
 
     def ln(x):
         mu = x.mean(-1, keepdims=True)
@@ -143,6 +143,8 @@ def test_config_derives_the_query_path_from_the_kind():
     assert (box.query_channels, box.attn_out_proj) == (FOURIER_MLP_SIZE, True)
     with pytest.raises(TypeError):
         ReadoutConfig(query_kind="learned", query_channels=8, **common)
+    with pytest.raises(ValueError, match="heads 0"):
+        ReadoutConfig(query_kind="learned", **{**common, "heads": 0})
 
 
 def test_forward_rejects_channel_mismatch():
@@ -262,7 +264,7 @@ def test_pose_head_untrained_outputs_identity():
 def test_pose_head_random_params_produce_valid_poses():
     head = PoseHead(feature_channels=8, qkv_size=16, heads=2, seed=9)
     rng = np.random.default_rng(9)
-    head.readout.params["head.weight"].data[:] = rng.standard_normal((16, 12)).astype(np.float32)
+    head.params["pose.head.weight"].data[:] = rng.standard_normal((16, 12)).astype(np.float32)
     feats = Tensor(random_features(rng, b=4, c=8).astype(np.float32))
     with nc.no_grad():
         out = head.forward(feats).data
@@ -313,7 +315,7 @@ def test_depth_head_query_grid_and_positivity():
 def test_depth_head_full_resolution_query_count():
     head = DepthHead(feature_channels=8, clip_size=(16, 224, 224), qkv_size=16, heads=2)
     assert len(head.query_positions) == 8 * 28 * 28
-    assert head.readout.config.output_size == 128
+    assert head.config.output_size == 128
 
 
 def test_depth_head_assembly_matches_reference():
@@ -323,8 +325,8 @@ def test_depth_head_assembly_matches_reference():
     feats = random_features(rng, b=1, t=16, k=4, c=8)
     with nc.no_grad():
         depth = head.forward(Tensor(feats)).data
-        raw_queries = head.readout.encode_queries(head.query_positions[None]).data
-    out = readout_numpy(head.readout.params, head.readout.config, feats, raw_queries)
+        raw_queries = head.encode_queries(head.query_positions[None]).data
+    out = readout_numpy(head.params, head.config, feats, raw_queries, prefix="depth.")
     out = np.log1p(np.exp(-np.abs(out))) + np.maximum(out, 0)      # softplus
     expected = out.reshape(2, 2, 2, 2, 8, 8).transpose(0, 3, 1, 4, 2, 5).reshape(4, 16, 16)
     np.testing.assert_allclose(depth[0], expected, rtol=1e-10)
@@ -340,14 +342,21 @@ def test_class_head_logits_and_softmax():
     np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
 
 
-def test_gradients_reach_every_head_parameter():
-    head = PointTrackHead(feature_channels=8, num_frames=4, qkv_size=16, heads=2)
-    feats = Tensor(random_features(np.random.default_rng(16), b=1, c=8).astype(np.float32))
-    pos, vis, unc = head.forward(feats, np.full((1, 2, 2), 0.5))
-    loss = nc.mean(pos * pos) + nc.mean(vis * vis) + nc.mean(unc * unc)
+@pytest.mark.parametrize("name", ["class", "pose", "point", "box", "depth"])
+def test_gradients_reach_every_head_parameter(name):
+    head, loss = _task_loss_float32(name)
     nc.backward(loss)
     missing = [k for k, v in head.params.items() if v.grad is None]
-    assert missing == []
+    assert missing == [] and all(k.startswith(f"{name}.") for k in head.params)
+
+
+def test_head_parameter_names_are_disjoint():
+    # a probe trains the five heads from one merged dict of their parameters
+    kw = dict(qkv_size=16, heads=2)
+    heads = [ClassHead(8, num_classes=5, **kw), PoseHead(8, **kw), PointTrackHead(8, **kw),
+             BoxTrackHead(8, **kw), DepthHead(8, clip_size=(16, 16, 16), **kw)]
+    names = [k for head in heads for k in head.params]
+    assert len(names) == len(set(names))
 
 
 def test_point_head_accepts_generator_seed():
