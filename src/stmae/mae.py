@@ -1,12 +1,12 @@
 """Space-time vision transformer pretrained by masked autoencoding.
 
-Clips are cut into non-overlapping space-time patches, a random subset of
-patch tokens is dropped, the remaining tokens run through pre-norm
+Clips are cut into non-overlapping space-time patches. A mask is one array
+of kept token indices: only those tokens run through the pre-norm
 transformer blocks, and a learned grid of latent tokens joins for the
 final blocks. Each latent token maps linearly to one output pixel patch;
 the full-grid reconstruction is trained with a plain mean-squared error
 against the RGB input. Features for downstream readouts come from any
-block, with latent tokens stripped.
+block, with every token kept and the latent tokens stripped.
 """
 
 from __future__ import annotations
@@ -35,43 +35,40 @@ class ModelConfig:
     input_size: tuple = (16, 224, 224)        # frames, height, width
     input_patch: tuple = (2, 16, 16)
     latent_layers: int = 4
-    decode_grid: tuple = None                  # defaults to the input token grid
     output_patch: tuple = None                 # defaults to input_patch
     mask_ratio: float = 0.95
 
     def __post_init__(self):
-        for name in ("input_size", "input_patch", "decode_grid", "output_patch"):
+        for name in ("input_size", "input_patch", "output_patch"):
             value = getattr(self, name)
             if value is not None:           # JSON configs carry lists
                 object.__setattr__(self, name, tuple(value))
         if self.output_patch is None:
             object.__setattr__(self, "output_patch", self.input_patch)
-        for name in ("heads", "latent_layers"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} {getattr(self, name)} must be >= 1")
-        for name in ("input_patch", "output_patch"):
-            if min(getattr(self, name)) < 1:
-                raise ValueError(f"{name} {getattr(self, name)} has an extent below 1")
-        if self.decode_grid is None:
-            object.__setattr__(self, "decode_grid", self.token_grid)
+        for name in ("width", "depth", "mlp", "heads", "latent_layers",
+                     "input_size", "input_patch", "output_patch"):
+            value = getattr(self, name)
+            if min(value if isinstance(value, tuple) else (value,)) < 1:
+                raise ValueError(f"{name} {value} has an extent below 1")
         if self.width % self.heads != 0:
             raise ValueError(f"width {self.width} not divisible by heads {self.heads}")
         if self.latent_layers > self.depth:
             raise ValueError(f"latent_layers {self.latent_layers} exceeds depth {self.depth}")
-        for size, patch in zip(self.input_size, self.input_patch):
-            if size % patch != 0:
-                raise ValueError(f"input size {self.input_size} not divisible by patch {self.input_patch}")
-        covered = tuple(g * p for g, p in zip(self.decode_grid, self.output_patch))
-        if covered != tuple(self.input_size):
-            raise ValueError(
-                f"decode grid {self.decode_grid} x output patch {self.output_patch} "
-                f"covers {covered}, expected {self.input_size}")
+        for name in ("input_patch", "output_patch"):
+            if any(s % p for s, p in zip(self.input_size, getattr(self, name))):
+                raise ValueError(f"input_size {self.input_size} not divisible by "
+                                 f"{name} {getattr(self, name)}")
         if not 0 < self.mask_ratio < 1:
             raise ValueError(f"mask_ratio {self.mask_ratio} outside (0, 1)")
 
     @property
     def token_grid(self):
         return tuple(s // p for s, p in zip(self.input_size, self.input_patch))
+
+    @property
+    def decode_grid(self):
+        """The latent token grid: one latent per output patch of the clip."""
+        return tuple(s // p for s, p in zip(self.input_size, self.output_patch))
 
     @property
     def num_tokens(self):
@@ -111,7 +108,7 @@ PRESETS = {
     "G": _cfg(1664, 48, 8192, 16),
     "e": _cfg(1792, 56, 15360, 16),
     "j": _cfg(4096, 64, 32768, 32, input_size=(16, 256, 256), latent_layers=2,
-              decode_grid=(4, 8, 8), output_patch=(4, 32, 32)),
+              output_patch=(4, 32, 32)),
     "nano": _cfg(64, 4, 256, 4, input_size=(8, 64, 64), latent_layers=2),
     "micro": _cfg(128, 6, 512, 8, input_size=(8, 64, 64), latent_layers=2),
 }
@@ -151,16 +148,9 @@ def count_parameters(config):
 # Patches and masks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MaskPlan:
-    """Disjoint kept/masked partition of token indices 0..total-1."""
-    kept: np.ndarray
-    masked: np.ndarray
-    total: int
-
-
 def sample_mask(total, ratio, seed):
-    """Uniform without-replacement mask: |masked| = floor(ratio * total).
+    """Sorted indices of the tokens a uniform without-replacement mask keeps:
+    total - floor(ratio * total) of 0..total-1.
 
     The floor gets a 1e-9 nudge so ratios like 0.95 whose float product
     lands just under an integer still mask the intended count.
@@ -169,15 +159,7 @@ def sample_mask(total, ratio, seed):
         raise ValueError(f"mask ratio must lie in (0, 1), got {ratio}")
     rng = np.random.default_rng(seed)
     n_masked = int(np.floor(ratio * total + 1e-9))
-    perm = rng.permutation(total)
-    kept = np.sort(perm[n_masked:])
-    masked = np.sort(perm[:n_masked])
-    return MaskPlan(kept=kept, masked=masked, total=total)
-
-
-def full_plan(total):
-    """Mask plan that keeps every token (used for features and distillation)."""
-    return MaskPlan(kept=np.arange(total), masked=np.empty(0, dtype=np.int64), total=total)
+    return np.sort(rng.permutation(total)[n_masked:])
 
 
 def patchify(frames, patch):
@@ -310,47 +292,45 @@ class MaskedVideoModel:
         h = nc.gelu(L.linear(f"{b}.mlp.fc1", L.norm(f"{b}.ln2", x)))
         return x + L.linear(f"{b}.mlp.fc2", h)
 
-    def encode(self, frames, plan, collect=(), blocks=None):
-        """Run blocks 1..`blocks` (all when None) on the kept tokens of one
-        (T,H,W,3) clip; the blocks after them are never computed.
+    def encode(self, frames, kept, blocks=None):
+        """Run blocks 1..`blocks` (all when None) on the tokens `kept` of one
+        (T,H,W,3) clip; the masked tokens and the blocks after `blocks` are
+        never computed.
 
-        Returns (token state after the last block run, dict of collected
-        1-based block index -> patch-token activations as Tensors). Every
-        collected index must lie in 1..blocks.
+        `kept` is a non-empty 1-d integer array of distinct token indices,
+        in any order. Returns the token state after the last block run: one
+        row per kept token in `kept` order, then the latent tokens once they
+        have joined.
         """
         cfg, p = self.config, self.params
-        if plan.total != cfg.num_tokens:
-            raise ValueError(f"mask plan covers {plan.total} tokens, model expects {cfg.num_tokens}")
         blocks = cfg.depth if blocks is None else blocks
         if not 1 <= blocks <= cfg.depth:
             raise ValueError(f"blocks {blocks} outside 1..{cfg.depth}")
-        if any(not 1 <= c <= blocks for c in collect):
-            raise ValueError(f"collect {tuple(collect)} outside the blocks run, 1..{blocks}")
+        kept = np.asarray(kept)
+        if (kept.ndim != 1 or kept.size == 0 or kept.dtype.kind not in "iu"
+                or kept.min() < 0 or kept.max() >= cfg.num_tokens
+                or np.unique(kept).size != kept.size):
+            raise ValueError(f"kept (shape {kept.shape}, {kept.dtype}) is not a non-empty 1-d "
+                             f"integer array of distinct indices in 0..{cfg.num_tokens - 1}")
         frames = np.asarray(frames, dtype=self.dtype)
         if frames.shape != cfg.input_size + (3,):
             raise ValueError(f"clip has shape {frames.shape}, expected config.input_size "
                              f"{cfg.input_size} + (3,)")
-        tokens = patchify(frames, cfg.input_patch)
-        kept = Tensor(tokens[plan.kept])
-        x = self.layers.linear("patch_embed", kept)
-        x = x + nc.gather(p["pos_embed"], plan.kept, axis=0)
-        n_visible = len(plan.kept)
-        join_at = cfg.depth - cfg.latent_layers
-        collected = {}
+        x = self.layers.linear("patch_embed", Tensor(patchify(frames, cfg.input_patch)[kept]))
+        x = x + nc.gather(p["pos_embed"], kept)
         for i in range(blocks):
-            if i == join_at:
+            if i == cfg.depth - cfg.latent_layers:
                 x = nc.concat([x, p["latent_tokens"]], axis=0)
             x = self._block(x, i)
-            if (i + 1) in collect:
-                collected[i + 1] = x[:n_visible] if x.shape[0] > n_visible else x
-        return x, collected
+        return x
 
-    def reconstruct(self, frames, plan, collect=()):
-        """Full forward pass: returns (reconstruction Tensor (T,H,W,3), collected)."""
-        x, collected = self.encode(frames, plan, collect=collect)
-        latents = x[len(plan.kept):]
+    def reconstruct(self, frames, kept):
+        """Full forward pass on the tokens `kept`: returns (reconstruction
+        Tensor (T,H,W,3), the token state `encode` returned)."""
+        x = self.encode(frames, kept)
+        latents = x[len(kept):]
         pixels = self.layers.linear("decode", self.layers.norm("final_norm", latents))
-        return unpatchify(pixels, self.config.decode_grid, self.config.output_patch), collected
+        return unpatchify(pixels, self.config.decode_grid, self.config.output_patch), x
 
     def features(self, frames, fraction_pct, grad=False):
         """(T, K, C) Tensor of the activations at a depth fraction: T token
@@ -361,12 +341,11 @@ class MaskedVideoModel:
         finetuning.
         """
         cfg = self.config
-        block = feature_block_index(fraction_pct, cfg.depth)
-        plan = full_plan(cfg.num_tokens)
         with contextlib.nullcontext() if grad else nc.no_grad():
-            _, collected = self.encode(frames, plan, collect=(block,), blocks=block)
+            x = self.encode(frames, np.arange(cfg.num_tokens),
+                            blocks=feature_block_index(fraction_pct, cfg.depth))
         nt, nh, nw = cfg.token_grid
-        return nc.reshape(collected[block], (nt, nh * nw, cfg.width))
+        return nc.reshape(x[:cfg.num_tokens], (nt, nh * nw, cfg.width))
 
     def state(self):
         return {name: t.data for name, t in self.params.items()}

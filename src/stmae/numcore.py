@@ -347,18 +347,17 @@ def slice_(a, key):
     return _make(data, [(a, vjp)])
 
 
-def gather(a, indices, axis=0):
-    """Select rows `indices` (1-d int array) along `axis`. Repeats allowed."""
+def gather(a, indices):
+    """Select rows `indices` (1-d int array) of `a`. Repeats allowed."""
     a = _wrap(a)
     idx = np.asarray(indices)
     if idx.ndim != 1:
         raise ShapeError(f"gather: indices must be 1-d, got shape {idx.shape}")
-    data = np.take(a.data, idx, axis=axis)
+    data = np.take(a.data, idx, axis=0)
 
     def vjp(g):
         full = np.zeros_like(a.data)
-        moved = np.moveaxis(full, axis, 0)
-        np.add.at(moved, idx, np.moveaxis(g, axis, 0))
+        np.add.at(full, idx, g)
         return full
 
     return _make(data, [(a, vjp)])

@@ -54,12 +54,12 @@ class ReadoutConfig:
     def __post_init__(self):
         if self.query_kind not in QUERY_KINDS:
             raise ValueError(f"unknown query kind '{self.query_kind}'")
-        if self.heads < 1:
-            raise ValueError(f"heads {self.heads} must be >= 1")
+        for name in ("qkv_size", "heads", "output_size", "feature_channels", "time_steps",
+                     "num_queries"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} {getattr(self, name)} must be >= 1")
         if self.qkv_size % self.heads != 0:
             raise ValueError(f"qkv_size {self.qkv_size} not divisible by heads {self.heads}")
-        if self.output_size < 1:
-            raise ValueError("output_size must be >= 1")
 
     @property
     def query_channels(self):
@@ -153,6 +153,8 @@ class CrossAttentionReadout:
         """features: (B, T, K, C) Tensor or array; queries: (B?, Q, Cq) Tensor."""
         cfg, L = self.config, self.layers
         x = features if isinstance(features, Tensor) else Tensor(np.asarray(features, dtype=self.dtype))
+        if x.ndim != 4:
+            raise ValueError(f"features have shape {tuple(x.shape)}, readout expects (B, T, K, C)")
         b, t, k, c = x.shape
         if c != cfg.feature_channels:
             raise ValueError(f"features have {c} channels, readout expects {cfg.feature_channels}")
@@ -226,15 +228,16 @@ class PoseHead(CrossAttentionReadout):
 
 class PointTrackHead(CrossAttentionReadout):
     """Fourier point queries, replicated per 2-frame chunk, -> (x,y,vis,unc)."""
+
     TASK = "point"
+    MAX_TRACKS = 64
 
     def __init__(self, feature_channels, num_frames=16, qkv_size=1024, heads=8,
-                 max_tracks=64, seed=0, dtype=np.float32):
+                 seed=0, dtype=np.float32):
         if num_frames % 2:
             raise ValueError("point head predicts 2 frames per query; frames must be even")
         self.num_frames = num_frames
         self.replicas = num_frames // 2
-        self.max_tracks = max_tracks
         super().__init__(ReadoutConfig(
             qkv_size=qkv_size, heads=heads, query_kind="fourier-point",
             output_size=8, feature_channels=feature_channels,
@@ -248,8 +251,8 @@ class PointTrackHead(CrossAttentionReadout):
         """
         query_points = np.asarray(query_points)
         b, tracks = query_points.shape[:2]
-        if tracks > self.max_tracks:
-            raise ValueError(f"{tracks} tracks exceed the configured maximum {self.max_tracks}")
+        if tracks > self.MAX_TRACKS:
+            raise ValueError(f"{tracks} tracks exceed the maximum {self.MAX_TRACKS}")
         emb = self.encode_queries(query_points)            # (B, tracks, 512)
         emb = nc.reshape(emb, (b, tracks, 1, FOURIER_MLP_SIZE))
         emb = emb + self.layers["query_time_embed"]

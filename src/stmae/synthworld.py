@@ -558,6 +558,9 @@ def generate(seed, count, resolution, frames=16):
     being the first feasible draw (see `_sample_scene`); class ids rotate
     round-robin so every window of clips is balanced.
     """
+    for name, value in (("resolution", resolution), ("frames", frames)):
+        if value < 1:
+            raise ValueError(f"{name} {value} must be >= 1")
     for index in range(count):
         class_id = index % NUM_CLASSES
         spec = _sample_scene((seed, index), class_id, frames)

@@ -9,9 +9,8 @@ import oracles
 from stmae import numcore as nc
 from stmae import mae, synthworld
 from stmae.checkpoint import save_tensors
-from stmae.mae import (FEATURE_FRACTIONS, MaskPlan, MaskedVideoModel, ModelConfig,
-                       count_parameters, feature_block_index, full_plan, mae_loss, patchify,
-                       preset, sample_mask, unpatchify)
+from stmae.mae import (FEATURE_FRACTIONS, MaskedVideoModel, ModelConfig, count_parameters,
+                       feature_block_index, mae_loss, patchify, preset, sample_mask, unpatchify)
 from stmae.readout import CrossAttentionReadout, ReadoutConfig
 
 
@@ -68,11 +67,10 @@ def test_unpatchify_roundtrip_identity(size, patch):
 
 
 def test_mask_plan_partition_and_counts():
-    plan = sample_mask(1568, 0.95, seed=3)
-    assert len(plan.kept) == 79 and len(plan.masked) == 1489
-    union = np.union1d(plan.kept, plan.masked)
-    np.testing.assert_array_equal(union, np.arange(1568))
-    assert np.intersect1d(plan.kept, plan.masked).size == 0
+    kept = sample_mask(1568, 0.95, seed=3)
+    assert kept.shape == (79,) and kept.dtype.kind == "i"
+    np.testing.assert_array_equal(kept, np.unique(kept))           # sorted and distinct
+    assert 0 <= kept[0] and kept[-1] < 1568
 
 
 @pytest.mark.parametrize("ratio", [0.0, 1.0, -0.2, 1.4])
@@ -87,7 +85,7 @@ def test_mask_is_uniform_without_replacement():
     counts = np.zeros(100)
     draws = 100_000
     for _ in range(draws):
-        counts[sample_mask(100, 0.95, rng).kept] += 1
+        counts[sample_mask(100, 0.95, rng)] += 1
     freq = counts / draws
     assert np.all(np.abs(freq - 0.05) < 0.01)
 
@@ -122,17 +120,22 @@ def test_analytic_count_matches_instantiation():
 
 
 def test_config_invariants():
+    assert preset("j").decode_grid == (4, 8, 8) and preset("nano").decode_grid == (4, 4, 4)
     with pytest.raises(ValueError):
         ModelConfig(width=65, depth=4, mlp=256, heads=4, input_size=(8, 64, 64))
     with pytest.raises(ValueError):
         ModelConfig(width=64, depth=4, mlp=256, heads=4, input_size=(8, 64, 64), latent_layers=5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="output_patch"):
         ModelConfig(width=64, depth=4, mlp=256, heads=4, input_size=(8, 64, 64),
-                    decode_grid=(4, 4, 4), output_patch=(2, 8, 8))
+                    output_patch=(2, 8, 24))
+    with pytest.raises(ValueError, match="input_patch"):
+        ModelConfig(width=64, depth=4, mlp=256, heads=4, input_size=(8, 64, 64),
+                    input_patch=(3, 16, 16))
     with pytest.raises(ValueError, match="mask_ratio"):
         ModelConfig(width=64, depth=4, mlp=256, heads=4, input_size=(8, 64, 64), mask_ratio=0.0)
     for field, bad in [("latent_layers", 0), ("heads", 0), ("input_patch", (2, 0, 16)),
-                       ("output_patch", (0, 16, 16))]:
+                       ("output_patch", (0, 16, 16)), ("width", 0), ("mlp", 0),
+                       ("input_size", (0, 64, 64))]:
         with pytest.raises(ValueError, match=field):
             preset("nano", **{field: bad})
 
@@ -145,24 +148,26 @@ def test_reconstruction_shape_matches_clip():
     model = small_nano()
     rng = np.random.default_rng(1)
     frames = random_clip(rng, (4, 32, 32))
-    plan = sample_mask(model.config.num_tokens, 0.5, seed=0)
-    recon, _ = model.reconstruct(frames, plan)
+    kept = sample_mask(model.config.num_tokens, 0.5, seed=0)
+    recon, tokens = model.reconstruct(frames, kept)
     assert tuple(recon.shape) == frames.shape
+    assert tokens.shape == (len(kept) + model.config.num_latents, model.config.width)
 
 
 def test_masked_pixels_do_not_enter_forward():
     model = small_nano()
     rng = np.random.default_rng(2)
     frames = random_clip(rng, (4, 32, 32)).astype(np.float32)
-    plan = sample_mask(model.config.num_tokens, 0.5, seed=1)
+    kept = sample_mask(model.config.num_tokens, 0.5, seed=1)
+    masked = np.setdiff1d(np.arange(model.config.num_tokens), kept)
     with nc.no_grad():
-        recon_a, _ = model.reconstruct(frames, plan)
+        recon_a, _ = model.reconstruct(frames, kept)
     # scribble over every masked patch; forward output must be bit-identical
     tokens = patchify(frames, model.config.input_patch)
-    tokens[plan.masked] = rng.random(tokens[plan.masked].shape)
+    tokens[masked] = rng.random(tokens[masked].shape)
     scribbled = unpatchify(tokens, model.config.token_grid, model.config.input_patch).data
     with nc.no_grad():
-        recon_b, _ = model.reconstruct(scribbled, plan)
+        recon_b, _ = model.reconstruct(scribbled, kept)
     np.testing.assert_array_equal(recon_a.data, recon_b.data)
     assert mae_loss(recon_a, frames).data != mae_loss(recon_b, scribbled).data
 
@@ -171,22 +176,21 @@ def test_kept_token_order_is_irrelevant():
     model = small_nano(dtype=np.float64)
     rng = np.random.default_rng(3)
     frames = random_clip(rng, (4, 32, 32))
-    plan = sample_mask(model.config.num_tokens, 0.5, seed=2)
-    shuffled = MaskPlan(kept=rng.permutation(plan.kept), masked=plan.masked, total=plan.total)
+    kept = sample_mask(model.config.num_tokens, 0.5, seed=2)
     with nc.no_grad():
-        recon_a, _ = model.reconstruct(frames, plan)
-        recon_b, _ = model.reconstruct(frames, shuffled)
+        recon_a, _ = model.reconstruct(frames, kept)
+        recon_b, _ = model.reconstruct(frames, rng.permutation(kept))
     np.testing.assert_allclose(recon_a.data, recon_b.data, atol=1e-10)
 
 
 def test_forward_deterministic_bitwise():
     frames = random_clip(np.random.default_rng(4), (4, 32, 32))
-    plan = sample_mask(8, 0.5, seed=3)
+    kept = sample_mask(8, 0.5, seed=3)
 
     def run():
         model = small_nano(seed=9)
         with nc.no_grad():
-            recon, _ = model.reconstruct(frames, plan)
+            recon, _ = model.reconstruct(frames, kept)
         return recon.data
 
     assert np.array_equal(run(), run())
@@ -209,20 +213,20 @@ def test_encoder_cost_tracks_kept_count():
                       input_size=(16, 128, 128), latent_layers=2)
     model = MaskedVideoModel(cfg, seed=0)
     frames = random_clip(np.random.default_rng(5), (16, 128, 128)).astype(np.float32)
-    fast_plan = sample_mask(cfg.num_tokens, 0.95, seed=0)
-    slow_plan = full_plan(cfg.num_tokens)
+    few = sample_mask(cfg.num_tokens, 0.95, seed=0)
+    every = np.arange(cfg.num_tokens)
 
-    def clock(plan):
+    def clock(kept):
         times = []
         for _ in range(3):
             start = time.perf_counter()
             with nc.no_grad():
-                model.reconstruct(frames, plan)
+                model.reconstruct(frames, kept)
             times.append(time.perf_counter() - start)
         return min(times)
 
-    clock(fast_plan)  # warm-up
-    assert clock(fast_plan) < clock(slow_plan)
+    clock(few)  # warm-up
+    assert clock(few) < clock(every)
 
 
 # ---------------------------------------------------------------------------
@@ -277,17 +281,21 @@ def test_features_shape_and_latent_exclusion():
         assert fmap.shape == (2, 4, 64)    # (T/2, 2x2 tokens, width)
 
 
-def test_features_match_block_activations():
-    # features stop at their block; a full-depth pass collects the same bits,
+def test_features_match_block_activations(monkeypatch):
+    # features stop at their block; a full-depth pass records the same bits,
     # and with or without a graph they are one (T, K, C) Tensor
     frames = random_clip(np.random.default_rng(10), (4, 32, 32))
     for dtype in (np.float32, np.float64):
         model = deep_narrow(dtype)
         depth = model.config.depth
-        with nc.no_grad():
-            _, collected = model.encode(frames, full_plan(8), collect=tuple(range(1, depth + 1)))
+        outputs, run_block = [], MaskedVideoModel._block
+        with monkeypatch.context() as patch, nc.no_grad():
+            patch.setattr(MaskedVideoModel, "_block",
+                          lambda self, x, i: outputs.append(run_block(self, x, i)) or outputs[-1])
+            model.encode(frames, np.arange(8))
+        assert len(outputs) == depth
         for pct in FEATURE_FRACTIONS:
-            block = collected[feature_block_index(pct, depth)].data
+            block = outputs[feature_block_index(pct, depth) - 1].data[:8]
             fmap = model.features(frames, pct)
             tracked = model.features(frames, pct, grad=True)
             assert fmap.shape == tracked.shape == (2, 4, 32)
@@ -310,11 +318,15 @@ def test_features_run_only_the_requested_blocks(pct, monkeypatch):
 def test_encode_rejects_blocks_outside_depth():
     model = small_nano()
     frames = random_clip(np.random.default_rng(19), (4, 32, 32))
-    for kw in (dict(blocks=0), dict(blocks=5), dict(blocks=2, collect=(3,))):
+    for blocks in (0, 5):
         with pytest.raises(ValueError, match="blocks"):
-            model.encode(frames, full_plan(8), **kw)
+            model.encode(frames, np.arange(8), blocks=blocks)
     with pytest.raises(ValueError, match=r"clip has shape \(8, 32, 32, 3\), expected config\.input_size"):
-        model.encode(random_clip(np.random.default_rng(19), (8, 32, 32)), full_plan(8))
+        model.encode(random_clip(np.random.default_rng(19), (8, 32, 32)), np.arange(8))
+    for kept in (np.array([], dtype=int), np.arange(8).reshape(2, 4), np.array([0.0, 1.0]),
+                 np.array([True, False]), np.array([0, 8]), np.array([-1, 2]), np.array([3, 3])):
+        with pytest.raises(ValueError, match=r"^kept .* distinct indices in 0\.\.7$"):
+            model.encode(frames, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -327,18 +339,18 @@ def test_model_gradient_matches_finite_differences(tensor_name):
     model = small_nano(dtype=np.float64, seed=11)
     rng = np.random.default_rng(12)
     frames = random_clip(rng, (4, 32, 32))
-    plan = sample_mask(8, 0.5, seed=4)
+    kept = sample_mask(8, 0.5, seed=4)
 
     for t in model.params.values():
         t.grad = None
-    recon, _ = model.reconstruct(frames, plan)
+    recon, _ = model.reconstruct(frames, kept)
     nc.backward(mae_loss(recon, frames))
     target = model.params[tensor_name]
     entries = rng.choice(target.data.size, size=6, replace=False)
 
     def loss_value():
         with nc.no_grad():
-            r, _ = model.reconstruct(frames, plan)
+            r, _ = model.reconstruct(frames, kept)
             return float(mae_loss(r, frames).data)
 
     fd = oracles.finite_diff_entries(loss_value, target.data, entries)
@@ -399,22 +411,21 @@ def test_checkpoint_roundtrip(tmp_path):
     for name, t in model.params.items():
         np.testing.assert_array_equal(loaded.params[name].data, t.data)
     frames = random_clip(np.random.default_rng(14), (4, 32, 32))
-    plan = sample_mask(8, 0.5, seed=5)
+    kept = sample_mask(8, 0.5, seed=5)
     with nc.no_grad():
-        a, _ = model.reconstruct(frames, plan)
-        b, _ = loaded.reconstruct(frames, plan)
+        a, _ = model.reconstruct(frames, kept)
+        b, _ = loaded.reconstruct(frames, kept)
     np.testing.assert_array_equal(a.data, b.data)
 
 
 def test_config_from_lists_round_trips_through_checkpoint(tmp_path):
     # JSON gives lists back; the config must equal (and hash like) the tuple one
     cfg = ModelConfig(width=32, depth=2, mlp=64, heads=4, input_size=[4, 32, 32],
-                      input_patch=[2, 16, 16], latent_layers=1, decode_grid=[2, 2, 2],
-                      output_patch=[2, 16, 16])
+                      input_patch=[2, 16, 16], latent_layers=1, output_patch=[2, 16, 16])
     assert cfg == ModelConfig(**{k: tuple(v) if isinstance(v, list) else v
                                  for k, v in cfg.to_dict().items()})
     assert hash(cfg) and all(isinstance(getattr(cfg, f), tuple) for f in
-                             ("input_size", "input_patch", "decode_grid", "output_patch"))
+                             ("input_size", "input_patch", "output_patch"))
     model = MaskedVideoModel(cfg, seed=3)
     mae.save_model(tmp_path / "model.ckpt", model)
     loaded = mae.load_model(tmp_path / "model.ckpt")

@@ -143,8 +143,10 @@ def test_config_derives_the_query_path_from_the_kind():
     assert (box.query_channels, box.attn_out_proj) == (FOURIER_MLP_SIZE, True)
     with pytest.raises(TypeError):
         ReadoutConfig(query_kind="learned", query_channels=8, **common)
-    with pytest.raises(ValueError, match="heads 0"):
-        ReadoutConfig(query_kind="learned", **{**common, "heads": 0})
+    for field in ("heads", "qkv_size", "output_size", "feature_channels", "time_steps",
+                  "num_queries"):
+        with pytest.raises(ValueError, match=f"{field} 0 must be >= 1"):
+            ReadoutConfig(query_kind="learned", **{**common, field: 0})
 
 
 def test_forward_rejects_channel_mismatch():
@@ -153,6 +155,16 @@ def test_forward_rejects_channel_mismatch():
     r = CrossAttentionReadout(cfg, seed=0)
     with pytest.raises(ValueError):
         r.forward(Tensor(np.zeros((1, 16, 4, 9))), r.learned_queries())
+
+
+def test_forward_rejects_features_without_a_batch_axis():
+    cfg = ReadoutConfig(qkv_size=16, heads=2, query_kind="learned", output_size=3,
+                        feature_channels=8)
+    r = CrossAttentionReadout(cfg, seed=0)
+    with pytest.raises(ValueError, match=r"features have shape \(16, 4, 8\), readout expects \(B, T, K, C\)"):
+        r.forward(np.zeros((16, 4, 8)), r.learned_queries())
+    with pytest.raises(ValueError, match=r"readout expects \(B, T, K, C\)"):
+        PoseHead(feature_channels=8, qkv_size=16, heads=2).forward(np.zeros((16, 4, 8)))
 
 
 def test_forward_is_pure():
@@ -285,10 +297,10 @@ def test_point_head_prediction_grid():
 
 
 def test_point_head_rejects_too_many_tracks():
-    head = PointTrackHead(feature_channels=8, qkv_size=16, heads=2, max_tracks=2)
+    head = PointTrackHead(feature_channels=8, qkv_size=16, heads=2)
     feats = Tensor(np.zeros((1, 16, 4, 8), dtype=np.float32))
-    with pytest.raises(ValueError):
-        head.forward(feats, np.zeros((1, 3, 2)))
+    with pytest.raises(ValueError, match="65 tracks exceed the maximum 64"):
+        head.forward(feats, np.zeros((1, PointTrackHead.MAX_TRACKS + 1, 2)))
 
 
 def test_box_head_shape_and_limit():
