@@ -11,7 +11,6 @@ block, with every token kept and the latent tokens stripped.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
 from dataclasses import dataclass
@@ -332,16 +331,13 @@ class MaskedVideoModel:
         pixels = self.layers.linear("decode", self.layers.norm("final_norm", latents))
         return unpatchify(pixels, self.config.decode_grid, self.config.output_patch), x
 
-    def features(self, frames, fraction_pct, grad=False):
-        """(T, K, C) Tensor of the activations at a depth fraction: T token
-        frames, K tokens per frame, C channels; no masking, latents dropped.
-
-        Both modes give the same shape and bits. With grad=False no graph is
-        built; with grad=True the Tensor backpropagates into the encoder, for
-        finetuning.
+    def features(self, frames, fraction_pct):
+        """(T, K, C) Tensor of the frozen activations at a depth fraction: T
+        token frames, K tokens per frame, C channels; no masking, latents
+        dropped, no graph built (`encode` builds one).
         """
         cfg = self.config
-        with contextlib.nullcontext() if grad else nc.no_grad():
+        with nc.no_grad():
             x = self.encode(frames, np.arange(cfg.num_tokens),
                             blocks=feature_block_index(fraction_pct, cfg.depth))
         nt, nh, nw = cfg.token_grid

@@ -616,35 +616,24 @@ def huber(a, delta=1.0):
     return _make(y, [(a, vjp)])
 
 
-def _expand_reduced(g, shape, axis, keepdims):
-    if axis is None:
-        return np.broadcast_to(g.reshape((1,) * len(shape)), shape)
-    axes = (axis,) if isinstance(axis, int) else tuple(axis)
-    axes = tuple(ax % len(shape) for ax in axes)
-    if not keepdims:
-        for ax in sorted(axes):
-            g = np.expand_dims(g, ax)
-    return np.broadcast_to(g, shape)
-
-
-def sum_(a, axis=None, keepdims=False):
+def sum_(a, axis=None):
     """Sum over `axis` (all axes when None)."""
     a = _wrap(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-    return _make(np.asarray(data),
-                 [(a, lambda g: _expand_reduced(g, a.shape, axis, keepdims))])
-
-
-def mean(a, axis=None, keepdims=False):
-    """Arithmetic mean over `axis` (all axes when None)."""
-    a = _wrap(a)
-    data = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size // max(np.asarray(data).size, 1)
 
     def vjp(g):
-        return _expand_reduced(g, a.shape, axis, keepdims) / count
+        return np.broadcast_to(g if axis is None else np.expand_dims(g, axis), a.shape)
 
-    return _make(np.asarray(data), [(a, vjp)])
+    return _make(np.asarray(a.data.sum(axis=axis)), [(a, vjp)])
+
+
+def mean(a):
+    """Arithmetic mean over every element."""
+    a = _wrap(a)
+
+    def vjp(g):
+        return np.broadcast_to(g, a.shape) / a.data.size
+
+    return _make(np.asarray(a.data.mean()), [(a, vjp)])
 
 
 # Registry of differentiable ops; the gradient suite checks every entry.

@@ -5,16 +5,15 @@ learned per-time embeddings, let task queries cross-attend to all T*K
 tokens, run a residual MLP (hidden 4x the attention width), then a final
 linear to the task output size.
 
-A `ReadoutConfig`'s query kind fixes the rest of the query path. "learned"
-queries are `num_queries` vectors of `qkv_size` channels (the class and
-pose heads use one), and the attention has no output projection. The
-Fourier kinds ("fourier-point", "fourier-box", "spatial-patch") encode
-geometry (points, boxes, space-time patch centers) with FOURIER_BASES
-frequencies per coordinate and pass it through a query MLP to
-FOURIER_MLP_SIZE channels; their attention keeps an output projection.
-Their query count is set by each call's geometry, so the point, box and
-depth heads leave `num_queries` unset. `query_channels` and
-`attn_out_proj` are read-only properties derived from the query kind.
+A head's class fixes its query path. With COORDS = 0 (the class and pose
+heads) the query is one learned vector of `qkv_size` channels, and the
+attention has no output projection. A head with COORDS > 0 encodes that
+many coordinates per query (2 for a point, 4 for a box, 3 for a
+space-time patch center) with FOURIER_BASES frequencies each and passes
+them through a query MLP to FOURIER_MLP_SIZE channels; its attention
+keeps an output projection, and each call's geometry sets its query
+count. TIME_STEPS is the number of token frames the temporal embedding
+covers: 16, or 1 for the pose head, which reads one fused frame pair.
 
 Attention is `numcore.attention`, the op the encoder's blocks use, and
 every layer is declared and applied through `mae.Layers`, so heads and
@@ -26,8 +25,6 @@ The depth head assembles its patches with `mae.unpatchify`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import numcore as nc
@@ -37,37 +34,6 @@ from .synthworld import SE3Pose
 
 FOURIER_BASES = 16
 FOURIER_MLP_SIZE = 512
-QUERY_KINDS = ("learned", "fourier-point", "fourier-box", "spatial-patch")
-_COORD_DIMS = {"fourier-point": 2, "fourier-box": 4, "spatial-patch": 3}
-
-
-@dataclass(frozen=True)
-class ReadoutConfig:
-    qkv_size: int
-    heads: int
-    query_kind: str
-    output_size: int
-    feature_channels: int
-    time_steps: int = 16
-    num_queries: int = 1             # read by learned queries only
-
-    def __post_init__(self):
-        if self.query_kind not in QUERY_KINDS:
-            raise ValueError(f"unknown query kind '{self.query_kind}'")
-        for name in ("qkv_size", "heads", "output_size", "feature_channels", "time_steps",
-                     "num_queries"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} {getattr(self, name)} must be >= 1")
-        if self.qkv_size % self.heads != 0:
-            raise ValueError(f"qkv_size {self.qkv_size} not divisible by heads {self.heads}")
-
-    @property
-    def query_channels(self):
-        return self.qkv_size if self.query_kind == "learned" else FOURIER_MLP_SIZE
-
-    @property
-    def attn_out_proj(self):
-        return self.query_kind != "learned"
 
 
 # ---------------------------------------------------------------------------
@@ -109,32 +75,45 @@ def procrustes_so3(m):
 # Shared cross-attention readout
 # ---------------------------------------------------------------------------
 
+def _check_rank(features):
+    shape = tuple(np.shape(features))
+    if len(shape) != 4:
+        raise ValueError(f"features have shape {shape}, readout expects (B, T, K, C)")
+
+
 class CrossAttentionReadout:
     """LayerNorm -> temporal embeddings -> cross-attention -> residual MLP -> linear."""
     TASK = ""               # a task head's name, the namespace of its parameters
+    COORDS = 0              # coordinates per Fourier query; 0 for one learned query
+    TIME_STEPS = 16         # token frames the temporal embedding covers
 
-    def __init__(self, config, seed=0, dtype=np.float32):
-        self.config = config
-        self.dtype = dtype
-        c, d, cq = config.feature_channels, config.qkv_size, config.query_channels
+    def __init__(self, feature_channels, output_size, qkv_size, heads, seed=0, dtype=np.float32):
+        for name, value in (("qkv_size", qkv_size), ("heads", heads), ("output_size", output_size),
+                            ("feature_channels", feature_channels)):
+            if value < 1:
+                raise ValueError(f"{name} {value} must be >= 1")
+        if qkv_size % heads != 0:
+            raise ValueError(f"qkv_size {qkv_size} not divisible by heads {heads}")
+        self.feature_channels, self.heads, self.dtype = feature_channels, heads, dtype
+        c, d = feature_channels, qkv_size
+        cq = self.query_channels = FOURIER_MLP_SIZE if self.COORDS else qkv_size
         L = self.layers = Layers(np.random.default_rng(seed), dtype, self.TASK)
         L.add_norm("feat_norm", c)
-        L.add_weight("temporal_embed", (config.time_steps, c))
-        if config.query_kind == "learned":
-            L.add_weight("queries", (config.num_queries, cq))
-        else:
-            raw = _COORD_DIMS[config.query_kind] * 2 * FOURIER_BASES
-            L.add_linear("query_mlp.fc1", raw, FOURIER_MLP_SIZE)
+        L.add_weight("temporal_embed", (self.TIME_STEPS, c))
+        if self.COORDS:
+            L.add_linear("query_mlp.fc1", self.COORDS * 2 * FOURIER_BASES, FOURIER_MLP_SIZE)
             L.add_linear("query_mlp.fc2", FOURIER_MLP_SIZE, cq)
+        else:
+            L.add_weight("queries", (1, cq))
         L.add_linear("attn.q", cq, d)
         L.add_linear("attn.k", c, d)
         L.add_linear("attn.v", c, d)
-        if config.attn_out_proj:
+        if self.COORDS:
             L.add_linear("attn.out", d, d)
         L.add_norm("mlp_norm", d)
         L.add_linear("mlp.fc1", d, 4 * d)
         L.add_linear("mlp.fc2", 4 * d, d)
-        L.add_linear("head", d, config.output_size)
+        L.add_linear("head", d, output_size)
         self.params = L.params
 
     def num_parameters(self):
@@ -151,24 +130,23 @@ class CrossAttentionReadout:
 
     def forward(self, features, queries):
         """features: (B, T, K, C) Tensor or array; queries: (B?, Q, Cq) Tensor."""
-        cfg, L = self.config, self.layers
+        _check_rank(features)
+        L = self.layers
         x = features if isinstance(features, Tensor) else Tensor(np.asarray(features, dtype=self.dtype))
-        if x.ndim != 4:
-            raise ValueError(f"features have shape {tuple(x.shape)}, readout expects (B, T, K, C)")
         b, t, k, c = x.shape
-        if c != cfg.feature_channels:
-            raise ValueError(f"features have {c} channels, readout expects {cfg.feature_channels}")
-        if t != cfg.time_steps:
-            raise ValueError(f"features have {t} time steps, readout expects {cfg.time_steps}")
-        if queries.shape[-1] != cfg.query_channels:
+        if c != self.feature_channels:
+            raise ValueError(f"features have {c} channels, readout expects {self.feature_channels}")
+        if t != self.TIME_STEPS:
+            raise ValueError(f"features have {t} time steps, readout expects {self.TIME_STEPS}")
+        if queries.shape[-1] != self.query_channels:
             raise ValueError(f"queries have {queries.shape[-1]} channels, "
-                             f"readout expects {cfg.query_channels}")
+                             f"readout expects {self.query_channels}")
         x = L.norm("feat_norm", x)
         x = x + nc.reshape(L["temporal_embed"], (t, 1, c))
         x = nc.reshape(x, (b, t * k, c))
         y = nc.attention(L.linear("attn.q", queries), L.linear("attn.k", x),
-                         L.linear("attn.v", x), cfg.heads)          # (B, Q, qkv_size)
-        if cfg.attn_out_proj:
+                         L.linear("attn.v", x), self.heads)         # (B, Q, qkv_size)
+        if self.COORDS:
             y = L.linear("attn.out", y)
         z = nc.gelu(L.linear("mlp.fc1", L.norm("mlp_norm", y)))
         y = y + L.linear("mlp.fc2", z)
@@ -185,10 +163,7 @@ class ClassHead(CrossAttentionReadout):
 
     def __init__(self, feature_channels, num_classes, qkv_size=768, heads=12,
                  seed=0, dtype=np.float32):
-        super().__init__(ReadoutConfig(
-            qkv_size=qkv_size, heads=heads, query_kind="learned",
-            output_size=num_classes, feature_channels=feature_channels,
-        ), seed=seed, dtype=dtype)
+        super().__init__(feature_channels, num_classes, qkv_size, heads, seed=seed, dtype=dtype)
 
     def forward(self, features):
         out = super().forward(features, self.learned_queries())
@@ -202,17 +177,16 @@ class PoseHead(CrossAttentionReadout):
     the untrained head predicts the identity transform.
     """
     TASK = "pose"
+    TIME_STEPS = 1
 
     def __init__(self, feature_channels, qkv_size=256, heads=8, seed=0, dtype=np.float32):
-        super().__init__(ReadoutConfig(
-            qkv_size=qkv_size, heads=heads, query_kind="learned",
-            output_size=12, feature_channels=2 * feature_channels, time_steps=1,
-        ), seed=seed, dtype=dtype)
+        super().__init__(2 * feature_channels, 12, qkv_size, heads, seed=seed, dtype=dtype)
         self.layers["head.weight"].data[:] = 0.0
         self.layers["head.bias"].data[:] = [1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0]
 
     def forward(self, features):
         """features: (B, T, K, C) -> (B, 12) raw pose vectors."""
+        _check_rank(features)
         first = features[:, :1]
         last = features[:, features.shape[1] - 1:]
         both = nc.concat([first, last], axis=-1)         # (B, 1, K, 2C)
@@ -230,6 +204,7 @@ class PointTrackHead(CrossAttentionReadout):
     """Fourier point queries, replicated per 2-frame chunk, -> (x,y,vis,unc)."""
 
     TASK = "point"
+    COORDS = 2
     MAX_TRACKS = 64
 
     def __init__(self, feature_channels, num_frames=16, qkv_size=1024, heads=8,
@@ -238,10 +213,7 @@ class PointTrackHead(CrossAttentionReadout):
             raise ValueError("point head predicts 2 frames per query; frames must be even")
         self.num_frames = num_frames
         self.replicas = num_frames // 2
-        super().__init__(ReadoutConfig(
-            qkv_size=qkv_size, heads=heads, query_kind="fourier-point",
-            output_size=8, feature_channels=feature_channels,
-        ), seed=seed, dtype=dtype)
+        super().__init__(feature_channels, 8, qkv_size, heads, seed=seed, dtype=dtype)
         self.layers.add_weight("query_time_embed", (self.replicas, FOURIER_MLP_SIZE))
 
     def forward(self, features, query_points):
@@ -267,15 +239,13 @@ class BoxTrackHead(CrossAttentionReadout):
     """One Fourier box query per track predicting every frame; raw outputs."""
 
     TASK = "box"
+    COORDS = 4
     MAX_BOXES = 25
 
     def __init__(self, feature_channels, num_frames=16, qkv_size=1024, heads=4,
                  seed=0, dtype=np.float32):
         self.num_frames = num_frames
-        super().__init__(ReadoutConfig(
-            qkv_size=qkv_size, heads=heads, query_kind="fourier-box",
-            output_size=4 * num_frames, feature_channels=feature_channels,
-        ), seed=seed, dtype=dtype)
+        super().__init__(feature_channels, 4 * num_frames, qkv_size, heads, seed=seed, dtype=dtype)
 
     def forward(self, features, query_boxes):
         """query_boxes: (B, boxes, 4) first-frame (xmin,xmax,ymin,ymax) in [0,1].
@@ -298,6 +268,7 @@ class DepthHead(CrossAttentionReadout):
     """
 
     TASK = "depth"
+    COORDS = 3
     PATCH = (2, 8, 8)
 
     def __init__(self, feature_channels, clip_size, qkv_size=1024, heads=16,
@@ -313,10 +284,7 @@ class DepthHead(CrossAttentionReadout):
             (np.arange(self.grid[2]) + 0.5) / self.grid[2],
             indexing="ij"), axis=-1).reshape(-1, 3)
         self.query_positions = centers                     # (Q, 3) in [0,1]
-        super().__init__(ReadoutConfig(
-            qkv_size=qkv_size, heads=heads, query_kind="spatial-patch",
-            output_size=pt * ph * pw, feature_channels=feature_channels,
-        ), seed=seed, dtype=dtype)
+        super().__init__(feature_channels, pt * ph * pw, qkv_size, heads, seed=seed, dtype=dtype)
 
     def forward(self, features):
         """-> (B, T, H, W) strictly positive depth."""

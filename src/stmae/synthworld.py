@@ -552,19 +552,18 @@ def render_clip(spec, resolution, frames):
 
 
 def generate(seed, count, resolution, frames=16):
-    """Yield `count` deterministic (VideoClip, SceneLabels) pairs.
+    """Lazy iterator over `count` deterministic (VideoClip, SceneLabels) pairs.
 
-    Clip i draws its scene from the rng stream [seed, i, attempt], attempt
-    being the first feasible draw (see `_sample_scene`); class ids rotate
-    round-robin so every window of clips is balanced.
+    The arguments are checked at the call; each clip is rendered when it is
+    pulled. Clip i draws its scene from the rng stream [seed, i, attempt],
+    attempt being the first feasible draw (see `_sample_scene`); class ids
+    rotate round-robin so every window of clips is balanced.
     """
     for name, value in (("resolution", resolution), ("frames", frames)):
         if value < 1:
             raise ValueError(f"{name} {value} must be >= 1")
-    for index in range(count):
-        class_id = index % NUM_CLASSES
-        spec = _sample_scene((seed, index), class_id, frames)
-        yield render_clip(spec, resolution, frames)
+    return (render_clip(_sample_scene((seed, i), i % NUM_CLASSES, frames), resolution, frames)
+            for i in range(count))
 
 
 # ---------------------------------------------------------------------------

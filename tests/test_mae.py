@@ -11,7 +11,7 @@ from stmae import mae, synthworld
 from stmae.checkpoint import save_tensors
 from stmae.mae import (FEATURE_FRACTIONS, MaskedVideoModel, ModelConfig, count_parameters,
                        feature_block_index, mae_loss, patchify, preset, sample_mask, unpatchify)
-from stmae.readout import CrossAttentionReadout, ReadoutConfig
+from stmae.readout import CrossAttentionReadout
 
 
 def small_nano(dtype=np.float32, seed=0):
@@ -283,7 +283,7 @@ def test_features_shape_and_latent_exclusion():
 
 def test_features_match_block_activations(monkeypatch):
     # features stop at their block; a full-depth pass records the same bits,
-    # and with or without a graph they are one (T, K, C) Tensor
+    # and they are one frozen (T, K, C) Tensor even where a graph would be built
     frames = random_clip(np.random.default_rng(10), (4, 32, 32))
     for dtype in (np.float32, np.float64):
         model = deep_narrow(dtype)
@@ -297,12 +297,9 @@ def test_features_match_block_activations(monkeypatch):
         for pct in FEATURE_FRACTIONS:
             block = outputs[feature_block_index(pct, depth) - 1].data[:8]
             fmap = model.features(frames, pct)
-            tracked = model.features(frames, pct, grad=True)
-            assert fmap.shape == tracked.shape == (2, 4, 32)
-            assert fmap.dtype == tracked.dtype == dtype
-            assert tracked.requires_grad and not fmap.requires_grad
+            assert fmap.shape == (2, 4, 32) and fmap.dtype == dtype
+            assert not fmap.requires_grad
             np.testing.assert_array_equal(fmap.data.reshape(8, 32), block)
-            np.testing.assert_array_equal(tracked.data, fmap.data)
 
 
 @pytest.mark.parametrize("pct", FEATURE_FRACTIONS)
@@ -361,14 +358,18 @@ def test_model_gradient_matches_finite_differences(tensor_name):
 def test_heads_sharing_features_cannot_backprop_a_consumed_encoder():
     model = small_nano(dtype=np.float64, seed=5)
     frames = random_clip(np.random.default_rng(21), (4, 32, 32))
-    nt, nh, nw = model.config.token_grid
-    config = ReadoutConfig(qkv_size=16, heads=2, query_kind="learned", num_queries=1,
-                           output_size=3, feature_channels=model.config.width, time_steps=nt)
-    heads = [CrossAttentionReadout(config, seed=s, dtype=np.float64) for s in (1, 2)]
+    cfg = model.config
+    nt, nh, nw = cfg.token_grid
+
+    class Readout(CrossAttentionReadout):
+        TIME_STEPS = nt
+
+    heads = [Readout(cfg.width, 3, qkv_size=16, heads=2, seed=s, dtype=np.float64) for s in (1, 2)]
 
     def head_losses():
-        feats = model.features(frames, 50, grad=True)
-        feats = nc.reshape(feats, (1, nt, nh * nw, model.config.width))
+        tokens = model.encode(frames, np.arange(cfg.num_tokens),
+                              blocks=feature_block_index(50, cfg.depth))
+        feats = nc.reshape(tokens[:cfg.num_tokens], (1, nt, nh * nw, cfg.width))
         outs = [head.forward(feats, head.learned_queries()) for head in heads]
         return [nc.mean(out * out) for out in outs]
 

@@ -7,8 +7,8 @@ import oracles
 from stmae import metrics, numcore as nc
 from stmae.numcore import Tensor
 from stmae.readout import (FOURIER_MLP_SIZE, BoxTrackHead, ClassHead, CrossAttentionReadout,
-                           DepthHead, PointTrackHead, PoseHead, ReadoutConfig, SE3Pose,
-                           fourier_features, procrustes_so3)
+                           DepthHead, PointTrackHead, PoseHead, SE3Pose, fourier_features,
+                           procrustes_so3)
 
 
 def random_features(rng, b=2, t=16, k=6, c=32):
@@ -21,16 +21,12 @@ def random_features(rng, b=2, t=16, k=6, c=32):
 # ---------------------------------------------------------------------------
 
 def test_published_class_readout_param_count():
-    r = CrossAttentionReadout(ReadoutConfig(
-        qkv_size=768, heads=12, query_kind="learned", num_queries=1,
-        output_size=174, feature_channels=1024))
+    r = CrossAttentionReadout(1024, 174, qkv_size=768, heads=12)
     assert r.num_parameters() == 7_041_966
 
 
 def test_published_large_class_readout_param_count():
-    r = CrossAttentionReadout(ReadoutConfig(
-        qkv_size=1024, heads=16, query_kind="learned", num_queries=1,
-        output_size=700, feature_channels=1024))
+    r = CrossAttentionReadout(1024, 700, qkv_size=1024, heads=16)
     assert r.num_parameters() == 12_281_532
 
 
@@ -40,11 +36,10 @@ def test_published_pose_readout_param_count():
 
 
 def test_published_depth_readout_param_count_learned_variant():
-    # the published table counts one learned query per (2,8,8) patch
-    r = CrossAttentionReadout(ReadoutConfig(
-        qkv_size=1024, heads=16, query_kind="learned", num_queries=8 * 28 * 28,
-        output_size=128, feature_channels=1024))
-    assert r.num_parameters() == 18_116_736
+    # the published table counts one learned query per (2,8,8) patch; a bare
+    # readout has one, so add the other 8*28*28 - 1 of 1024 channels each
+    r = CrossAttentionReadout(1024, 128, qkv_size=1024, heads=16)
+    assert r.num_parameters() + (8 * 28 * 28 - 1) * 1024 == 18_116_736
 
 
 def test_published_box_readout_param_count():
@@ -61,8 +56,11 @@ def test_published_point_readout_param_count():
 # Pipeline against an independent numpy reimplementation
 # ---------------------------------------------------------------------------
 
-def readout_numpy(params, cfg, features, queries, prefix=""):
-    """Plain-numpy reference of the readout pipeline; `prefix` is stripped from the names."""
+def readout_numpy(params, heads, features, queries, prefix=""):
+    """Plain-numpy reference of the readout pipeline; `prefix` is stripped from the names.
+
+    The attention has an output projection when the params hold `attn.out.weight`.
+    """
     g = {k.removeprefix(prefix): np.asarray(v.data, dtype=np.float64) for k, v in params.items()}
 
     def ln(x):
@@ -77,7 +75,8 @@ def readout_numpy(params, cfg, features, queries, prefix=""):
     q = queries @ g["attn.q.weight"] + g["attn.q.bias"]
     key = x @ g["attn.k.weight"] + g["attn.k.bias"]
     val = x @ g["attn.v.weight"] + g["attn.v.bias"]
-    heads, dh = cfg.heads, cfg.qkv_size // cfg.heads
+    qkv_size = q.shape[-1]
+    dh = qkv_size // heads
 
     def split(z):
         return z.reshape(*z.shape[:-1], heads, dh).swapaxes(-3, -2)
@@ -86,8 +85,8 @@ def readout_numpy(params, cfg, features, queries, prefix=""):
     scores = qh @ kh.swapaxes(-1, -2) / np.sqrt(dh)
     e = np.exp(scores - scores.max(-1, keepdims=True))
     attn = e / e.sum(-1, keepdims=True)
-    mix = (attn @ vh).swapaxes(-3, -2).reshape(b, -1, cfg.qkv_size)
-    if cfg.attn_out_proj:
+    mix = (attn @ vh).swapaxes(-3, -2).reshape(b, -1, qkv_size)
+    if "attn.out.weight" in g:
         mix = mix @ g["attn.out.weight"] + g["attn.out.bias"]
     z = ln(mix) * g["mlp_norm.scale"] + g["mlp_norm.bias"]
     from scipy.special import erf
@@ -99,79 +98,79 @@ def readout_numpy(params, cfg, features, queries, prefix=""):
 
 def test_forward_matches_numpy_reference():
     rng = np.random.default_rng(0)
-    cfg = ReadoutConfig(qkv_size=32, heads=4, query_kind="learned", num_queries=3,
-                        output_size=5, feature_channels=24)
-    r = CrossAttentionReadout(cfg, seed=1, dtype=np.float64)
+    r = CrossAttentionReadout(24, 5, qkv_size=32, heads=4, seed=1, dtype=np.float64)
     feats = random_features(rng, b=2, t=16, k=4, c=24)
+    queries = rng.standard_normal((1, 3, 32))
     with nc.no_grad():
-        out = r.forward(Tensor(feats), r.learned_queries())
-    queries_np = r.params["queries"].data[None]
-    expected = readout_numpy(r.params, cfg, feats, queries_np)
+        out = r.forward(Tensor(feats), Tensor(queries))
+        learned = r.forward(Tensor(feats), r.learned_queries())
+    expected = readout_numpy(r.params, 4, feats, queries)
     np.testing.assert_allclose(out.data, np.broadcast_to(expected, out.shape), rtol=1e-10)
+    expected = readout_numpy(r.params, 4, feats, r.params["queries"].data[None])
+    np.testing.assert_allclose(learned.data, np.broadcast_to(expected, learned.shape), rtol=1e-10)
 
 
 def test_zero_final_linear_gives_zero_outputs():
     rng = np.random.default_rng(1)
-    cfg = ReadoutConfig(qkv_size=16, heads=2, query_kind="learned", num_queries=2,
-                        output_size=7, feature_channels=8)
-    r = CrossAttentionReadout(cfg, seed=2)
+    r = CrossAttentionReadout(8, 7, qkv_size=16, heads=2, seed=2)
     r.params["head.weight"].data[:] = 0.0
     r.params["head.bias"].data[:] = 0.0
+    queries = Tensor(rng.standard_normal((1, 2, 16)).astype(np.float32))
     with nc.no_grad():
-        out = r.forward(Tensor(random_features(rng, c=8)), r.learned_queries())
+        out = r.forward(Tensor(random_features(rng, c=8)), queries)
     assert np.all(out.data == 0.0)
 
 
 def test_query_permutation_equivariance():
     rng = np.random.default_rng(2)
-    cfg = ReadoutConfig(qkv_size=16, heads=2, query_kind="learned", num_queries=5,
-                        output_size=3, feature_channels=8)
-    r = CrossAttentionReadout(cfg, seed=3, dtype=np.float64)
+    r = CrossAttentionReadout(8, 3, qkv_size=16, heads=2, seed=3, dtype=np.float64)
     feats = Tensor(random_features(rng, b=1, c=8))
+    queries = rng.standard_normal((1, 5, 16))
     perm = rng.permutation(5)
     with nc.no_grad():
-        out = r.forward(feats, r.learned_queries())
-        out_perm = r.forward(feats, Tensor(r.params["queries"].data[perm][None]))
+        out = r.forward(feats, Tensor(queries))
+        out_perm = r.forward(feats, Tensor(queries[:, perm]))
     np.testing.assert_allclose(out_perm.data[0], out.data[0][perm], atol=1e-12)
 
 
-def test_config_derives_the_query_path_from_the_kind():
-    common = dict(qkv_size=16, heads=2, output_size=3, feature_channels=8)
-    learned = ReadoutConfig(query_kind="learned", **common)
-    box = ReadoutConfig(query_kind="fourier-box", **common)
-    assert (learned.num_queries, learned.query_channels, learned.attn_out_proj) == (1, 16, False)
-    assert (box.query_channels, box.attn_out_proj) == (FOURIER_MLP_SIZE, True)
-    with pytest.raises(TypeError):
-        ReadoutConfig(query_kind="learned", query_channels=8, **common)
-    for field in ("heads", "qkv_size", "output_size", "feature_channels", "time_steps",
-                  "num_queries"):
-        with pytest.raises(ValueError, match=f"{field} 0 must be >= 1"):
-            ReadoutConfig(query_kind="learned", **{**common, field: 0})
+def test_class_constants_fix_the_query_path():
+    heads = (CrossAttentionReadout, ClassHead, PoseHead, PointTrackHead, BoxTrackHead, DepthHead)
+    assert [h.COORDS for h in heads] == [0, 0, 0, 2, 4, 3]
+    assert [h.TIME_STEPS for h in heads] == [16, 16, 1, 16, 16, 16]
+    learned = CrossAttentionReadout(8, 3, qkv_size=16, heads=2)
+    assert learned.query_channels == 16 and learned.params["queries"].shape == (1, 16)
+    assert "attn.out.weight" not in learned.params
+    box = BoxTrackHead(8, qkv_size=16, heads=2)
+    assert box.query_channels == FOURIER_MLP_SIZE and "box.queries" not in box.params
+    assert box.params["box.query_mlp.fc1.weight"].shape == (4 * 2 * 16, FOURIER_MLP_SIZE)
+    assert box.params["box.attn.out.weight"].shape == (16, 16)
+    assert PoseHead(8, qkv_size=16, heads=2).params["pose.temporal_embed"].shape == (1, 16)
+    common = dict(feature_channels=8, output_size=3, qkv_size=16, heads=2)
+    for name in common:
+        with pytest.raises(ValueError, match=f"^{name} 0 must be >= 1$"):
+            CrossAttentionReadout(**{**common, name: 0})
+    with pytest.raises(ValueError, match="qkv_size 16 not divisible by heads 3"):
+        CrossAttentionReadout(**{**common, "heads": 3})
 
 
 def test_forward_rejects_channel_mismatch():
-    cfg = ReadoutConfig(qkv_size=16, heads=2, query_kind="learned", num_queries=1,
-                        output_size=3, feature_channels=8)
-    r = CrossAttentionReadout(cfg, seed=0)
+    r = CrossAttentionReadout(8, 3, qkv_size=16, heads=2)
     with pytest.raises(ValueError):
         r.forward(Tensor(np.zeros((1, 16, 4, 9))), r.learned_queries())
 
 
 def test_forward_rejects_features_without_a_batch_axis():
-    cfg = ReadoutConfig(qkv_size=16, heads=2, query_kind="learned", output_size=3,
-                        feature_channels=8)
-    r = CrossAttentionReadout(cfg, seed=0)
-    with pytest.raises(ValueError, match=r"features have shape \(16, 4, 8\), readout expects \(B, T, K, C\)"):
+    r = CrossAttentionReadout(8, 3, qkv_size=16, heads=2)
+    message = r"^features have shape \(16, 4, 8\), readout expects \(B, T, K, C\)$"
+    with pytest.raises(ValueError, match=message):
         r.forward(np.zeros((16, 4, 8)), r.learned_queries())
-    with pytest.raises(ValueError, match=r"readout expects \(B, T, K, C\)"):
+    with pytest.raises(ValueError, match=message):
         PoseHead(feature_channels=8, qkv_size=16, heads=2).forward(np.zeros((16, 4, 8)))
 
 
 def test_forward_is_pure():
     rng = np.random.default_rng(3)
-    cfg = ReadoutConfig(qkv_size=16, heads=2, query_kind="learned", num_queries=2,
-                        output_size=3, feature_channels=8)
-    r = CrossAttentionReadout(cfg, seed=4)
+    r = CrossAttentionReadout(8, 3, qkv_size=16, heads=2, seed=4)
     feats = Tensor(random_features(rng, c=8).astype(np.float32))
     with nc.no_grad():
         a = r.forward(feats, r.learned_queries()).data
@@ -327,7 +326,7 @@ def test_depth_head_query_grid_and_positivity():
 def test_depth_head_full_resolution_query_count():
     head = DepthHead(feature_channels=8, clip_size=(16, 224, 224), qkv_size=16, heads=2)
     assert len(head.query_positions) == 8 * 28 * 28
-    assert head.config.output_size == 128
+    assert head.params["depth.head.bias"].shape == (128,)
 
 
 def test_depth_head_assembly_matches_reference():
@@ -338,7 +337,7 @@ def test_depth_head_assembly_matches_reference():
     with nc.no_grad():
         depth = head.forward(Tensor(feats)).data
         raw_queries = head.encode_queries(head.query_positions[None]).data
-    out = readout_numpy(head.params, head.config, feats, raw_queries, prefix="depth.")
+    out = readout_numpy(head.params, head.heads, feats, raw_queries, prefix="depth.")
     out = np.log1p(np.exp(-np.abs(out))) + np.maximum(out, 0)      # softplus
     expected = out.reshape(2, 2, 2, 2, 8, 8).transpose(0, 3, 1, 4, 2, 5).reshape(4, 16, 16)
     np.testing.assert_allclose(depth[0], expected, rtol=1e-10)

@@ -37,7 +37,7 @@ def test_clip_does_not_depend_on_stream_length(clips):
     (0, 4, "resolution 0"), (-4, 4, "resolution -4"), (16, 0, "frames 0")])
 def test_generate_rejects_extents_below_one(resolution, frames, message):
     with pytest.raises(ValueError, match=f"^{message} must be >= 1$"):
-        next(synthworld.generate(0, 1, resolution, frames))
+        synthworld.generate(0, 1, resolution, frames)
 
 
 def test_save_load_clip_round_trip(clips, tmp_path):
