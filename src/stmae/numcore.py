@@ -1,14 +1,18 @@
 """Dense n-d arrays with reverse-mode differentiation on top of numpy.
 
-Every op builds a `Tensor` whose parents carry a closure computing the
-local vector-Jacobian product. `backward()` walks the graph once in
-reverse topological order. Leaves (parameters) keep their gradients in
-`.grad` and accumulate over calls; op results hold none afterwards. The
-walk consumes the graph: each op result drops its gradient and its VJP
-closures, with the forward arrays they hold, as soon as its parents have
-their share, so backward memory follows the live frontier of the walk.
-A second backward through a consumed graph raises RuntimeError. A fresh
-VJP result becomes a parent's `.grad` without a copy.
+An op result `Tensor` that takes part in a graph points at a small node
+holding its gradient during backward and its (target, vjp) edges; a
+target is the node of another op result, or a leaf tensor (a parameter).
+The node holds no forward array: each VJP closure holds exactly the arrays
+it reads, plus plain shapes and flags, and each op's docstring says what
+its backward keeps. So an op result the caller drops is freed at once
+unless a VJP reads it. `backward()` walks the nodes once in reverse
+topological order. Leaves keep their gradients in `.grad` and accumulate
+over calls; op results hold none. The walk consumes the graph: each node
+drops its gradient and its VJP closures, with the arrays they hold, as
+soon as its targets have their share, so backward memory follows the live
+frontier of the walk. A second backward through a consumed graph raises
+RuntimeError. A fresh VJP result becomes a target's `.grad` without a copy.
 
 `attention` is the one multi-head attention of the package, used by the
 encoder's self-attention and by every readout's cross-attention. It
@@ -81,20 +85,33 @@ def _as_float_array(data):
     return arr
 
 
-class Tensor:
-    """A dense array plus the graph edges needed for backpropagation.
+class _Node:
+    """An op result's place in the graph: its gradient while backward runs
+    and its (target, vjp) edges, a target being a `_Node` or a leaf Tensor.
+    Backward sets both to None once the node has been consumed."""
 
-    `_parents` holds (parent, vjp closure) pairs; backward sets it to None
-    once this op result has been consumed.
+    __slots__ = ("grad", "edges")
+
+    def __init__(self, edges):
+        self.grad = None
+        self.edges = edges
+
+
+class Tensor:
+    """A dense array; an op result that takes part in a graph points at its node.
+
+    A leaf (`_node` None) that requires grad keeps its gradient in `.grad`.
+    An op result's `.grad` stays None: its gradient lives on `_node` only
+    while backward runs, and the node does not hold `data`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad=False):
         self.data = _as_float_array(data)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = ()
+        self._node = None
 
     @property
     def shape(self):
@@ -154,13 +171,18 @@ def parameter(data):
 
 
 def _make(data, parents):
-    """Build an op result; parents is a list of (tensor, vjp closure)."""
+    """Build an op result; parents is a list of (tensor, vjp closure).
+
+    The closures must hold arrays and plain values only, never a Tensor,
+    so that the graph holds no op result's `data` that no VJP reads.
+    """
     out = Tensor(data)
     if _grad_enabled:
-        tracked = tuple((p, fn) for p, fn in parents if p.requires_grad)
-        if tracked:
+        edges = tuple((p if p._node is None else p._node, fn)
+                      for p, fn in parents if p.requires_grad)
+        if edges:
             out.requires_grad = True
-            out._parents = tracked
+            out._node = _Node(edges)
     return out
 
 
@@ -180,31 +202,41 @@ def _unbroadcast(grad, shape):
 def backward(loss):
     """Accumulate d(loss)/d(leaf) into .grad for every leaf reachable from `loss`.
 
-    `loss` must hold a single scalar. Leaves (parameters and any other
-    parentless tensor with requires_grad) keep their `.grad` and add to it
-    on every call. The walk consumes the graph: each op result gives its
-    gradient to its parents, then drops its `.grad` and its VJP closures
-    (and with them the forward arrays they hold), so memory follows the
-    live frontier of the walk and no op result holds a `.grad` afterwards.
-    A later backward that reaches a consumed result raises RuntimeError
-    before any gradient moves; run a fresh forward instead.
+    `loss` must hold a single scalar and require grad: a ValueError names a
+    loss built under `no_grad` or from constants only, which has no graph.
+    Leaves (parameters and any other tensor made with requires_grad) keep
+    their `.grad` and add to it on every call, a scalar leaf given as the
+    loss too. The walk visits the nodes of op results, never their
+    Tensors, so it holds only what the VJPs read. It consumes the graph:
+    each node gives its gradient to its targets, then drops its gradient
+    and its VJP closures (and with them the arrays they hold), so memory
+    follows the live frontier of the walk. A later backward that reaches a
+    consumed node raises RuntimeError before any gradient moves; run a
+    fresh forward instead.
 
     A VJP returns its incoming gradient `g`, a view of `g`, or an array it
-    made and keeps no reference to. A parent's first contribution of the
+    made and keeps no reference to. A target's first contribution of the
     last kind becomes its `.grad` without a copy when it is writeable and
     row-major, the layout a copy would have (downstream reductions sum in
     memory order, so a kept transposed layout would change their bits).
     So does `g` itself, or a row-major view spanning all of it, for the
-    node's last parent: every `.grad` is owned by one tensor, and no later
-    VJP of the node reads `g`. Everything else is copied: views of `g` for
-    earlier parents, partial views (`concat` and `slice_` keys), read-only
-    broadcasts and other layouts.
+    node's last target: every `.grad` is owned by one node or leaf, and no
+    later VJP of the node reads `g`. Everything else is copied: views of
+    `g` for earlier targets, partial views (`concat` and `slice_` keys),
+    read-only broadcasts and other layouts.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")
+    if not loss.requires_grad:
+        raise ValueError("backward: the loss has no graph; it was built under no_grad "
+                         "or from constants only")
+    if loss._node is None:                  # a leaf: d(loss)/d(loss) is 1
+        one = np.ones_like(loss.data)
+        loss.grad = one if loss.grad is None else loss.grad + one
+        return
     topo = []
     seen = set()
-    stack = [(loss, False)]
+    stack = [(loss._node, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -212,32 +244,30 @@ def backward(loss):
             continue
         if id(node) in seen:
             continue
-        if node._parents is None:
+        if node.edges is None:
             raise RuntimeError("backward: the graph was already consumed by an earlier "
                                "backward; run the forward again to take another gradient")
         seen.add(id(node))
         stack.append((node, True))
-        for parent, _ in node._parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
-    loss.grad = np.ones_like(loss.data)
+        for target, _ in node.edges:
+            if type(target) is _Node and id(target) not in seen:
+                stack.append((target, False))
+    loss._node.grad = np.ones_like(loss.data)
     while topo:
         node = topo.pop()
-        if not node._parents:
-            continue                        # a leaf keeps its gradient
-        g, parents = node.grad, node._parents
-        node.grad = node._parents = None    # consumed
-        last = len(parents) - 1
-        for i, (parent, vjp) in enumerate(parents):
+        g, edges = node.grad, node.edges
+        node.grad = node.edges = None       # consumed
+        last = len(edges) - 1
+        for i, (target, vjp) in enumerate(edges):
             contribution = vjp(g)
-            if parent.grad is not None:
-                parent.grad += contribution
+            if target.grad is not None:
+                target.grad += contribution
             elif contribution.flags.writeable and contribution.flags.c_contiguous and (
                     not np.may_share_memory(contribution, g)
                     or (i == last and _covers(contribution, g))):
-                parent.grad = contribution
+                target.grad = contribution
             else:
-                parent.grad = contribution.copy()
+                target.grad = contribution.copy()
 
 
 def _covers(view, base):
@@ -253,40 +283,44 @@ def _covers(view, base):
 
 
 def add(a, b):
-    """Elementwise a + b with numpy broadcasting."""
+    """Elementwise a + b with numpy broadcasting. Backward keeps the two shapes."""
     a, b = _wrap(a), _wrap(b)
     try:
         data = a.data + b.data
     except ValueError:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
-    return _make(data, [(a, lambda g: _unbroadcast(g, a.shape)),
-                        (b, lambda g: _unbroadcast(g, b.shape))])
+    sa, sb = a.shape, b.shape
+    return _make(data, [(a, lambda g: _unbroadcast(g, sa)),
+                        (b, lambda g: _unbroadcast(g, sb))])
 
 
 def sub(a, b):
-    """Elementwise a - b with numpy broadcasting."""
+    """Elementwise a - b with numpy broadcasting. Backward keeps the two shapes."""
     a, b = _wrap(a), _wrap(b)
     try:
         data = a.data - b.data
     except ValueError:
         raise ShapeError(f"sub: shapes {a.shape} and {b.shape} do not broadcast")
-    return _make(data, [(a, lambda g: _unbroadcast(g, a.shape)),
-                        (b, lambda g: _unbroadcast(-g, b.shape))])
+    sa, sb = a.shape, b.shape
+    return _make(data, [(a, lambda g: _unbroadcast(g, sa)),
+                        (b, lambda g: _unbroadcast(-g, sb))])
 
 
 def mul(a, b):
-    """Elementwise a * b with numpy broadcasting."""
+    """Elementwise a * b with numpy broadcasting. Backward keeps each
+    operand whose partner takes a gradient."""
     a, b = _wrap(a), _wrap(b)
     try:
         data = a.data * b.data
     except ValueError:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
-    return _make(data, [(a, lambda g: _unbroadcast(g * b.data, a.shape)),
-                        (b, lambda g: _unbroadcast(g * a.data, b.shape))])
+    ad, bd, sa, sb = a.data, b.data, a.shape, b.shape
+    return _make(data, [(a, lambda g: _unbroadcast(g * bd, sa)),
+                        (b, lambda g: _unbroadcast(g * ad, sb))])
 
 
 def neg(a):
-    """Elementwise -a."""
+    """Elementwise -a. Backward keeps nothing."""
     a = _wrap(a)
     return _make(-a.data, [(a, lambda g: -g)])
 
@@ -296,7 +330,8 @@ def affine(x, w, b):
 
     The bias goes into the fresh product in place, so the layer makes one
     output array and one graph node; values and gradients have the bits
-    of numpy's `x @ w` followed by `+ b`.
+    of numpy's `x @ w` followed by `+ b`. Backward keeps w when x takes a
+    gradient and x when w does.
     """
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
@@ -307,15 +342,17 @@ def affine(x, w, b):
         data += b.data
     else:
         data = data + b.data
+    xd, wd, sx, sw, sb = x.data, w.data, x.shape, w.shape, b.shape
     return _make(data, [
-        (x, lambda g: _unbroadcast(g @ w.data.swapaxes(-1, -2), x.shape)),
-        (w, lambda g: _unbroadcast(x.data.swapaxes(-1, -2) @ g, w.shape)),
-        (b, lambda g: _unbroadcast(g, b.shape)),
+        (x, lambda g: _unbroadcast(g @ wd.swapaxes(-1, -2), sx)),
+        (w, lambda g: _unbroadcast(xd.swapaxes(-1, -2) @ g, sw)),
+        (b, lambda g: _unbroadcast(g, sb)),
     ])
 
 
 def concat(tensors, axis=0):
-    """Concatenate along `axis`; all other extents must match."""
+    """Concatenate along `axis`; all other extents must match. Backward
+    keeps each input's slice key."""
     tensors = [_wrap(t) for t in tensors]
     try:
         data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -335,12 +372,14 @@ def concat(tensors, axis=0):
 
 
 def slice_(a, key):
-    """Basic indexing (ints and slices); gradient scatters back."""
+    """Basic indexing (ints and slices); gradient scatters back. Backward
+    keeps the key, the input's shape and its dtype."""
     a = _wrap(a)
     data = a.data[key]
+    shape, dtype = a.shape, a.dtype
 
     def vjp(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape, dtype)
         full[key] = g
         return full
 
@@ -348,15 +387,17 @@ def slice_(a, key):
 
 
 def gather(a, indices):
-    """Select rows `indices` (1-d int array) of `a`. Repeats allowed."""
+    """Select rows `indices` (1-d int array) of `a`. Repeats allowed.
+    Backward keeps the indices, the input's shape and its dtype."""
     a = _wrap(a)
     idx = np.asarray(indices)
     if idx.ndim != 1:
         raise ShapeError(f"gather: indices must be 1-d, got shape {idx.shape}")
     data = np.take(a.data, idx, axis=0)
+    shape, dtype = a.shape, a.dtype
 
     def vjp(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape, dtype)
         np.add.at(full, idx, g)
         return full
 
@@ -364,7 +405,7 @@ def gather(a, indices):
 
 
 def transpose(a, axes):
-    """Permute axes."""
+    """Permute axes. Backward keeps the inverse permutation."""
     a = _wrap(a)
     if sorted(axes) != list(range(a.ndim)):
         raise ShapeError(f"transpose: axes {axes} invalid for shape {a.shape}")
@@ -374,17 +415,19 @@ def transpose(a, axes):
 
 
 def reshape(a, shape):
-    """Reshape preserving total size."""
+    """Reshape preserving total size. Backward keeps the input's shape."""
     a = _wrap(a)
     try:
         data = a.data.reshape(shape)
     except ValueError:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
-    return _make(data, [(a, lambda g: g.reshape(a.shape))])
+    old = a.shape
+    return _make(data, [(a, lambda g: g.reshape(old))])
 
 
 def layer_norm(a):
-    """Normalize the last axis to zero mean / unit variance (no affine)."""
+    """Normalize the last axis to zero mean / unit variance (no affine).
+    Backward keeps the output and the per-row inverse deviation."""
     a = _wrap(a)
     mu = a.data.mean(axis=-1, keepdims=True)
     centered = a.data - mu
@@ -415,6 +458,8 @@ def attention(q, k, v, heads):
     block is reused, so memory stays bounded by the block whatever nq is.
     Every block sees all the keys, so each row's arithmetic is the same
     as for an unblocked softmax and both modes give the same bits.
+    Backward keeps the weights, and of q, k and v only the views the
+    wanted gradients read: k for q's, q for k's, v for either.
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     if (q.ndim < 2 or k.ndim < 2 or k.shape != v.shape or q.shape[-1] != k.shape[-1]
@@ -441,7 +486,8 @@ def attention(q, k, v, heads):
     dtype = np.result_type(q.data, k.data)
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=dtype)
     rows = max(2, ATTENTION_BLOCK // (math.prod(lead) * heads * nk))
-    keep = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
+    need_q, need_k, need_v = (_grad_enabled and t.requires_grad for t in (q, k, v))
+    keep = need_q or need_k or need_v
     # softmax weights: the only array kept for backward, or one reused block
     s = np.empty(lead + (heads, nq if keep else min(rows, nq), nk), dtype)
     out = np.empty(lead + (nq, d), np.result_type(dtype, v.data))
@@ -457,21 +503,27 @@ def attention(q, k, v, heads):
         np.exp(w, out=w)
         w /= w.sum(axis=-1, keepdims=True)
         np.matmul(w, vh, out=split(out)[..., block, :])
+    # backward reads k for q's gradient, q for k's and v for either
+    q_shape, kt_shape, v_shape = qh.shape, kt.shape, vh.shape
+    qh = qh if need_k else None
+    kh = kh if need_q else None
+    vh = vh if need_q or need_k else None
 
     def grads(g):
         gh = split(g)
         out = {}
-        if v.requires_grad:
-            out[2] = merge(_unbroadcast(s.swapaxes(-1, -2) @ gh, vh.shape))
-        # the softmax Jacobian in place: the bits of s * (gs - rowsum(gs * s)) * scale
-        gs = gh @ vh.swapaxes(-1, -2)
-        gs -= (gs * s).sum(axis=-1, keepdims=True)
-        gs *= s
-        gs *= scale
-        if q.requires_grad:
-            out[0] = merge(_unbroadcast(gs @ kh, qh.shape))
-        if k.requires_grad:
-            out[1] = merge(_unbroadcast(qh.swapaxes(-1, -2) @ gs, kt.shape).swapaxes(-1, -2))
+        if need_v:
+            out[2] = merge(_unbroadcast(s.swapaxes(-1, -2) @ gh, v_shape))
+        if need_q or need_k:
+            # the softmax Jacobian in place: the bits of s * (gs - rowsum(gs * s)) * scale
+            gs = gh @ vh.swapaxes(-1, -2)
+            gs -= (gs * s).sum(axis=-1, keepdims=True)
+            gs *= s
+            gs *= scale
+            if need_q:
+                out[0] = merge(_unbroadcast(gs @ kh, q_shape))
+            if need_k:
+                out[1] = merge(_unbroadcast(qh.swapaxes(-1, -2) @ gs, kt_shape).swapaxes(-1, -2))
         return out
 
     # backward calls the three vjps back to back with one g; the first call
@@ -489,7 +541,8 @@ def attention(q, k, v, heads):
 
 
 def log_softmax(a):
-    """log(softmax) over the last axis, computed stably."""
+    """log(softmax) over the last axis, computed stably. Backward keeps the
+    softmax."""
     a = _wrap(a)
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -502,17 +555,18 @@ def log_softmax(a):
     return _make(y, [(a, vjp)])
 
 
-def _gelu_float32(x, with_cdf):
+def _gelu_float32(x, with_slope):
     """float32 GELU as max(x, 0) - |x|·Phi(-|x|), one L2-sized chunk at a time.
 
     Phi(-|x|) = erfc(|x|/sqrt2)/2 = t·exp(-x²/2 + P(t))/2 with t = 1/(1 + |x|/(2 sqrt2))
     (Numerical Recipes `erfcc`); no select and no cancellation in the
     negative tail, so y <= 0 for every x < 0. Returns y and, when asked,
-    Phi(x) = Phi(-|x|) + H(x)·(1 - 2 Phi(-|x|)) with H the unit step.
+    the slope Phi(x) + x·phi(x), with Phi(x) = Phi(-|x|) + H(x)·(1 - 2 Phi(-|x|))
+    (H the unit step) and phi(x) = exp(-x²/2)/sqrt(2pi), both from |x| clamped at 64.
     """
     flat = np.ascontiguousarray(x).reshape(-1)
     y = np.empty_like(flat)
-    cdf = np.empty_like(flat) if with_cdf else None
+    slope = np.empty_like(flat) if with_slope else None
     a, t, p = (np.empty(min(_GELU_CHUNK, flat.size), np.float32) for _ in range(3))
     for start in range(0, flat.size, _GELU_CHUNK):
         xc = flat[start:start + _GELU_CHUNK]
@@ -520,8 +574,9 @@ def _gelu_float32(x, with_cdf):
         n = xc.size
         ac, tc, pc = a[:n], t[:n], p[:n]
         np.abs(xc, out=ac)
-        # Phi(-|x|) is 0 in float32 well before |x| = 64: the same y for
-        # finite x, and x = ±inf gives max(x, 0) instead of inf·0 = nan
+        # Phi(-|x|) and phi(x) are 0 in float32 well before |x| = 64: the same
+        # y and slope for finite x, and x = ±inf gives y = max(x, 0) and a
+        # slope of H(x) instead of inf·0 = nan
         np.minimum(ac, 64.0, out=ac)
         np.multiply(ac, _HALF_INV_SQRT2, out=tc)
         tc += 1.0
@@ -537,46 +592,55 @@ def _gelu_float32(x, with_cdf):
         np.exp(pc, out=pc)
         pc *= tc
         pc *= 0.5                           # Phi(-|x|)
-        if with_cdf:
-            cc = cdf[start:start + n]
+        if with_slope:
+            sc = slope[start:start + n]
             np.copysign(0.5, xc, out=tc)
             tc += 0.5                       # t is spent; now H(x): 1 for x >= +0, else 0
-            np.multiply(pc, -2.0, out=cc)
-            cc += 1.0
-            cc *= tc
-            cc += pc
+            np.multiply(pc, -2.0, out=sc)
+            sc += 1.0
+            sc *= tc
+            sc += pc                        # Phi(x)
+            np.exp(yc, out=tc)              # yc still holds -x²/2
+            tc *= _INV_SQRT2PI
+            tc *= ac
+            np.copysign(tc, xc, out=tc)     # x·phi(x): |x|·phi(x) signed like x
+            sc += tc
         pc *= ac
         np.maximum(xc, 0.0, out=yc)
         yc -= pc
-    return y.reshape(x.shape), (cdf.reshape(x.shape) if with_cdf else None)
+    return y.reshape(x.shape), (slope.reshape(x.shape) if with_slope else None)
 
 
 def gelu(a):
-    """Exact Gaussian-CDF GELU: x * Phi(x).
+    """Exact Gaussian-CDF GELU: x * Phi(x), max(x, 0) at x = ±inf.
 
     float64 goes through scipy's erf. float32 stays float32 in
     `_gelu_float32`: on [-12, 12] it is within 3e-7 absolute of the exact
     value, within 16 ulp where |y| >= 1e-2 and 64 ulp where |y| >= 1e-6,
-    and never positive for negative x. Phi(x) is kept for backward only
-    when a gradient will be taken.
+    and never positive for negative x. Backward keeps one array, the slope
+    Phi(x) + x·phi(x), computed only when a gradient will be taken; it is
+    1 at +inf and 0 at -inf.
     """
     a = _wrap(a)
     x = a.data
+    with_slope = _grad_enabled and a.requires_grad
     if x.dtype == np.float32:
-        y, cdf = _gelu_float32(x, _grad_enabled and a.requires_grad)
+        y, slope = _gelu_float32(x, with_slope)
     else:
         cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-        y = x * cdf
-
-    def vjp(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        return g * (cdf + x * pdf)
-
-    return _make(y, [(a, vjp)])
+        # Phi(x) and phi(x) are 0 in float64 well before |x| = 64, so clamping
+        # there keeps every finite bit and turns inf·0 = nan into ±0
+        y = np.maximum(x, -64.0) * cdf
+        slope = None
+        if with_slope:
+            xc = np.clip(x, -64.0, 64.0)
+            slope = cdf + xc * (np.exp(-0.5 * xc * xc) * _INV_SQRT2PI)
+    return _make(y, [(a, lambda g: g * slope)])
 
 
 def sigmoid(a):
-    """Logistic function, numerically stable for both tails."""
+    """Logistic function, numerically stable for both tails. Backward keeps
+    the output."""
     a = _wrap(a)
     x = a.data
     s = np.empty_like(x)
@@ -592,19 +656,22 @@ def sigmoid(a):
 
 
 def softplus(a):
-    """log(1 + exp(x)), stable; derivative is sigmoid(x)."""
+    """log(1 + exp(x)), stable; derivative is sigmoid(x). Backward keeps the
+    input."""
     a = _wrap(a)
     x = a.data
     y = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
     def vjp(g):
-        return g / (1.0 + np.exp(-x))
+        with np.errstate(over="ignore"):    # exp(-x) = inf far below 0, where g / inf = 0
+            return g / (1.0 + np.exp(-x))
 
     return _make(y, [(a, vjp)])
 
 
 def huber(a, delta=1.0):
-    """Elementwise Huber penalty of a residual: quadratic below delta."""
+    """Elementwise Huber penalty of a residual: quadratic below delta.
+    Backward keeps the input."""
     a = _wrap(a)
     x = a.data
     ax = np.abs(x)
@@ -617,23 +684,22 @@ def huber(a, delta=1.0):
 
 
 def sum_(a, axis=None):
-    """Sum over `axis` (all axes when None)."""
+    """Sum over `axis` (all axes when None). Backward keeps the input's shape."""
     a = _wrap(a)
+    shape = a.shape
 
     def vjp(g):
-        return np.broadcast_to(g if axis is None else np.expand_dims(g, axis), a.shape)
+        return np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape)
 
     return _make(np.asarray(a.data.sum(axis=axis)), [(a, vjp)])
 
 
 def mean(a):
-    """Arithmetic mean over every element."""
+    """Arithmetic mean over every element. Backward keeps the input's shape."""
     a = _wrap(a)
-
-    def vjp(g):
-        return np.broadcast_to(g, a.shape) / a.data.size
-
-    return _make(np.asarray(a.data.mean()), [(a, vjp)])
+    shape, size = a.shape, a.data.size
+    return _make(np.asarray(a.data.mean()),
+                 [(a, lambda g: np.broadcast_to(g, shape) / size)])
 
 
 # Registry of differentiable ops; the gradient suite checks every entry.

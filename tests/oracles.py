@@ -103,9 +103,10 @@ def attention_unblocked(q, k, v, heads):
 
 def backward_copying(loss):
     """Reverse-mode walk that copies every first contribution and keeps the
-    graph: every reached tensor, op results too, ends with its own `.grad`,
-    and the graph can be walked again."""
-    topo, seen, stack = [], set(), [(loss, False)]
+    graph: every reached node and leaf ends with its own `.grad`, and the
+    graph can be walked again."""
+    root = loss if loss._node is None else loss._node
+    topo, seen, stack = [], set(), [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -113,16 +114,21 @@ def backward_copying(loss):
         elif id(node) not in seen:
             seen.add(id(node))
             stack.append((node, True))
-            stack.extend((parent, False) for parent, _ in node._parents
-                         if id(parent) not in seen)
-    loss.grad = np.ones_like(loss.data)
+            stack.extend((target, False) for target, _ in _edges(node)
+                         if id(target) not in seen)
+    root.grad = np.ones_like(loss.data)
     for node in reversed(topo):
-        for parent, vjp in node._parents:
+        for target, vjp in _edges(node):
             contribution = vjp(node.grad)
-            if parent.grad is None:
-                parent.grad = contribution.copy()
+            if target.grad is None:
+                target.grad = contribution.copy()
             else:
-                parent.grad += contribution
+                target.grad += contribution
+
+
+def _edges(node):
+    """A graph node's (target, vjp) edges; a leaf Tensor has none."""
+    return getattr(node, "edges", ())
 
 
 def resize_bilinear_4tap(frames, out_h, out_w):

@@ -1,6 +1,7 @@
 """Patch/mask arithmetic, model contracts, and trainedness-free model checks."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,6 +228,26 @@ def test_encoder_cost_tracks_kept_count():
 
     clock(few)  # warm-up
     assert clock(few) < clock(every)
+
+
+def test_a_pretrain_clip_graph_holds_only_what_backward_reads():
+    # the benchmark's pretrain geometry: 26 kept tokens, 512 latents joining
+    # for the last two blocks, whose attention weights alone take 17.7 MB; a
+    # graph that kept every op result it reached held 60.7 MB here
+    cfg = ModelConfig(width=256, depth=4, mlp=1024, heads=8, input_size=(16, 128, 128),
+                      input_patch=(2, 16, 16), latent_layers=2, mask_ratio=0.95)
+    model = MaskedVideoModel(cfg, seed=0)
+    rng = np.random.default_rng(3)
+    frames = random_clip(rng, cfg.input_size).astype(np.float32)
+    kept = sample_mask(cfg.num_tokens, cfg.mask_ratio, rng)
+    tracemalloc.start()
+    try:
+        loss = mae_loss(model.reconstruct(frames, kept)[0], frames)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    nc.backward(loss)
+    assert held < 45 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 import ctypes
 import resource
 import tracemalloc
+import types
+import weakref
 import zlib
 
 import numpy as np
@@ -126,7 +128,7 @@ def test_affine_matches_matmul_then_add_bitwise(dtypes):
     ref = x @ w + b
     assert out.dtype == ref.dtype
     np.testing.assert_array_equal(out.data, ref)
-    assert len(out._parents) == 3 and all(p in fused for p, _ in out._parents)
+    assert len(out._node.edges) == 3 and all(t in fused for t, _ in out._node.edges)
     nc.backward(nc.sum_(out * Tensor(weights)))
     # the VJPs of the product, its leading axis summed for w, and of the broadcast add
     g = np.ones(ref.shape, ref.dtype) * weights
@@ -254,6 +256,23 @@ def test_sigmoid_extreme_logits_finite():
     np.testing.assert_allclose(out.data, [0.0, 0.5, 1.0], atol=1e-12)
 
 
+@pytest.mark.parametrize("dtype, far", [(np.float32, 100.0), (np.float64, 1000.0)])
+def test_softplus_slope_is_finite_at_extreme_inputs(dtype, far):
+    # exp(-x) overflows below -far; the slope there is 0, without a warning
+    t = nc.parameter(np.array([-far, 0.0, far], dtype))
+    nc.backward(nc.sum_(nc.softplus(t)))
+    np.testing.assert_array_equal(t.grad, [0.0, 0.5, 1.0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_at_infinity_is_relu_with_its_slope(dtype):
+    t = nc.parameter(np.array([np.inf, -np.inf, 100.0, -100.0], dtype))
+    out = nc.gelu(t)
+    nc.backward(nc.sum_(out))
+    np.testing.assert_array_equal(out.data, [np.inf, 0.0, 100.0, 0.0])
+    np.testing.assert_array_equal(t.grad, [1.0, 0.0, 1.0, 0.0])
+
+
 @pytest.mark.parametrize("build, shapes", [
     (nc.add, [(3, 4), (5,)]),
     (nc.mul, [(3, 4), (5,)]),
@@ -274,6 +293,21 @@ def test_backward_rejects_non_scalar_loss():
     t = nc.parameter(np.ones((2, 2)))
     with pytest.raises(ShapeError):
         nc.backward(t * t)
+
+
+def test_backward_rejects_a_loss_without_a_graph():
+    w = nc.parameter(np.ones(3, np.float32))
+    with nc.no_grad():
+        under_no_grad = nc.sum_(w * w)
+    from_constants = nc.sum_(Tensor(np.ones(3, np.float32)) * 2.0)
+    for loss in (under_no_grad, from_constants):
+        with pytest.raises(ValueError, match="built under no_grad or from constants"):
+            nc.backward(loss)
+    assert w.grad is None
+    leaf = nc.parameter(np.array(2.0, np.float32))
+    nc.backward(leaf)
+    nc.backward(leaf)
+    assert leaf.grad == 2.0 and leaf.grad.dtype == np.float32
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +336,57 @@ def test_diamond_graph_gradient():
     np.testing.assert_allclose(x.grad, [3 * 1.5**2 + 2 * 1.5], rtol=1e-12)
 
 
+def _held(fn):
+    """Everything a VJP closure holds: its cells and defaults, walked through
+    nested functions and containers."""
+    held, stack, seen = [], [fn], set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        held.append(obj)
+        if isinstance(obj, types.FunctionType):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+            stack.extend(obj.__defaults__ or ())
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+    return held
+
+
+@pytest.mark.parametrize("name", sorted(OP_CASES))
+def test_no_vjp_closure_holds_a_tensor(name):
+    # a Tensor held by a VJP pins its data until backward, read or not
+    build, arrays = OP_CASES[name](np.random.default_rng(0))
+    out = build(*[nc.parameter(a) for a in arrays])
+    assert out._node.edges
+    for _, vjp in out._node.edges:
+        assert not [h for h in _held(vjp) if isinstance(h, Tensor)], name
+
+
+@pytest.mark.parametrize("consume", [
+    lambda y: nc.sum_(y),
+    lambda y: nc.mean(nc.gelu(y)),
+    lambda y: nc.sum_(nc.reshape(y, (2, 2)) + nc.transpose(nc.reshape(y, (2, 2)), (1, 0))),
+], ids=["sum", "gelu-mean", "reshape-transpose-add"])
+def test_an_op_result_no_vjp_reads_is_freed_when_dropped(consume):
+    x = nc.parameter(np.arange(4.0))
+    y = nc.add(x, Tensor(np.full(4, 0.5)))
+    data = weakref.ref(y.data)
+    loss = consume(y)
+    del y
+    assert data() is None
+    nc.backward(loss)
+    assert x.grad.shape == (4,)
+
+
 def test_no_grad_skips_graph():
     x = nc.parameter(np.ones(3))
     with nc.no_grad():
         y = x * 2.0
-    assert not y.requires_grad and y._parents == ()
+    assert not y.requires_grad and y._node is None
 
 
 def test_scalar_operand_preserves_float32():
