@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
+from .checkpoint import load_tensors, save_tensors
 from .numcore import Tensor
 
 
@@ -252,7 +253,7 @@ FEATURE_FRACTIONS = (25, 50, 75, 85, 95, 100)
 
 def feature_block_index(fraction_pct, depth):
     """1-based block index for a depth percentage (integer floor, min 1)."""
-    if fraction_pct not in FEATURE_FRACTIONS:
+    if not isinstance(fraction_pct, int) or fraction_pct not in FEATURE_FRACTIONS:
         raise ValueError(f"layer fraction {fraction_pct}% unsupported; use {FEATURE_FRACTIONS}")
     return max(1, (fraction_pct * depth) // 100)
 
@@ -371,7 +372,6 @@ def mae_loss(reconstruction, frames):
 
 
 def save_model(path, model):
-    from .checkpoint import save_tensors
     save_tensors(path, model.state(), config=model.config.to_dict())
 
 
@@ -380,7 +380,6 @@ def load_model(path, dtype=np.float32):
     ModelConfig (a clip, say), or that lacks a tensor, holds one the model
     lacks or one of the wrong shape, raises ValueError naming the path and
     the keys at fault."""
-    from .checkpoint import load_tensors
     tensors, cfg = load_tensors(path)
     fields = dataclasses.fields(ModelConfig)
     unexpected = sorted(cfg.keys() - {f.name for f in fields})

@@ -130,13 +130,34 @@ def mean_iou(pred_boxes, gt_boxes):
 
 def top1(logits, labels):
     """Argmax accuracy; ties break toward the lowest class index."""
-    pred = np.argmax(np.asarray(logits), axis=-1)
-    return float(np.mean(pred == np.asarray(labels)))
+    logits = np.asarray(logits)
+    labels = _class_labels("top1", logits.shape, labels)
+    return float(np.mean(np.argmax(logits, axis=-1) == labels))
 
 
 # ---------------------------------------------------------------------------
 # Losses (autodiff Tensors)
 # ---------------------------------------------------------------------------
+
+def _target(what, shape, target):
+    """`target` as an array (a Tensor stays one); raises ValueError naming
+    both shapes unless it has the prediction's `shape`: no broadcasting."""
+    target = target if isinstance(target, Tensor) else np.asarray(target)
+    if tuple(target.shape) != tuple(shape):
+        raise ValueError(f"{what}: target shape {tuple(target.shape)} does not match "
+                         f"prediction shape {tuple(shape)}")
+    return target
+
+
+def _class_labels(what, logits_shape, labels):
+    """Integer labels of shape logits_shape[:-1], each in [0, classes)."""
+    labels = _target(what, logits_shape[:-1], labels)
+    classes = logits_shape[-1]
+    if not np.issubdtype(labels.dtype, np.integer) or np.any((labels < 0) | (labels >= classes)):
+        raise ValueError(f"{what}: labels must be integers in [0, {classes}), got {labels.dtype} "
+                         f"labels {labels.ravel()[:8].tolist()}")
+    return labels
+
 
 def _tensor(x, dtype=None):
     if isinstance(x, Tensor):
@@ -148,7 +169,7 @@ def _tensor(x, dtype=None):
 def bce_with_logits(logits, targets):
     """Elementwise binary cross entropy from logits (stable softplus form)."""
     logits = _tensor(logits)
-    targets = _tensor(targets, dtype=logits.dtype)
+    targets = _tensor(_target("bce_with_logits", logits.shape, targets), dtype=logits.dtype)
     return nc.softplus(logits) - logits * targets
 
 
@@ -161,8 +182,8 @@ def point_track_loss(pred_xy, vis_logits, unc_logits, gt_xy, gt_vis):
     the three terms.
     """
     pred_xy = _tensor(pred_xy)
-    gt_xy_np = np.asarray(gt_xy, dtype=np.float64)
-    vis_np = np.asarray(gt_vis, dtype=bool)
+    gt_xy_np = _target("point_track_loss", pred_xy.shape, np.asarray(gt_xy, dtype=np.float64))
+    vis_np = _target("point_track_loss visibility", pred_xy.shape[:-1], np.asarray(gt_vis, dtype=bool))
     w_pos, w_vis, w_unc = POINT_LOSS_WEIGHTS
 
     diff = pred_xy - _tensor(gt_xy_np, dtype=pred_xy.dtype)
@@ -183,24 +204,21 @@ def point_track_loss(pred_xy, vis_logits, unc_logits, gt_xy, gt_vis):
 def pose_loss(pred12, gt12):
     """Squared error summed over the 12 raw pose entries (batch-averaged)."""
     pred12 = _tensor(pred12)
-    diff = pred12 - _tensor(np.asarray(gt12), dtype=pred12.dtype)
-    sq = diff * diff
-    if sq.ndim == 1:
-        return nc.sum_(sq)
-    return nc.mean(nc.sum_(sq, axis=-1))
+    diff = pred12 - _tensor(_target("pose_loss", pred12.shape, gt12), dtype=pred12.dtype)
+    return nc.mean(nc.sum_(diff * diff, axis=-1))
 
 
 def box_track_loss(pred_boxes, gt_boxes):
     """L2 loss on raw (xmin, xmax, ymin, ymax) coordinates."""
     pred = _tensor(pred_boxes)
-    diff = pred - _tensor(np.asarray(gt_boxes), dtype=pred.dtype)
+    diff = pred - _tensor(_target("box_track_loss", pred.shape, gt_boxes), dtype=pred.dtype)
     return nc.mean(diff * diff)
 
 
 def depth_loss(pred_depth, gt_depth):
     """Masked L2 on depth values; the mask follows the metric convention."""
     pred = _tensor(pred_depth)
-    gt = np.asarray(gt_depth)
+    gt = _target("depth_loss", pred.shape, gt_depth)
     mask = _valid_depth(gt)
     count = max(np.count_nonzero(mask), 1)
     diff = pred - _tensor(gt, dtype=pred.dtype)
@@ -210,9 +228,8 @@ def depth_loss(pred_depth, gt_depth):
 def cross_entropy(logits, labels):
     """Mean negative log-likelihood of integer labels under the logits."""
     logits = _tensor(logits)
-    labels = np.asarray(labels).reshape(-1)
-    onehot = np.zeros(logits.shape, dtype=logits.dtype)
-    onehot[np.arange(len(labels)), labels] = 1.0
+    labels = _class_labels("cross_entropy", logits.shape, labels)
+    onehot = (labels[..., None] == np.arange(logits.shape[-1])).astype(logits.dtype)
     return -nc.mean(nc.sum_(nc.log_softmax(logits) * Tensor(onehot), axis=-1))
 
 

@@ -46,7 +46,7 @@ def fourier_features(positions):
     positions: (..., d) in [0, 1] -> (..., d * 2 * FOURIER_BASES).
     """
     pos = np.asarray(positions, dtype=np.float64)
-    if pos.size and (pos.min() < 0.0 or pos.max() > 1.0):
+    if pos.size and not (pos.min() >= 0.0 and pos.max() <= 1.0):    # NaN fails both
         raise ValueError(f"coordinates must lie in [0, 1], got range "
                          f"[{pos.min():.4f}, {pos.max():.4f}]")
     freqs = np.pi * (2.0 ** np.arange(FOURIER_BASES))

@@ -32,6 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import load_tensors, save_tensors
+
 log = logging.getLogger(__name__)
 
 ROOM_HALF = 2.5
@@ -639,6 +641,9 @@ def augment(clip, labels, rng, out_hw=None, crop=None, flip=None):
     if y0 < 0 or x0 < 0 or y0 + ch > h or x0 + cw > w:
         raise ValueError(f"crop {crop} does not fit inside {h}x{w}")
     out_h, out_w = out_hw if out_hw is not None else (ch, cw)
+    for name, extents in (("crop size", (ch, cw)), ("out_hw", (out_h, out_w))):
+        if min(extents) < 1:
+            raise ValueError(f"{name} {extents} must be >= 1 in each extent")
     sy, sx = out_h / ch, out_w / cw
 
     cropped = frames[:, y0:y0 + ch, x0:x0 + cw]
@@ -695,6 +700,8 @@ def pretrain_view(clip, rng, out_size):
     """Pretraining augmentation: resize the short side to VIEW_RESIZE times
     `out_size`, take a random out_size x out_size crop of every frame, and
     flip it with chance FLIP_P."""
+    if out_size < 1:
+        raise ValueError(f"out_size {out_size} must be >= 1")
     frames = clip.frames
     _, h, w, _ = frames.shape
     small = min(h, w)
@@ -720,7 +727,6 @@ _CLIP_TENSORS = frozenset({"frames", "depth", "pose_r", "pose_t", "camera_poses"
 
 
 def save_clip(path, clip, labels):
-    from .checkpoint import save_tensors
     pose = labels.pose_first_to_last
     save_tensors(path, {
         "frames": clip.frames,
@@ -738,7 +744,6 @@ def save_clip(path, clip, labels):
 def load_clip(path):
     """A clip and its labels saved by `save_clip`. A file that lacks any of
     them (a model checkpoint, say) raises ValueError naming the path and keys."""
-    from .checkpoint import load_tensors
     tensors, cfg = load_tensors(path)
     missing = sorted(_CLIP_TENSORS - tensors.keys()) + sorted({"class_id"} - cfg.keys())
     if missing:

@@ -290,8 +290,12 @@ def test_feature_block_indices():
     assert feature_block_index(95, 64) == 60
     assert feature_block_index(75, 56) == 42
     assert feature_block_index(25, 4) == 1
-    with pytest.raises(ValueError, match=r"^layer fraction 60% unsupported; use \(25, 50, 75, 85, 95, 100\)$"):
-        feature_block_index(60, 4)
+    for bad in (60, 50.0, True, np.float32(25)):
+        with pytest.raises(ValueError, match=rf"^layer fraction {bad}% unsupported; use "
+                                             r"\(25, 50, 75, 85, 95, 100\)$"):
+            feature_block_index(bad, 4)
+    with pytest.raises(ValueError, match=r"^layer fraction 50.0% unsupported"):
+        small_nano().features(random_clip(np.random.default_rng(9), (4, 32, 32)), 50.0)
 
 
 def test_features_shape_and_latent_exclusion():

@@ -1,5 +1,7 @@
 """Metrics and task losses against closed forms and brute-force oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -347,6 +349,67 @@ def test_depth_loss_respects_mask():
 def test_box_loss_zero_at_target():
     boxes = np.random.default_rng(19).random((2, 4, 4))
     assert float(box_track_loss(boxes, boxes).data) == 0.0
+
+
+def _shape_error(what, target, pred):
+    message = f"{what}: target shape {target} does not match prediction shape {pred}"
+    return f"^{re.escape(message)}$"
+
+
+def _label_error(what, got):
+    return rf"^{what}: labels must be integers in \[0, 3\), got {got}$"
+
+
+def _point_args(**wrong):
+    """point_track_loss arguments for 2 clips, 3 tracks, 4 frames, with `wrong` swapped in."""
+    args = dict(pred_xy=np.zeros((2, 3, 4, 2)), vis_logits=np.zeros((2, 3, 4)),
+                unc_logits=np.zeros((2, 3, 4)), gt_xy=np.zeros((2, 3, 4, 2)),
+                gt_vis=np.ones((2, 3, 4), bool))
+    return tuple({**args, **wrong}.values())
+
+
+BAD_TARGETS = {
+    "top1-short": (top1, (np.zeros((4, 3)), [0]), _shape_error("top1", (1,), (4,))),
+    "top1-extra-axis": (top1, (np.zeros((2, 3)), [[0, 1]]), _shape_error("top1", (1, 2), (2,))),
+    "top1-float": (top1, (np.zeros((2, 3)), [0.0, 1.0]),
+                   _label_error("top1", r"float64 labels \[0.0, 1.0\]")),
+    "top1-bool": (top1, (np.zeros((2, 3)), [True, False]),
+                  _label_error("top1", r"bool labels \[True, False\]")),
+    "ce-short": (cross_entropy, (np.zeros((2, 3)), [0]), _shape_error("cross_entropy", (1,), (2,))),
+    "ce-negative": (cross_entropy, (np.zeros((2, 3)), [0, -1]),
+                    _label_error("cross_entropy", r"int64 labels \[0, -1\]")),
+    "ce-too-large": (cross_entropy, (np.zeros((2, 3)), [0, 3]),
+                     _label_error("cross_entropy", r"int64 labels \[0, 3\]")),
+    "pose": (pose_loss, (np.zeros((2, 12)), np.zeros(12)), _shape_error("pose_loss", (12,), (2, 12))),
+    "box": (box_track_loss, (np.zeros((2, 3, 4, 4)), np.zeros((3, 4, 4))),
+            _shape_error("box_track_loss", (3, 4, 4), (2, 3, 4, 4))),
+    "depth": (depth_loss, (np.zeros((2, 4, 4)), np.ones((4, 4))),
+              _shape_error("depth_loss", (4, 4), (2, 4, 4))),
+    "bce": (bce_with_logits, (np.zeros((2, 3)), np.zeros(3)),
+            _shape_error("bce_with_logits", (3,), (2, 3))),
+    "point-xy": (point_track_loss, _point_args(gt_xy=np.zeros((3, 4, 2))),
+                 _shape_error("point_track_loss", (3, 4, 2), (2, 3, 4, 2))),
+    "point-vis": (point_track_loss,
+                  _point_args(vis_logits=np.zeros((3, 4)), gt_vis=np.ones((3, 4), bool)),
+                  _shape_error("point_track_loss visibility", (3, 4), (2, 3, 4))),
+    "point-unc": (point_track_loss, _point_args(unc_logits=np.zeros((3, 4))),
+                  _shape_error("bce_with_logits", (2, 3, 4), (3, 4))),
+}
+
+
+@pytest.mark.parametrize("case", BAD_TARGETS)
+def test_losses_and_top1_reject_targets_of_the_wrong_shape(case):
+    loss, args, message = BAD_TARGETS[case]
+    with pytest.raises(ValueError, match=message):
+        loss(*args)
+
+
+def test_cross_entropy_and_top1_take_labels_of_any_batch_shape():
+    rng = np.random.default_rng(20)
+    logits, labels = rng.standard_normal((2, 3, 5)), rng.integers(0, 5, (2, 3))
+    np.testing.assert_array_equal(cross_entropy(logits, labels).data,
+                                  cross_entropy(logits.reshape(6, 5), labels.reshape(6)).data)
+    assert top1(logits, labels) == top1(logits.reshape(6, 5), labels.reshape(6))
 
 
 def test_metric_csv_roundtrip(tmp_path):

@@ -200,6 +200,9 @@ def test_fourier_rejects_out_of_range():
         fourier_features(np.array([[0.5, 1.2]]))
     with pytest.raises(ValueError):
         fourier_features(np.array([[-0.1, 0.5]]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"^coordinates must lie in \[0, 1\], got range "):
+            fourier_features(np.array([[bad, 0.5]]))
 
 
 def test_fourier_injective_on_grid():

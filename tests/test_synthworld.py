@@ -67,6 +67,23 @@ def test_load_clip_on_a_model_checkpoint_names_the_missing_keys(tmp_path):
         synthworld.load_clip(path)
 
 
+@pytest.mark.parametrize("out_hw, crop, message", [
+    ((0, 16), None, r"out_hw \(0, 16\) must be >= 1 in each extent"),
+    ((16, -2), (0, 0, RES, RES), r"out_hw \(16, -2\) must be >= 1 in each extent"),
+    (None, (0, 0, 0, 16), r"crop size \(0, 16\) must be >= 1 in each extent"),
+    ((16, 16), (4, 4, 8, 0), r"crop size \(8, 0\) must be >= 1 in each extent")])
+def test_augment_rejects_extents_below_one(clips, out_hw, crop, message):
+    clip, labels = clips[0]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        synthworld.augment(clip, labels, np.random.default_rng(0), out_hw=out_hw, crop=crop)
+
+
+@pytest.mark.parametrize("out_size", [0, -3])
+def test_pretrain_view_rejects_sizes_below_one(clips, out_size):
+    with pytest.raises(ValueError, match=f"^out_size {out_size} must be >= 1$"):
+        synthworld.pretrain_view(clips[0][0], np.random.default_rng(0), out_size)
+
+
 def full_view(clip, labels, flip):
     return synthworld.augment(clip, labels, None, crop=(0, 0, RES, RES), flip=flip)
 
