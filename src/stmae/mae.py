@@ -195,29 +195,45 @@ def unpatchify(tokens, grid, patch):
 INIT_STD = 0.02             # weights are drawn from a truncated Normal(0, INIT_STD)
 
 
-def trunc_normal(rng, shape):
-    """Normal(0, INIT_STD) resampled until everything lies within 2 sigma.
+_INIT_CHUNK = 1 << 16       # float64 normals drawn at a time by `trunc_normal`
 
-    After the first draw only the entries just redrawn are checked again;
-    they are redrawn in ascending flat order, as a full scan would.
+
+def trunc_normal(rng, shape, dtype):
+    """Normal(0, INIT_STD) resampled until everything lies within 2 sigma,
+    as a `dtype` array.
+
+    The float64 normals are drawn in chunks of `_INIT_CHUNK`, which consume
+    the generator exactly as one draw would; each chunk is scaled and cast
+    into the output, so no full-size float64 array is made. The entries
+    outside 2 sigma are then redrawn in ascending flat order, as a full
+    scan would, and only the entries just redrawn are checked again.
     """
-    x = rng.standard_normal(shape)
-    flat = x.reshape(-1)
-    idx = np.flatnonzero(np.abs(flat) > 2.0)
+    out = np.empty(shape, dtype)
+    flat = out.reshape(-1)
+    bad = [np.empty(0, np.intp)]
+    for start in range(0, flat.size, _INIT_CHUNK):
+        x = rng.standard_normal(min(_INIT_CHUNK, flat.size - start))
+        bad.append(np.flatnonzero(np.abs(x) > 2.0) + start)
+        flat[start:start + x.size] = x * INIT_STD
+    idx = np.concatenate(bad)
     while idx.size:
-        flat[idx] = rng.standard_normal(idx.size)
-        idx = idx[np.abs(flat[idx]) > 2.0]
-    return x * INIT_STD
+        x = rng.standard_normal(idx.size)
+        ok = np.abs(x) <= 2.0
+        flat[idx[ok]] = x[ok] * INIT_STD
+        idx = idx[~ok]
+    return out
 
 
 class Layers:
-    """The parameters of one model, and the affine layers that read them.
+    """The parameters of one model, and the layers that read them.
 
     The one naming and init scheme of the package: a linear layer `name`
     owns `name.weight` (truncated normal) and `name.bias` (zeros); a norm
     owns `name.scale` (ones) and `name.bias` (zeros), keyed `namespace.name`
     in `params` (bare `name` for an empty namespace) and read back by `name`.
-    Weights are drawn from `rng` in declaration order, and `params` keeps it.
+    An MLP `name` is the two linear layers `name.fc1` and `name.fc2`, applied
+    with a GELU between as one `nc.mlp` node. Weights are drawn from `rng`
+    in declaration order, and `params` keeps it.
     """
 
     def __init__(self, rng, dtype, namespace):
@@ -230,8 +246,7 @@ class Layers:
         return self.params[self.prefix + name]
 
     def add_weight(self, name, shape):
-        weight = trunc_normal(self.rng, shape).astype(self.dtype)
-        self.params[self.prefix + name] = nc.parameter(weight)
+        self.params[self.prefix + name] = nc.parameter(trunc_normal(self.rng, shape, self.dtype))
 
     def add_linear(self, name, n_in, n_out):
         self.add_weight(f"{name}.weight", (n_in, n_out))
@@ -246,6 +261,12 @@ class Layers:
 
     def norm(self, name, x):
         return nc.layer_norm(x) * self[f"{name}.scale"] + self[f"{name}.bias"]
+
+    def mlp(self, name, x):
+        """The two linear layers `name.fc1` and `name.fc2` with a GELU between,
+        as one `nc.mlp` node."""
+        return nc.mlp(x, self[f"{name}.fc1.weight"], self[f"{name}.fc1.bias"],
+                      self[f"{name}.fc2.weight"], self[f"{name}.fc2.bias"])
 
 
 FEATURE_FRACTIONS = (25, 50, 75, 85, 95, 100)
@@ -289,8 +310,7 @@ class MaskedVideoModel:
         qkv = L.linear(f"{b}.attn.qkv", L.norm(f"{b}.ln1", x))
         attn = nc.attention(qkv[:, :w], qkv[:, w:2 * w], qkv[:, 2 * w:], self.config.heads)
         x = x + L.linear(f"{b}.attn.proj", attn)
-        h = nc.gelu(L.linear(f"{b}.mlp.fc1", L.norm(f"{b}.ln2", x)))
-        return x + L.linear(f"{b}.mlp.fc2", h)
+        return x + L.mlp(f"{b}.mlp", L.norm(f"{b}.ln2", x))
 
     def encode(self, frames, kept, blocks=None):
         """Run blocks 1..`blocks` (all when None) on the tokens `kept` of one

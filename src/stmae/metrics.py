@@ -141,7 +141,10 @@ def top1(logits, labels):
 
 def _target(what, shape, target):
     """`target` as an array (a Tensor stays one); raises ValueError naming
-    both shapes unless it has the prediction's `shape`: no broadcasting."""
+    both shapes unless it has the prediction's `shape`: no broadcasting.
+    An empty prediction, one with a zero extent, raises a ValueError too."""
+    if 0 in tuple(shape):
+        raise ValueError(f"{what}: prediction shape {tuple(shape)} has a zero extent")
     target = target if isinstance(target, Tensor) else np.asarray(target)
     if tuple(target.shape) != tuple(shape):
         raise ValueError(f"{what}: target shape {tuple(target.shape)} does not match "

@@ -19,12 +19,24 @@ encoder's self-attention and by every readout's cross-attention. It
 splits and merges heads itself and has one hand-written VJP that keeps
 only the softmax weights (plus views of q, k and v) for backward; the
 three input gradients share one computation of the score gradient. Its
-forward runs in blocks of query rows of about `ATTENTION_BLOCK` score
-elements: with a gradient to take, the blocks fill the kept weights
-array; without one, a single scratch block is reused, so a frozen
-readout never holds its whole score tensor. `affine` is the one linear
-layer (`mae.Layers.linear`): one node and one output array, the bias
-added in place into the product.
+forward runs in blocks of query rows of about `BLOCK` score elements:
+with a gradient to take, the blocks fill the kept weights array; without
+one, a single scratch block is reused, so a frozen readout never holds
+its whole score tensor. `affine` is the one linear layer
+(`mae.Layers.linear`): one node and one output array, the bias added in
+place into the product.
+
+`mlp` is the one MLP (`mae.Layers.mlp`), affine -> GELU -> affine as one
+node, used by every encoder block and readout. Its forward runs in
+blocks of rows along axis -2 of about `BLOCK` hidden elements, each over
+every leading axis, and a last block of one row takes the row before it
+along (a one-row product goes to gemv, whose bits differ from gemm's).
+Without a gradient one scratch pair (pre-activation, activation) is
+reused, so the output is its only full-size array. With one, its VJP
+keeps what the three-op chain would: x, w1, the GELU slope, the
+activation and w2, each only when a wanted gradient reads it; the full
+pre-activation is never held. Values and all five gradients have the
+chain's bits.
 
 Data is row-major float64 or float32; both dtypes run the same code
 path, except `gelu`, whose float32 kernel stays in float32 (within 3e-7
@@ -54,7 +66,7 @@ _ERFCC = (-1.26551223, 1.00002368, 0.37409196, 0.09678418, -0.18628806,
           0.27886807, -1.13520398, 1.48851587, -0.82215223, 0.17087277)
 _GELU_CHUNK = 1 << 15        # elements; a chunk's float32 buffers (768 KB) fit in L2
 
-ATTENTION_BLOCK = 1 << 21    # score elements per query block of `attention`
+BLOCK = 1 << 21              # elements per row block of `attention` (scores) and `mlp` (hidden)
 
 _grad_enabled = True
 
@@ -443,6 +455,23 @@ def layer_norm(a):
     return _make(y, [(a, vjp)])
 
 
+def _joint_vjps(grads, count):
+    """VJPs for `count` inputs that share one computation. Backward calls a
+    node's VJPs back to back with one g: the first call computes every
+    wanted gradient as `grads(g)`, a dict keyed by input index, and each
+    call takes its own."""
+    pending = {}
+
+    def vjp(i):
+        def fn(g):
+            if not pending:
+                pending.update(grads(g))
+            return pending.pop(i)
+        return fn
+
+    return [vjp(i) for i in range(count)]
+
+
 def attention(q, k, v, heads):
     """Multi-head scaled dot-product attention, softmax(q kᵀ / sqrt(dh)) v.
 
@@ -452,7 +481,7 @@ def attention(q, k, v, heads):
     own; their outputs are merged back in the same order.
 
     The softmax runs in blocks of query rows, each holding about
-    `ATTENTION_BLOCK` score elements over every leading axis, every head and
+    `BLOCK` score elements over every leading axis, every head and
     all nk keys. When a gradient will be taken the blocks are slices of
     the full weights array that backward keeps; otherwise one scratch
     block is reused, so memory stays bounded by the block whatever nq is.
@@ -485,7 +514,7 @@ def attention(q, k, v, heads):
     kt = kh.swapaxes(-1, -2)
     dtype = np.result_type(q.data, k.data)
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=dtype)
-    rows = max(2, ATTENTION_BLOCK // (math.prod(lead) * heads * nk))
+    rows = max(2, BLOCK // (math.prod(lead) * heads * nk))
     need_q, need_k, need_v = (_grad_enabled and t.requires_grad for t in (q, k, v))
     keep = need_q or need_k or need_v
     # softmax weights: the only array kept for backward, or one reused block
@@ -526,18 +555,7 @@ def attention(q, k, v, heads):
                 out[1] = merge(_unbroadcast(qh.swapaxes(-1, -2) @ gs, kt_shape).swapaxes(-1, -2))
         return out
 
-    # backward calls the three vjps back to back with one g; the first call
-    # computes every gradient and each call takes its own
-    pending = {}
-
-    def vjp(i):
-        def fn(g):
-            if not pending:
-                pending.update(grads(g))
-            return pending.pop(i)
-        return fn
-
-    return _make(out, [(q, vjp(0)), (k, vjp(1)), (v, vjp(2))])
+    return _make(out, list(zip((q, k, v), _joint_vjps(grads, 3))))
 
 
 def log_softmax(a):
@@ -555,18 +573,22 @@ def log_softmax(a):
     return _make(y, [(a, vjp)])
 
 
-def _gelu_float32(x, with_slope):
-    """float32 GELU as max(x, 0) - |x|·Phi(-|x|), one L2-sized chunk at a time.
+def _gelu_float32(x, y, slope=None):
+    """float32 GELU as max(x, 0) - |x|·Phi(-|x|), one L2-sized chunk at a time,
+    written into `y` and, when given, its slope into `slope`: row-major
+    arrays of x's size.
 
     Phi(-|x|) = erfc(|x|/sqrt2)/2 = t·exp(-x²/2 + P(t))/2 with t = 1/(1 + |x|/(2 sqrt2))
     (Numerical Recipes `erfcc`); no select and no cancellation in the
-    negative tail, so y <= 0 for every x < 0. Returns y and, when asked,
-    the slope Phi(x) + x·phi(x), with Phi(x) = Phi(-|x|) + H(x)·(1 - 2 Phi(-|x|))
-    (H the unit step) and phi(x) = exp(-x²/2)/sqrt(2pi), both from |x| clamped at 64.
+    negative tail, so y <= 0 for every x < 0. The slope is Phi(x) + x·phi(x),
+    with Phi(x) = Phi(-|x|) + H(x)·(1 - 2 Phi(-|x|)) (H the unit step) and
+    phi(x) = exp(-x²/2)/sqrt(2pi), both from |x| clamped at 64.
     """
+    if not all(out.flags.c_contiguous for out in (y, slope) if out is not None):
+        raise ValueError("GELU outputs must be row-major; a flat view of them would be a copy")
     flat = np.ascontiguousarray(x).reshape(-1)
-    y = np.empty_like(flat)
-    slope = np.empty_like(flat) if with_slope else None
+    y = y.reshape(-1)
+    slope = None if slope is None else slope.reshape(-1)
     a, t, p = (np.empty(min(_GELU_CHUNK, flat.size), np.float32) for _ in range(3))
     for start in range(0, flat.size, _GELU_CHUNK):
         xc = flat[start:start + _GELU_CHUNK]
@@ -592,7 +614,7 @@ def _gelu_float32(x, with_slope):
         np.exp(pc, out=pc)
         pc *= tc
         pc *= 0.5                           # Phi(-|x|)
-        if with_slope:
+        if slope is not None:
             sc = slope[start:start + n]
             np.copysign(0.5, xc, out=tc)
             tc += 0.5                       # t is spent; now H(x): 1 for x >= +0, else 0
@@ -608,7 +630,22 @@ def _gelu_float32(x, with_slope):
         pc *= ac
         np.maximum(xc, 0.0, out=yc)
         yc -= pc
-    return y.reshape(x.shape), (slope.reshape(x.shape) if with_slope else None)
+
+
+def _gelu_into(x, y, slope=None):
+    """Write GELU(x) into `y` and, when given, its slope into `slope`: the
+    float32 kernel, or scipy's erf for float64. For float32, `y` and
+    `slope` must be row-major."""
+    if x.dtype == np.float32:
+        _gelu_float32(x, y, slope)
+        return
+    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    # Phi(x) and phi(x) are 0 in float64 well before |x| = 64, so clamping
+    # there keeps every finite bit and turns inf·0 = nan into ±0
+    np.multiply(np.maximum(x, -64.0), cdf, out=y)
+    if slope is not None:
+        xc = np.clip(x, -64.0, 64.0)
+        np.add(cdf, xc * (np.exp(-0.5 * xc * xc) * _INV_SQRT2PI), out=slope)
 
 
 def gelu(a):
@@ -623,19 +660,95 @@ def gelu(a):
     """
     a = _wrap(a)
     x = a.data
-    with_slope = _grad_enabled and a.requires_grad
-    if x.dtype == np.float32:
-        y, slope = _gelu_float32(x, with_slope)
-    else:
-        cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-        # Phi(x) and phi(x) are 0 in float64 well before |x| = 64, so clamping
-        # there keeps every finite bit and turns inf·0 = nan into ±0
-        y = np.maximum(x, -64.0) * cdf
-        slope = None
-        if with_slope:
-            xc = np.clip(x, -64.0, 64.0)
-            slope = cdf + xc * (np.exp(-0.5 * xc * xc) * _INV_SQRT2PI)
+    y = np.empty(x.shape, x.dtype)
+    slope = np.empty(x.shape, x.dtype) if _grad_enabled and a.requires_grad else None
+    _gelu_into(x, y, slope)
     return _make(y, [(a, lambda g: g * slope)])
+
+
+def mlp(x, w1, b1, w2, b2):
+    """The two-layer perceptron affine(gelu(affine(x, w1, b1)), w2, b2) as one
+    node: x (..., n, k), w1 (k, h), b1 (h,), w2 (h, m), b2 (m,).
+
+    The forward runs in blocks of rows along axis -2, each holding about
+    `BLOCK` hidden elements over every leading axis; a last block of one
+    row takes the row before it along. A block's pre-activation gets its
+    bias in place and goes through GELU into the activation z. Without a
+    gradient one scratch pair (pre-activation, z) is reused, so the output
+    is the only full-size array; with one, z and the GELU slope are written
+    block by block into full arrays and the pre-activation is never held
+    whole. Values and gradients have the bits of the three-op chain.
+    Backward keeps what the chain keeps: x when w1 takes a gradient, w1
+    when x does, the slope and w2 when x, w1 or b1 does, z when w2 does.
+    """
+    x, w1, b1, w2, b2 = inputs = [_wrap(t) for t in (x, w1, b1, w2, b2)]
+    if (x.ndim < 2 or w1.ndim != 2 or w2.ndim != 2 or x.shape[-1] != w1.shape[0]
+            or b1.shape != w1.shape[1:] or w2.shape[0] != w1.shape[1] or b2.shape != w2.shape[1:]):
+        raise ShapeError(f"mlp: x {x.shape}, w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape} and "
+                         f"b2 {b2.shape} need x (..., n, k), w1 (k, h), b1 (h,), w2 (h, m), b2 (m,)")
+    need_x, need_w1, need_b1, need_w2, need_b2 = (_grad_enabled and t.requires_grad for t in inputs)
+    need_h = need_x or need_w1 or need_b1
+    lead, n, hidden = x.shape[:-2], x.shape[-2], w1.shape[1]
+    size = math.prod(lead) * hidden
+    rows = max(2, BLOCK // max(1, size))
+    h_dtype = np.result_type(x.data, w1.data)
+    z_dtype = np.result_type(h_dtype, b1.data)
+
+    def scratch(dtype):                 # row-major (..., r, hidden) views of one buffer
+        buf = np.empty(size * min(rows, n), dtype)
+        return lambda r: buf[:size * r].reshape(lead + (r, hidden))
+
+    h_block = scratch(h_dtype)
+    z = np.empty(lead + (n, hidden), z_dtype) if need_w2 else None
+    z_block = scratch(z_dtype) if z is None else None
+    slope = np.empty(lead + (n, hidden), z_dtype) if need_h else None
+    out = np.empty(lead + (n, w2.shape[1]), np.result_type(z_dtype, w2.data))
+    for start in range(0, n, rows):
+        # numpy sends a one-row product to gemv, whose bits differ from gemm's,
+        # so a last block of one row takes the row before it along
+        start = max(0, min(start, n - 2))
+        block = slice(start, start + rows)
+        r = min(rows, n - start)
+        h = np.matmul(x.data[..., block, :], w1.data, out=h_block(r))
+        if h.dtype == z_dtype:
+            h += b1.data
+        else:
+            h = h + b1.data
+        zb = z_block(r) if z is None else z[..., block, :]
+        sb = None if slope is None else slope[..., block, :]
+        for i in np.ndindex(lead):      # each leading index's rows are row-major
+            _gelu_into(h[i], zb[i], None if sb is None else sb[i])
+        np.matmul(zb, w2.data, out=out[..., block, :])
+    if out.dtype == np.result_type(out, b2.data):
+        out += b2.data
+    else:
+        out = out + b2.data
+    xd = x.data if need_w1 else None
+    w1d = w1.data if need_x else None
+    w2d = w2.data if need_h else None
+    sx, sw1, sb1, sw2, sb2 = (t.shape for t in inputs)
+
+    def grads(g):
+        out = {}
+        if need_w2:
+            out[3] = _unbroadcast(z.swapaxes(-1, -2) @ g, sw2)
+        if need_b2:
+            out[4] = _unbroadcast(g, sb2)
+        if need_h:
+            gh = g @ w2d.swapaxes(-1, -2)
+            if gh.dtype == np.result_type(gh, slope):
+                gh *= slope
+            else:
+                gh = gh * slope
+            if need_x:
+                out[0] = _unbroadcast(gh @ w1d.swapaxes(-1, -2), sx)
+            if need_w1:
+                out[1] = _unbroadcast(xd.swapaxes(-1, -2) @ gh, sw1)
+            if need_b1:
+                out[2] = _unbroadcast(gh, sb1)
+        return out
+
+    return _make(out, list(zip(inputs, _joint_vjps(grads, 5))))
 
 
 def sigmoid(a):
@@ -718,6 +831,7 @@ OPS = {
     "attention": attention,
     "log_softmax": log_softmax,
     "gelu": gelu,
+    "mlp": mlp,
     "sigmoid": sigmoid,
     "softplus": softplus,
     "huber": huber,

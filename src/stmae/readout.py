@@ -15,7 +15,8 @@ keeps an output projection, and each call's geometry sets its query
 count. TIME_STEPS is the number of token frames the temporal embedding
 covers: 16, or 1 for the pose head, which reads one fused frame pair.
 
-Attention is `numcore.attention`, the op the encoder's blocks use, and
+Attention is `numcore.attention` and both MLPs (the query MLP and the
+residual one) are `numcore.mlp`, the ops the encoder's blocks use, and
 every layer is declared and applied through `mae.Layers`, so heads and
 encoder share one naming and init scheme. Each task head subclasses
 `CrossAttentionReadout`, and its TASK namespaces the one `params` dict its
@@ -122,7 +123,7 @@ class CrossAttentionReadout:
     def encode_queries(self, positions):
         """Fourier-encode (B, n, d) coordinates and run the query MLP."""
         raw = Tensor(fourier_features(positions).astype(self.dtype))
-        return self.layers.linear("query_mlp.fc2", nc.gelu(self.layers.linear("query_mlp.fc1", raw)))
+        return self.layers.mlp("query_mlp", raw)
 
     def learned_queries(self):
         q = self.layers["queries"]
@@ -148,8 +149,7 @@ class CrossAttentionReadout:
                          L.linear("attn.v", x), self.heads)         # (B, Q, qkv_size)
         if self.COORDS:
             y = L.linear("attn.out", y)
-        z = nc.gelu(L.linear("mlp.fc1", L.norm("mlp_norm", y)))
-        y = y + L.linear("mlp.fc2", z)
+        y = y + L.mlp("mlp", L.norm("mlp_norm", y))
         return L.linear("head", y)
 
 

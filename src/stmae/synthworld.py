@@ -553,6 +553,18 @@ def render_clip(spec, resolution, frames):
     return VideoClip(frames=rgb), labels
 
 
+def _is_int(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_size(name, value):
+    """ValueError naming `value` unless it is an int (not a bool) of at least 1."""
+    if not _is_int(value):
+        raise ValueError(f"{name} {value!r} must be an integer")
+    if value < 1:
+        raise ValueError(f"{name} {value} must be >= 1")
+
+
 def generate(seed, count, resolution, frames=16):
     """Lazy iterator over `count` deterministic (VideoClip, SceneLabels) pairs.
 
@@ -562,8 +574,7 @@ def generate(seed, count, resolution, frames=16):
     rotate round-robin so every window of clips is balanced.
     """
     for name, value in (("resolution", resolution), ("frames", frames)):
-        if value < 1:
-            raise ValueError(f"{name} {value} must be >= 1")
+        _check_size(name, value)
     return (render_clip(_sample_scene((seed, i), i % NUM_CLASSES, frames), resolution, frames)
             for i in range(count))
 
@@ -642,6 +653,8 @@ def augment(clip, labels, rng, out_hw=None, crop=None, flip=None):
         raise ValueError(f"crop {crop} does not fit inside {h}x{w}")
     out_h, out_w = out_hw if out_hw is not None else (ch, cw)
     for name, extents in (("crop size", (ch, cw)), ("out_hw", (out_h, out_w))):
+        if not all(_is_int(e) for e in extents):
+            raise ValueError(f"{name} {extents} must be integers")
         if min(extents) < 1:
             raise ValueError(f"{name} {extents} must be >= 1 in each extent")
     sy, sx = out_h / ch, out_w / cw
@@ -700,8 +713,7 @@ def pretrain_view(clip, rng, out_size):
     """Pretraining augmentation: resize the short side to VIEW_RESIZE times
     `out_size`, take a random out_size x out_size crop of every frame, and
     flip it with chance FLIP_P."""
-    if out_size < 1:
-        raise ValueError(f"out_size {out_size} must be >= 1")
+    _check_size("out_size", out_size)
     frames = clip.frames
     _, h, w, _ = frames.shape
     small = min(h, w)

@@ -83,6 +83,13 @@ def gelu_float64(x):
     return x * cdf, cdf + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
+def mlp_float64(x, w1, b1, w2, b2):
+    """The two-layer perceptron gelu(x w1 + b1) w2 + b2 in float64, the GELU
+    from `gelu_float64`."""
+    x, w1, b1, w2, b2 = (np.asarray(a, dtype=np.float64) for a in (x, w1, b1, w2, b2))
+    return gelu_float64(x @ w1 + b1)[0] @ w2 + b2
+
+
 def attention_unblocked(q, k, v, heads):
     """Multi-head softmax attention over the whole score tensor at once, with
     the same per-row arithmetic as numcore.attention (so equal bits)."""

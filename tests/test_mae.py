@@ -1,5 +1,6 @@
 """Patch/mask arithmetic, model contracts, and trainedness-free model checks."""
 
+import itertools
 import time
 import tracemalloc
 
@@ -12,7 +13,7 @@ from stmae import mae, synthworld
 from stmae.checkpoint import save_tensors
 from stmae.mae import (FEATURE_FRACTIONS, MaskedVideoModel, ModelConfig, count_parameters,
                        feature_block_index, mae_loss, patchify, preset, sample_mask, unpatchify)
-from stmae.readout import CrossAttentionReadout
+from stmae.readout import CrossAttentionReadout, DepthHead
 
 
 def small_nano(dtype=np.float32, seed=0):
@@ -96,12 +97,26 @@ def test_mask_is_uniform_without_replacement():
 # ---------------------------------------------------------------------------
 
 def test_trunc_normal_matches_full_scan_reference():
-    for shape in [(1,), (7,), (3, 5), (64, 64), (2, 3, 4, 5), (5000,)]:
-        for seed in range(5):
-            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            np.testing.assert_array_equal(mae.trunc_normal(rng, shape),
-                                          oracles.trunc_normal_full_scan(ref_rng, shape))
-            assert rng.standard_normal() == ref_rng.standard_normal()   # same draws consumed
+    # (300, 500) spans three draw chunks, the last one ragged
+    shapes = [(1,), (7,), (3, 5), (64, 64), (2, 3, 4, 5), (5000,), (300, 500)]
+    for shape, seed, dtype in itertools.product(shapes, range(5), (np.float64, np.float32)):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = mae.trunc_normal(rng, shape, dtype)
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(
+            out, oracles.trunc_normal_full_scan(ref_rng, shape).astype(dtype))
+        assert rng.standard_normal() == ref_rng.standard_normal()   # same draws consumed
+
+
+def test_trunc_normal_makes_no_full_size_float64_array():
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        out = mae.trunc_normal(rng, (1024, 4096), np.float32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * out.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +263,33 @@ def test_a_pretrain_clip_graph_holds_only_what_backward_reads():
         tracemalloc.stop()
     nc.backward(loss)
     assert held < 45 * 2 ** 20
+
+
+def test_every_mlp_is_one_node(monkeypatch):
+    # an encoder block's MLP, a readout's and its query MLP: no GELU node of
+    # its own, and each node's edges end at its layer's four parameters
+    monkeypatch.setattr(nc, "gelu", None)
+    built = []
+    real = mae.Layers.mlp
+
+    def spy(layers, name, x):
+        out = real(layers, name, x)
+        built.append((layers, name, x, out))
+        return out
+
+    monkeypatch.setattr(mae.Layers, "mlp", spy)
+    model = small_nano()
+    frames = random_clip(np.random.default_rng(0), model.config.input_size).astype(np.float32)
+    model.reconstruct(frames, np.arange(model.config.num_tokens))
+    head = DepthHead(8, (4, 16, 16), qkv_size=16, heads=2)
+    head.forward(nc.parameter(np.zeros((1, 16, 4, 8), np.float32)))
+    names = [name for _, name, _, _ in built]
+    assert names == [f"blocks.{i}.mlp" for i in range(model.config.depth)] + ["query_mlp", "mlp"]
+    for layers, name, x, out in built:
+        params = [layers[f"{name}.{p}"] for p in ("fc1.weight", "fc1.bias", "fc2.weight", "fc2.bias")]
+        targets = [t for t, _ in out._node.edges]
+        assert targets == ([x._node] if x.requires_grad else []) + params, name
+    assert [len(out._node.edges) for *_, out in built].count(5) == model.config.depth + 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Metrics and task losses against closed forms and brute-force oracles."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -402,6 +403,30 @@ def test_losses_and_top1_reject_targets_of_the_wrong_shape(case):
     loss, args, message = BAD_TARGETS[case]
     with pytest.raises(ValueError, match=message):
         loss(*args)
+
+
+EMPTY_BATCHES = {
+    "top1": (top1, (np.zeros((0, 3)), np.zeros(0, int)), (0,)),
+    "cross_entropy": (cross_entropy, (np.zeros((0, 3)), np.zeros(0, int)), (0,)),
+    "pose_loss": (pose_loss, (np.zeros((0, 12)), np.zeros((0, 12))), (0, 12)),
+    "box_track_loss": (box_track_loss, (np.zeros((0, 3, 4, 4)), np.zeros((0, 3, 4, 4))),
+                       (0, 3, 4, 4)),
+    "depth_loss": (depth_loss, (np.zeros((0, 4, 4)), np.ones((0, 4, 4))), (0, 4, 4)),
+    "bce_with_logits": (bce_with_logits, (np.zeros((2, 0)), np.zeros((2, 0))), (2, 0)),
+    "point_track_loss": (point_track_loss, (np.zeros((2, 0, 4, 2)), np.zeros((2, 0, 4)),
+                                            np.zeros((2, 0, 4)), np.zeros((2, 0, 4, 2)),
+                                            np.ones((2, 0, 4), bool)), (2, 0, 4, 2)),
+}
+
+
+@pytest.mark.parametrize("case", EMPTY_BATCHES)
+def test_losses_and_top1_reject_an_empty_prediction(case):
+    loss, args, shape = EMPTY_BATCHES[case]
+    message = f"{case}: prediction shape {shape} has a zero extent"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # no NaN or empty-mean warning comes first
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            loss(*args)
 
 
 def test_cross_entropy_and_top1_take_labels_of_any_batch_shape():

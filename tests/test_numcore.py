@@ -58,6 +58,7 @@ OP_CASES = {
     "attention": _case(lambda q, k, v: nc.attention(q, k, v, heads=2), (2, 3, 4), (2, 5, 4), (2, 5, 4)),
     "log_softmax": _case(nc.log_softmax, (3, 5)),
     "gelu": _case(nc.gelu, (3, 4)),
+    "mlp": _case(nc.mlp, (2, 3, 4), (4, 6), (6,), (6, 5), (5,)),
     "sigmoid": _case(nc.sigmoid, (3, 4)),
     "softplus": _case(nc.softplus, (3, 4)),
     "huber": _case(lambda a: nc.huber(a, delta=1.0), (3, 4), transform=_away_from(1.0, 1e-3)),
@@ -188,7 +189,7 @@ def test_gelu_float32_no_grad_allocates_only_its_output():
     assert peak < x.nbytes + (1 << 20)
 
 
-# shapes spanning several query blocks once ATTENTION_BLOCK is shrunk to 600
+# shapes spanning several query blocks once BLOCK is shrunk to 600
 # score elements; the last block is ragged, one row long in some cases
 ATTENTION_BLOCK_CASES = [
     ((2, 37, 16), (2, 11, 16), 4),      # 6 rows a block, last block 1 row
@@ -207,7 +208,7 @@ def test_attention_blocks_match_unblocked_formula(q_shape, kv_shape, heads, dtyp
     g = rng.standard_normal(oracles.attention_unblocked(q, k, v, heads).shape).astype(dtype)
 
     def run(block):
-        monkeypatch.setattr(nc, "ATTENTION_BLOCK", block)
+        monkeypatch.setattr(nc, "BLOCK", block)
         with nc.no_grad():
             frozen = nc.attention(Tensor(q), Tensor(k), Tensor(v), heads).data
         tensors = [nc.parameter(a) for a in (q, k, v)]
@@ -240,6 +241,93 @@ def test_attention_no_grad_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < scores_bytes / 4
+
+
+# (x shape, hidden, BLOCK): 2-d and batched inputs whose rows span several
+# blocks once BLOCK is shrunk; a last block of one row takes the row before it
+MLP_BLOCK_CASES = [
+    ((37, 8), 12, 72),                  # 6 rows a block, last block 1 row
+    ((2, 37, 8), 12, 144),              # 6 rows a block over both leading rows, last 1
+    ((2, 40, 8), 12, 144),              # last block 4 rows
+    ((1, 29, 8), 12, 36),               # 3 rows a block, last 2
+    ((2, 1, 8), 12, 144),               # a single row
+    ((2, 3, 37, 8), 12, 1 << 40),       # two leading axes, one block
+]
+# inputs that take a gradient, by index into (x, w1, b1, w2, b2)
+MLP_GRAD_SUBSETS = [(0, 1, 2, 3, 4), (0,), (1, 2), (3, 4), (4,), (0, 3), (2,)]
+
+
+def _mlp_chain(x, w1, b1, w2, b2):
+    return nc.affine(nc.gelu(nc.affine(x, w1, b1)), w2, b2)
+
+
+F32, F64 = np.float32, np.float64
+
+
+# dtypes of (x, w1, b1, w2, b2); a float64 bias promotes its layer's output
+@pytest.mark.parametrize("dtypes", [(F32,) * 5, (F64,) * 5, (F32, F32, F64, F32, F32),
+                                    (F32, F32, F32, F32, F64)])
+@pytest.mark.parametrize("x_shape, hidden, block", MLP_BLOCK_CASES)
+def test_mlp_is_the_chain_bitwise(x_shape, hidden, block, dtypes, monkeypatch):
+    rng = np.random.default_rng(x_shape[-2] * 10 + len(x_shape))
+    shapes = [x_shape, (8, hidden), (hidden,), (hidden, 5), (5,)]
+    arrays = [(rng.standard_normal(s) * 2).astype(d) for s, d in zip(shapes, dtypes)]
+    monkeypatch.setattr(nc, "BLOCK", block)
+    with nc.no_grad():
+        expected = _mlp_chain(*arrays).data
+        frozen = nc.mlp(*arrays).data
+    assert frozen.dtype == expected.dtype
+    np.testing.assert_array_equal(frozen, expected)
+    g = rng.standard_normal(expected.shape).astype(expected.dtype)
+    for subset in MLP_GRAD_SUBSETS:
+        runs = []
+        for build in (nc.mlp, _mlp_chain):
+            tensors = [nc.parameter(a) if i in subset else Tensor(a) for i, a in enumerate(arrays)]
+            out = build(*tensors)
+            nc.backward(nc.sum_(out * Tensor(g)))
+            runs.append((out.data, [tensors[i].grad for i in subset]))
+        (out, grads), (ref, ref_grads) = runs
+        np.testing.assert_array_equal(out, ref)
+        for i, a, b in zip(subset, grads, ref_grads):
+            assert a.dtype == b.dtype, f"input {i} of {subset}"
+            np.testing.assert_array_equal(a, b, err_msg=f"input {i} of {subset}")
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+def test_mlp_matches_float64_reference(dtype, tol):
+    rng = np.random.default_rng(8)
+    arrays = [rng.standard_normal(s) for s in [(2, 9, 6), (6, 16), (16,), (16, 4), (4,)]]
+    out = nc.mlp(*[Tensor(a.astype(dtype)) for a in arrays]).data
+    ref = oracles.mlp_float64(*[a.astype(dtype) for a in arrays])
+    np.testing.assert_allclose(out, ref, rtol=tol, atol=tol)
+
+
+def test_mlp_is_one_node_with_an_edge_per_input():
+    rng = np.random.default_rng(9)
+    tensors = [nc.parameter(rng.standard_normal(s)) for s in [(3, 4), (4, 6), (6,), (6, 2), (2,)]]
+    out = nc.mlp(*tensors)
+    assert [t for t, _ in out._node.edges] == tensors
+
+
+def test_mlp_no_grad_memory_is_bounded():
+    # the depth readout's MLP at eval geometry: 2048 queries, width 1024,
+    # hidden 4096; one float32 hidden tensor is 32 MB and the chain peaks
+    # at about 72 MB above its inputs
+    rng = np.random.default_rng(10)
+    x = Tensor(rng.standard_normal((1, 2048, 1024), dtype=np.float32))
+    w1 = Tensor(rng.standard_normal((1024, 4096), dtype=np.float32) * 0.02)
+    b1 = Tensor(np.zeros(4096, np.float32))
+    w2 = Tensor(rng.standard_normal((4096, 1024), dtype=np.float32) * 0.02)
+    b2 = Tensor(np.zeros(1024, np.float32))
+    hidden_bytes = 2048 * 4096 * 4
+    tracemalloc.start()
+    try:
+        with nc.no_grad():
+            nc.mlp(x, w1, b1, w2, b2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < hidden_bytes
 
 
 def test_layer_norm_moments():

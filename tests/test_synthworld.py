@@ -84,6 +84,36 @@ def test_pretrain_view_rejects_sizes_below_one(clips, out_size):
         synthworld.pretrain_view(clips[0][0], np.random.default_rng(0), out_size)
 
 
+@pytest.mark.parametrize("out_hw, message", [
+    ((16.5, 16), r"out_hw \(16.5, 16\) must be integers"),
+    ((True, 16), r"out_hw \(True, 16\) must be integers")])
+def test_augment_rejects_sizes_that_are_not_integers(clips, out_hw, message):
+    clip, labels = clips[0]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        synthworld.augment(clip, labels, np.random.default_rng(0), out_hw=out_hw)
+
+
+@pytest.mark.parametrize("resolution, frames, message", [
+    (16.5, 4, "resolution 16.5"), (True, 4, "resolution True"), (16, 4.0, "frames 4.0")])
+def test_generate_rejects_sizes_that_are_not_integers(resolution, frames, message):
+    with pytest.raises(ValueError, match=f"^{message} must be an integer$"):
+        synthworld.generate(0, 1, resolution, frames)
+
+
+@pytest.mark.parametrize("out_size", [8.5, True])
+def test_pretrain_view_rejects_sizes_that_are_not_integers(clips, out_size):
+    with pytest.raises(ValueError, match=f"^out_size {out_size!r} must be an integer$"):
+        synthworld.pretrain_view(clips[0][0], np.random.default_rng(0), out_size)
+
+
+def test_sizes_may_be_numpy_integers(clips):
+    clip, labels = clips[0]
+    view = synthworld.pretrain_view(clip, np.random.default_rng(0), np.int64(8))
+    assert view.shape[1:3] == (8, 8)
+    out, _ = synthworld.augment(clip, labels, np.random.default_rng(0), out_hw=(np.int64(8), 8))
+    assert out.frames.shape[1:3] == (8, 8)
+
+
 def full_view(clip, labels, flip):
     return synthworld.augment(clip, labels, None, crop=(0, 0, RES, RES), flip=flip)
 
