@@ -115,9 +115,15 @@ def iou_single(box_a, box_b):
 def mean_iou(pred_boxes, gt_boxes):
     """IoU averaged over boxes and frames, skipping the given initial frame.
 
-    Zero-area ground-truth boxes are excluded from the average.
+    Boxes are (boxes, frames, 4); a ValueError names a shape with no box or
+    no frame after the first. Zero-area ground-truth boxes are excluded
+    from the average, and when every one has zero area (a crop can hide
+    every sprite) the score is 0.0.
     """
     pred_boxes, gt_boxes = np.asarray(pred_boxes), np.asarray(gt_boxes)
+    if gt_boxes.ndim != 3 or gt_boxes.shape[0] < 1 or gt_boxes.shape[1] < 2:
+        raise ValueError(f"mean_iou: boxes of shape {gt_boxes.shape} need at least one box "
+                         f"and a frame after the first")
     total, count = 0.0, 0
     for bi in range(gt_boxes.shape[0]):
         for fi in range(1, gt_boxes.shape[1]):

@@ -16,13 +16,14 @@ RuntimeError. A fresh VJP result becomes a target's `.grad` without a copy.
 
 `attention` is the one multi-head attention of the package, used by the
 encoder's self-attention and by every readout's cross-attention. It
-splits and merges heads itself and has one hand-written VJP that keeps
-only the softmax weights (plus views of q, k and v) for backward; the
-three input gradients share one computation of the score gradient. Its
-forward runs in blocks of query rows of about `BLOCK` score elements:
-with a gradient to take, the blocks fill the kept weights array; without
-one, a single scratch block is reused, so a frozen readout never holds
-its whole score tensor. `affine` is the one linear layer
+splits and merges heads itself and has one hand-written VJP; the three
+input gradients share one computation of the score gradient. Its
+forward runs in blocks of query rows of about `BLOCK` score elements in
+one reused scratch block, with or without a gradient, so no call holds
+its whole score tensor after the forward. For backward it keeps only
+each query row's softmax max and sum (plus views of q, k and v), and
+backward rebuilds the weights from them bit for bit, as FlashAttention
+recomputes them (Dao et al. 2022). `affine` is the one linear layer
 (`mae.Layers.linear`): one node and one output array, the bias added in
 place into the product.
 
@@ -40,10 +41,10 @@ chain's bits.
 
 Data is row-major float64 or float32; both dtypes run the same code
 path, except `gelu`, whose float32 kernel stays in float32 (within 3e-7
-absolute of the exact value) while float64 uses scipy's erf. Reductions
-delegate to numpy, whose summation order over the row-major layout is
-fixed within one build, so results are bitwise reproducible for
-identical inputs.
+absolute of the exact value) while float64 uses scipy's erf, imported only
+when a float64 GELU runs. Reductions delegate to numpy, whose summation
+order over the row-major layout is fixed within one build, so results are
+bitwise reproducible for identical inputs.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf
 
 LN_EPS = 1e-6  # layer-normalization epsilon
 
@@ -64,7 +64,7 @@ _HALF_INV_SQRT2 = 0.5 / math.sqrt(2.0)
 # erfc(z) = t·exp(-z² + P(t)), t = 1/(1 + z/2), fractional error < 1.2e-7 for z >= 0
 _ERFCC = (-1.26551223, 1.00002368, 0.37409196, 0.09678418, -0.18628806,
           0.27886807, -1.13520398, 1.48851587, -0.82215223, 0.17087277)
-_GELU_CHUNK = 1 << 15        # elements; a chunk's float32 buffers (768 KB) fit in L2
+_CHUNK = 1 << 15             # elements of a GELU chunk or an attention row-sum chunk; fits in L2
 
 BLOCK = 1 << 21              # elements per row block of `attention` (scores) and `mlp` (hidden)
 
@@ -480,15 +480,17 @@ def attention(q, k, v, heads):
     contiguous slices of dh = d / heads channels, each attending on its
     own; their outputs are merged back in the same order.
 
-    The softmax runs in blocks of query rows, each holding about
-    `BLOCK` score elements over every leading axis, every head and
-    all nk keys. When a gradient will be taken the blocks are slices of
-    the full weights array that backward keeps; otherwise one scratch
-    block is reused, so memory stays bounded by the block whatever nq is.
-    Every block sees all the keys, so each row's arithmetic is the same
-    as for an unblocked softmax and both modes give the same bits.
-    Backward keeps the weights, and of q, k and v only the views the
-    wanted gradients read: k for q's, q for k's, v for either.
+    The softmax runs in blocks of query rows, each holding about `BLOCK`
+    score elements over every leading axis, every head and all nk keys,
+    in one reused scratch block, so memory stays bounded by the block
+    whatever nq is. Every block sees all the keys, so each row's
+    arithmetic is the same as for an unblocked softmax. With a gradient to
+    take, each query row's max m and sum l (taken after exp) go into one
+    (..., heads, nq, 2) array. Backward rebuilds the full weights from
+    them over the same blocks with the forward's ops on the same operands,
+    exp(q kᵀ scale - m) / l, so they have the forward's bits; they and the
+    score gradient live only while the node's VJPs run. Backward keeps the
+    row statistics and views of q, k and v: v only for q's or k's gradient.
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     if (q.ndim < 2 or k.ndim < 2 or k.shape != v.shape or q.shape[-1] != k.shape[-1]
@@ -515,38 +517,61 @@ def attention(q, k, v, heads):
     dtype = np.result_type(q.data, k.data)
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=dtype)
     rows = max(2, BLOCK // (math.prod(lead) * heads * nk))
+
+    def blocks():
+        for start in range(0, nq, rows):
+            # numpy sends a one-row product to gemv, whose bits differ from gemm's,
+            # so a last block of one row takes the row before it along
+            start = max(0, min(start, nq - 2))
+            yield slice(start, start + rows)
+
     need_q, need_k, need_v = (_grad_enabled and t.requires_grad for t in (q, k, v))
-    keep = need_q or need_k or need_v
-    # softmax weights: the only array kept for backward, or one reused block
-    s = np.empty(lead + (heads, nq if keep else min(rows, nq), nk), dtype)
+    # each row's max and sum, the only arrays backward keeps besides q, k and v
+    stats = np.empty(lead + (heads, nq, 2), dtype) if need_q or need_k or need_v else None
+    s = np.empty(lead + (heads, min(rows, nq), nk), dtype)
     out = np.empty(lead + (nq, d), np.result_type(dtype, v.data))
-    for start in range(0, nq, rows):
-        # numpy sends a one-row product to gemv, whose bits differ from gemm's,
-        # so a last block of one row takes the row before it along
-        start = max(0, min(start, nq - 2))
-        block = slice(start, start + rows)
-        w = s[..., block, :] if keep else s[..., :min(rows, nq - start), :]
+    for block in blocks():
+        w = s[..., :min(rows, nq - block.start), :]
         np.matmul(qh[..., block, :], kt, out=w)
         w *= scale
-        w -= w.max(axis=-1, keepdims=True)
+        m = w.max(axis=-1, keepdims=True)
+        w -= m
         np.exp(w, out=w)
-        w /= w.sum(axis=-1, keepdims=True)
+        l = w.sum(axis=-1, keepdims=True)
+        w /= l
         np.matmul(w, vh, out=split(out)[..., block, :])
-    # backward reads k for q's gradient, q for k's and v for either
+        if stats is not None:
+            stats[..., block, :1] = m
+            stats[..., block, 1:] = l
     q_shape, kt_shape, v_shape = qh.shape, kt.shape, vh.shape
-    qh = qh if need_k else None
-    kh = kh if need_q else None
     vh = vh if need_q or need_k else None
 
     def grads(g):
+        s = np.empty(lead + (heads, nq, nk), dtype)
+        for block in blocks():
+            w = s[..., block, :]
+            np.matmul(qh[..., block, :], kt, out=w)
+            w *= scale
+            w -= stats[..., block, :1]
+            np.exp(w, out=w)
+            w /= stats[..., block, 1:]
         gh = split(g)
         out = {}
         if need_v:
             out[2] = merge(_unbroadcast(s.swapaxes(-1, -2) @ gh, v_shape))
         if need_q or need_k:
-            # the softmax Jacobian in place: the bits of s * (gs - rowsum(gs * s)) * scale
+            # the softmax Jacobian in place: the bits of s * (gs - rowsum(gs * s)) * scale,
+            # each row's sum taken in chunks of rows over the same contiguous values
             gs = gh @ vh.swapaxes(-1, -2)
-            gs -= (gs * s).sum(axis=-1, keepdims=True)
+            flat_gs, flat_s = gs.reshape(-1, nk), s.reshape(-1, nk)
+            rowsum = np.empty((len(flat_gs), 1), np.result_type(gs, s))
+            chunk = max(1, _CHUNK // nk)
+            product = np.empty((min(chunk, len(flat_gs)), nk), rowsum.dtype)
+            for i in range(0, len(flat_gs), chunk):
+                p = product[:len(flat_gs[i:i + chunk])]
+                np.multiply(flat_gs[i:i + chunk], flat_s[i:i + chunk], out=p)
+                rowsum[i:i + chunk] = p.sum(axis=-1, keepdims=True)
+            gs -= rowsum.reshape(gs.shape[:-1] + (1,))
             gs *= s
             gs *= scale
             if need_q:
@@ -589,10 +614,10 @@ def _gelu_float32(x, y, slope=None):
     flat = np.ascontiguousarray(x).reshape(-1)
     y = y.reshape(-1)
     slope = None if slope is None else slope.reshape(-1)
-    a, t, p = (np.empty(min(_GELU_CHUNK, flat.size), np.float32) for _ in range(3))
-    for start in range(0, flat.size, _GELU_CHUNK):
-        xc = flat[start:start + _GELU_CHUNK]
-        yc = y[start:start + _GELU_CHUNK]
+    a, t, p = (np.empty(min(_CHUNK, flat.size), np.float32) for _ in range(3))
+    for start in range(0, flat.size, _CHUNK):
+        xc = flat[start:start + _CHUNK]
+        yc = y[start:start + _CHUNK]
         n = xc.size
         ac, tc, pc = a[:n], t[:n], p[:n]
         np.abs(xc, out=ac)
@@ -639,6 +664,7 @@ def _gelu_into(x, y, slope=None):
     if x.dtype == np.float32:
         _gelu_float32(x, y, slope)
         return
+    from scipy.special import erf       # here, so that float32 runs never load scipy
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
     # Phi(x) and phi(x) are 0 in float64 well before |x| = 64, so clamping
     # there keeps every finite bit and turns inf·0 = nan into ±0

@@ -81,7 +81,10 @@ class Texture:
         color *= self.amp.astype(f32)[:, None]
         color += self.base.astype(f32)[:, None]
         g = self.noise.shape[0]
-        cell = np.clip((u * g).astype(int), 0, g - 1) * g + np.clip((v * g).astype(int), 0, g - 1)
+        # u, v >= 0, so only u = 1 or v = 1 runs past the last cell
+        cell = np.minimum((u * g).astype(np.intp), g - 1)
+        cell *= g
+        cell += np.minimum((v * g).astype(np.intp), g - 1)
         noise = (self.noise_amp * (self.noise - 0.5)).astype(f32).reshape(g * g, 3).T
         color += noise.take(cell, axis=1)
         return np.clip(color, 0.0, 1.0, out=color)
@@ -583,13 +586,14 @@ def generate(seed, count, resolution, frames=16):
 # Augmentation
 # ---------------------------------------------------------------------------
 
-def _lerp_axis(frames, axis, size):
-    """Pixel-center linear resampling of one axis to `size`, in the frames' dtype."""
+def _lerp_axis(frames, axis, size, keep=slice(None)):
+    """Pixel-center linear resampling of one axis to `size`, in the frames'
+    dtype; only the output positions `keep`, a slice, are computed."""
     n = frames.shape[axis]
-    pos = np.clip((np.arange(size) + 0.5) * (n / size) - 0.5, 0, n - 1)
+    pos = np.clip((np.arange(size)[keep] + 0.5) * (n / size) - 0.5, 0, n - 1)
     lo = np.floor(pos).astype(int)
     hi = np.minimum(lo + 1, n - 1)
-    weight = (pos - lo).astype(frames.dtype).reshape((size,) + (1,) * (frames.ndim - axis - 1))
+    weight = (pos - lo).astype(frames.dtype).reshape((-1,) + (1,) * (frames.ndim - axis - 1))
     a = np.take(frames, lo, axis=axis)
     b = np.take(frames, hi, axis=axis)
     b -= a
@@ -649,6 +653,8 @@ def augment(clip, labels, rng, out_hw=None, crop=None, flip=None):
     if flip is None:
         flip = bool(rng.random() < FLIP_P)
     y0, x0, ch, cw = crop
+    if not (_is_int(y0) and _is_int(x0)):
+        raise ValueError(f"crop {crop} must start at integer pixels")
     if y0 < 0 or x0 < 0 or y0 + ch > h or x0 + cw > w:
         raise ValueError(f"crop {crop} does not fit inside {h}x{w}")
     out_h, out_w = out_hw if out_hw is not None else (ch, cw)
@@ -712,19 +718,21 @@ def augment(clip, labels, rng, out_hw=None, crop=None, flip=None):
 def pretrain_view(clip, rng, out_size):
     """Pretraining augmentation: resize the short side to VIEW_RESIZE times
     `out_size`, take a random out_size x out_size crop of every frame, and
-    flip it with chance FLIP_P."""
+    flip it with chance FLIP_P.
+
+    The crop is placed on the resized shape, so only its rows and columns
+    are resampled, with the bits of `resize_bilinear` followed by the crop.
+    """
     _check_size("out_size", out_size)
     frames = clip.frames
     _, h, w, _ = frames.shape
-    small = min(h, w)
-    target_small = int(round(VIEW_RESIZE * out_size))
-    if small != target_small:
-        scale = target_small / small
-        frames = resize_bilinear(frames, int(round(h * scale)), int(round(w * scale)))
-        _, h, w, _ = frames.shape
-    y0 = int(rng.integers(0, h - out_size + 1))
-    x0 = int(rng.integers(0, w - out_size + 1))
-    view = frames[:, y0:y0 + out_size, x0:x0 + out_size]
+    scale = int(round(VIEW_RESIZE * out_size)) / min(h, w)
+    size_h, size_w = int(round(h * scale)), int(round(w * scale))
+    y0 = int(rng.integers(0, size_h - out_size + 1))
+    x0 = int(rng.integers(0, size_w - out_size + 1))
+    rows, cols = slice(y0, y0 + out_size), slice(x0, x0 + out_size)
+    view = frames[:, rows] if size_h == h else _lerp_axis(frames, 1, size_h, rows)
+    view = view[:, :, cols] if size_w == w else _lerp_axis(view, 2, size_w, cols)
     if rng.random() < FLIP_P:
         view = view[:, :, ::-1]
     return np.ascontiguousarray(view)

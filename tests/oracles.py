@@ -108,6 +108,61 @@ def attention_unblocked(q, k, v, heads):
     return out.reshape(out.shape[:-2] + (d,))
 
 
+def _sum_to(grad, shape):
+    """Sum `grad` down to the broadcast operand `shape`: leading axes first,
+    then the axes of extent 1."""
+    extra = grad.ndim - len(shape)
+    if extra:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
+
+
+def attention_kept_weights(q, k, v, heads, g, wanted):
+    """Multi-head softmax attention whose backward reads the whole weights
+    array kept from the forward: the output and the gradients {index: grad}
+    of the inputs `wanted` (0 q, 1 k, 2 v) for the output gradient `g`.
+
+    Plain numpy over the whole score tensor, with numcore.attention's
+    per-row arithmetic and its VJP expressions, so equal bits.
+    """
+    d = q.shape[-1]
+    dh = d // heads
+
+    def split(x):
+        return x.reshape(x.shape[:-1] + (heads, dh)).swapaxes(-3, -2)
+
+    def merge(x):
+        x = x.swapaxes(-3, -2)
+        return x.reshape(x.shape[:-2] + (d,))
+
+    qh, kh, vh = split(q), split(k), split(v)
+    scale = np.asarray(1.0 / np.sqrt(dh), dtype=np.result_type(q, k))
+    s = qh @ kh.swapaxes(-1, -2)
+    s *= scale
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    out = merge(s @ vh)
+    gh = split(g) if wanted else None
+    grads = {}
+    if 2 in wanted:
+        grads[2] = merge(_sum_to(s.swapaxes(-1, -2) @ gh, vh.shape))
+    if 0 in wanted or 1 in wanted:
+        gs = gh @ vh.swapaxes(-1, -2)
+        gs -= (gs * s).sum(axis=-1, keepdims=True)
+        gs *= s
+        gs *= scale
+        if 0 in wanted:
+            grads[0] = merge(_sum_to(gs @ kh, qh.shape))
+        if 1 in wanted:
+            grads[1] = merge(_sum_to(qh.swapaxes(-1, -2) @ gs, kh.swapaxes(-1, -2).shape)
+                             .swapaxes(-1, -2))
+    return out, grads
+
+
 def backward_copying(loss):
     """Reverse-mode walk that copies every first contribution and keeps the
     graph: every reached node and leaf ends with its own `.grad`, and the
@@ -286,6 +341,23 @@ def texture_sample_float64(texture, u, v):
     iv = np.clip((v * g).astype(int), 0, g - 1)
     color = color + texture.noise_amp * (texture.noise[iu, iv] - 0.5)
     return np.clip(color, 0.0, 1.0)
+
+
+def texture_sample_clipped(texture, u, v):
+    """`Texture.sample`'s float32 arithmetic with the noise cell clipped to
+    [0, g - 1] at both ends."""
+    f32 = np.float32
+    color = (2 * np.pi * texture.freq[0]).astype(f32)[:, None] * u.astype(f32)
+    color += (2 * np.pi * texture.freq[1]).astype(f32)[:, None] * v.astype(f32)
+    color += texture.phase.astype(f32)[:, None]
+    np.sin(color, out=color)
+    color *= texture.amp.astype(f32)[:, None]
+    color += texture.base.astype(f32)[:, None]
+    g = texture.noise.shape[0]
+    cell = np.clip((u * g).astype(int), 0, g - 1) * g + np.clip((v * g).astype(int), 0, g - 1)
+    noise = (texture.noise_amp * (texture.noise - 0.5)).astype(f32).reshape(g * g, 3).T
+    color += noise.take(cell, axis=1)
+    return np.clip(color, 0.0, 1.0, out=color)
 
 
 def ray_dirs_world(r_w2c, width, height):

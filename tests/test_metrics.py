@@ -203,6 +203,19 @@ def test_iou_degenerate_gt_excluded_and_counted():
     assert mean_iou(pred, gt) == 1.0
 
 
+@pytest.mark.parametrize("shape", [(0, 4, 4), (2, 1, 4), (2, 0, 4), (3, 4)])
+def test_iou_rejects_boxes_with_nothing_to_score(shape):
+    boxes = np.zeros(shape)
+    with pytest.raises(ValueError, match=re.escape(f"mean_iou: boxes of shape {shape} need")):
+        mean_iou(boxes, boxes)
+
+
+def test_iou_is_zero_when_every_ground_truth_box_has_zero_area():
+    # a crop can hide every sprite; the step still scores, in [0, 1]
+    pred = np.tile(np.array([0.0, 1.0, 0.0, 1.0]), (2, 3, 1))
+    assert mean_iou(pred, np.zeros((2, 3, 4))) == 0.0
+
+
 def test_iou_matches_rasterization_oracle():
     rng = np.random.default_rng(11)
     for _ in range(N_ORACLE):

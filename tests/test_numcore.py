@@ -1,7 +1,10 @@
 """Forward semantics and gradient checks for the autodiff core."""
 
 import ctypes
+import os
 import resource
+import subprocess
+import sys
 import tracemalloc
 import types
 import weakref
@@ -15,6 +18,7 @@ from stmae import numcore as nc
 from stmae.numcore import ShapeError, Tensor
 
 SEEDS = range(20)
+F32, F64 = np.float32, np.float64
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +247,64 @@ def test_attention_no_grad_memory_is_bounded():
     assert peak < scores_bytes / 4
 
 
+# dtypes of (q, k, v); a float64 k or v promotes the weights or the output
+ATTENTION_DTYPES = [(F32,) * 3, (F64,) * 3, (F32, F32, F64), (F32, F64, F32), (F64, F32, F32)]
+ATTENTION_GRAD_SUBSETS = [(0, 1, 2), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
+
+
+@pytest.mark.parametrize("block", [600, 1 << 40])
+@pytest.mark.parametrize("dtypes", ATTENTION_DTYPES)
+@pytest.mark.parametrize("q_shape, kv_shape, heads", ATTENTION_BLOCK_CASES)
+def test_attention_is_the_kept_weights_attention_bitwise(q_shape, kv_shape, heads, dtypes, block,
+                                                          monkeypatch):
+    rng = np.random.default_rng(len(q_shape) * 100 + q_shape[-2])
+    shapes = (q_shape, kv_shape, kv_shape)
+    q, k, v = (rng.standard_normal(s).astype(d) for s, d in zip(shapes, dtypes))
+    monkeypatch.setattr(nc, "BLOCK", block)
+    expected, _ = oracles.attention_kept_weights(q, k, v, heads, None, ())
+    g = rng.standard_normal(expected.shape).astype(expected.dtype)
+    for subset in ATTENTION_GRAD_SUBSETS:
+        _, ref_grads = oracles.attention_kept_weights(q, k, v, heads, g, subset)
+        tensors = [nc.parameter(a) if i in subset else Tensor(a) for i, a in enumerate((q, k, v))]
+        out = nc.attention(*tensors, heads)
+        assert out.dtype == expected.dtype
+        np.testing.assert_array_equal(out.data, expected)
+        nc.backward(nc.sum_(out * Tensor(g)))
+        for i in subset:
+            where = f"input {i} of {subset}"
+            assert tensors[i].grad.dtype == ref_grads[i].dtype, where
+            np.testing.assert_array_equal(tensors[i].grad, ref_grads[i], err_msg=where)
+
+
+def test_attention_with_grad_keeps_only_row_statistics():
+    # the depth readout at eval geometry with a gradient to take: its weights
+    # would be a 128 MB float32 array; each row's max and sum take 256 KB
+    rng = np.random.default_rng(7)
+    q = nc.parameter(rng.standard_normal((1, 2048, 1024), dtype=np.float32))
+    k = nc.parameter(rng.standard_normal((1, 1024, 1024), dtype=np.float32))
+    v = nc.parameter(rng.standard_normal((1, 1024, 1024), dtype=np.float32))
+    tracemalloc.start()
+    try:
+        out = nc.attention(q, k, v, 16)
+        held = tracemalloc.get_traced_memory()[0] - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert held < 2 ** 20
+
+
+def test_float32_model_code_loads_no_scipy_special():
+    # scipy.special (and its own BLAS) is imported only by a float64 GELU
+    code = ("import sys, numpy as np, stmae.mae, stmae.readout, stmae.metrics; "
+            "from stmae import numcore as nc; nc.gelu(np.ones(3, np.float32)); "
+            "print('scipy.special' in sys.modules, end=' '); "
+            "nc.gelu(np.ones(3)); print('scipy.special' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(nc.__file__))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.stdout.split() == ["False", "True"]
+
+
 # (x shape, hidden, BLOCK): 2-d and batched inputs whose rows span several
 # blocks once BLOCK is shrunk; a last block of one row takes the row before it
 MLP_BLOCK_CASES = [
@@ -259,9 +321,6 @@ MLP_GRAD_SUBSETS = [(0, 1, 2, 3, 4), (0,), (1, 2), (3, 4), (4,), (0, 3), (2,)]
 
 def _mlp_chain(x, w1, b1, w2, b2):
     return nc.affine(nc.gelu(nc.affine(x, w1, b1)), w2, b2)
-
-
-F32, F64 = np.float32, np.float64
 
 
 # dtypes of (x, w1, b1, w2, b2); a float64 bias promotes its layer's output

@@ -1,6 +1,7 @@
 """Independent oracles for the synthetic world, its augmentations and its clip cache."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -93,6 +94,13 @@ def test_augment_rejects_sizes_that_are_not_integers(clips, out_hw, message):
         synthworld.augment(clip, labels, np.random.default_rng(0), out_hw=out_hw)
 
 
+@pytest.mark.parametrize("crop", [(0.5, 0, 8, 8), (True, 0, 8, 8), (0, np.float64(2.0), 8, 8)])
+def test_augment_rejects_crop_origins_that_are_not_integers(clips, crop):
+    clip, labels = clips[0]
+    with pytest.raises(ValueError, match=re.escape(f"crop {crop} must start at integer pixels")):
+        synthworld.augment(clip, labels, np.random.default_rng(0), crop=crop)
+
+
 @pytest.mark.parametrize("resolution, frames, message", [
     (16.5, 4, "resolution 16.5"), (True, 4, "resolution True"), (16, 4.0, "frames 4.0")])
 def test_generate_rejects_sizes_that_are_not_integers(resolution, frames, message):
@@ -112,6 +120,49 @@ def test_sizes_may_be_numpy_integers(clips):
     assert view.shape[1:3] == (8, 8)
     out, _ = synthworld.augment(clip, labels, np.random.default_rng(0), out_hw=(np.int64(8), 8))
     assert out.frames.shape[1:3] == (8, 8)
+
+
+def resize_then_crop_view(clip, rng, out_size):
+    """`pretrain_view` as a whole-clip `resize_bilinear` followed by the crop."""
+    frames = clip.frames
+    small = min(frames.shape[1:3])
+    target_small = int(round(synthworld.VIEW_RESIZE * out_size))
+    if small != target_small:
+        scale = target_small / small
+        frames = synthworld.resize_bilinear(frames, int(round(frames.shape[1] * scale)),
+                                            int(round(frames.shape[2] * scale)))
+    y0 = int(rng.integers(0, frames.shape[1] - out_size + 1))
+    x0 = int(rng.integers(0, frames.shape[2] - out_size + 1))
+    view = frames[:, y0:y0 + out_size, x0:x0 + out_size]
+    if rng.random() < synthworld.FLIP_P:
+        view = view[:, :, ::-1]
+    return np.ascontiguousarray(view)
+
+
+# a short side of 48 resized down (to 23 or 9), up (to 51) or kept (42 * 1.15 rounds
+# to 48), and a 48 x 30 clip whose short side is its width
+@pytest.mark.parametrize("out_size, hw", [(20, (RES, RES)), (8, (RES, RES)), (44, (RES, RES)),
+                                          (42, (RES, RES)), (16, (RES, 30))])
+def test_pretrain_view_is_resize_then_crop_bitwise(clips, out_size, hw):
+    for seed, (clip, _) in enumerate(clips):
+        clip = synthworld.VideoClip(frames=clip.frames[:, :hw[0], :hw[1]])
+        view = synthworld.pretrain_view(clip, np.random.default_rng(seed), out_size)
+        expected = resize_then_crop_view(clip, np.random.default_rng(seed), out_size)
+        assert view.dtype == expected.dtype
+        np.testing.assert_array_equal(view, expected)
+
+
+def test_texture_sample_matches_clipped_cells_bitwise():
+    # coordinates on every cell boundary, both ends of [0, 1] included
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        texture = synthworld._texture(rng, bright=seed % 2 == 1)
+        g = texture.noise.shape[0]
+        edges = np.arange(g + 1) / g
+        u = np.concatenate([rng.random(500), edges, np.nextafter(edges[1:], 0), [0.0, 1.0]])
+        v = np.concatenate([rng.random(500), edges[::-1], np.nextafter(edges[1:], 0), [1.0, 0.0]])
+        expected = oracles.texture_sample_clipped(texture, u, v)
+        np.testing.assert_array_equal(texture.sample(u, v), expected)
 
 
 def full_view(clip, labels, flip):
