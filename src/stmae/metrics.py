@@ -51,13 +51,18 @@ def average_jaccard(pred_xy, pred_vis_logits, gt_xy, gt_vis):
     visible ground-truth point; false positives are predicted-visible
     points that are occluded in ground truth or farther than the
     threshold; false negatives are visible ground-truth points that are
-    predicted occluded or farther than the threshold.
+    predicted occluded or farther than the threshold. A ValueError names
+    both shapes when the coordinates or the visibilities disagree in shape.
     """
-    pred_xy, gt_xy = np.asarray(pred_xy), np.asarray(gt_xy)
-    gt_vis = np.asarray(gt_vis, dtype=bool)
+    pred_xy = np.asarray(pred_xy)
     if pred_xy.size == 0 or pred_xy.shape[0] == 0:
         raise ValueError("average_jaccard: empty track set")
     pred_vis = np.asarray(pred_vis_logits) > 0.0
+    if pred_vis.shape != pred_xy.shape[:-1]:
+        raise ValueError(f"average_jaccard: visibility logits of shape {pred_vis.shape} do not "
+                         f"match points of shape {pred_xy.shape}")
+    gt_xy = _target("average_jaccard", pred_xy.shape, gt_xy)
+    gt_vis = _target("average_jaccard visibility", pred_vis.shape, np.asarray(gt_vis, dtype=bool))
     dist = np.linalg.norm(pred_xy - gt_xy, axis=-1)
     values = []
     for thr in AJ_THRESHOLDS:
@@ -79,8 +84,10 @@ class DepthPair:
 
     @classmethod
     def from_depths(cls, d_pred, d_gt):
-        """Mask excludes ground truth outside the metric (0.001, 10) range."""
-        d_pred, d_gt = np.asarray(d_pred), np.asarray(d_gt)
+        """Mask excludes ground truth outside the metric (0.001, 10) range. A
+        ValueError names both shapes unless the maps have one shape."""
+        d_pred = np.asarray(d_pred)
+        d_gt = _target("DepthPair", d_pred.shape, d_gt)
         return cls(d_pred=d_pred, d_gt=d_gt, mask=_valid_depth(d_gt))
 
 
@@ -116,14 +123,15 @@ def mean_iou(pred_boxes, gt_boxes):
     """IoU averaged over boxes and frames, skipping the given initial frame.
 
     Boxes are (boxes, frames, 4); a ValueError names a shape with no box or
-    no frame after the first. Zero-area ground-truth boxes are excluded
-    from the average, and when every one has zero area (a crop can hide
-    every sprite) the score is 0.0.
+    no frame after the first, or both shapes when they differ. Zero-area
+    ground-truth boxes are excluded from the average, and when every one
+    has zero area (a crop can hide every sprite) the score is 0.0.
     """
     pred_boxes, gt_boxes = np.asarray(pred_boxes), np.asarray(gt_boxes)
     if gt_boxes.ndim != 3 or gt_boxes.shape[0] < 1 or gt_boxes.shape[1] < 2:
         raise ValueError(f"mean_iou: boxes of shape {gt_boxes.shape} need at least one box "
                          f"and a frame after the first")
+    _target("mean_iou", pred_boxes.shape, gt_boxes)
     total, count = 0.0, 0
     for bi in range(gt_boxes.shape[0]):
         for fi in range(1, gt_boxes.shape[1]):

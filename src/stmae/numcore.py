@@ -18,12 +18,14 @@ RuntimeError. A fresh VJP result becomes a target's `.grad` without a copy.
 encoder's self-attention and by every readout's cross-attention. It
 splits and merges heads itself and has one hand-written VJP; the three
 input gradients share one computation of the score gradient. Its
-forward runs in blocks of query rows of about `BLOCK` score elements in
-one reused scratch block, with or without a gradient, so no call holds
-its whole score tensor after the forward. For backward it keeps only
-each query row's softmax max and sum (plus views of q, k and v), and
-backward rebuilds the weights from them bit for bit, as FlashAttention
-recomputes them (Dao et al. 2022). `affine` is the one linear layer
+forward runs one head at a time, in blocks of query rows sized for about
+`BLOCK` score elements over all heads, through one reused scratch block
+of one head's share, with or without a gradient, so no call holds its
+whole score tensor. For backward it keeps only each query row's softmax
+max and sum (plus views of q, k and v). Backward runs head by head too:
+it rebuilds one head's weights from them bit for bit, as FlashAttention
+recomputes them (Dao et al. 2022), so it holds one head's weights and
+score gradient at a time. `affine` is the one linear layer
 (`mae.Layers.linear`): one node and one output array, the bias added in
 place into the product.
 
@@ -480,17 +482,23 @@ def attention(q, k, v, heads):
     contiguous slices of dh = d / heads channels, each attending on its
     own; their outputs are merged back in the same order.
 
-    The softmax runs in blocks of query rows, each holding about `BLOCK`
-    score elements over every leading axis, every head and all nk keys,
-    in one reused scratch block, so memory stays bounded by the block
-    whatever nq is. Every block sees all the keys, so each row's
-    arithmetic is the same as for an unblocked softmax. With a gradient to
+    The softmax runs one head at a time, in blocks of query rows sized as
+    if every head shared the block: `BLOCK` score elements over every
+    leading axis, every head and all nk keys. One head's block goes
+    through one reused scratch array of 1/heads of that size, with or
+    without a gradient. Every block sees all the keys, so the softmax
+    arithmetic of each row is that of an unblocked softmax; but a gemm's
+    bits can depend on its row count, so the row blocks stay sized over
+    all heads (numpy's batched matmul already makes one gemm per head) and
+    forward and backward share one block generator. With a gradient to
     take, each query row's max m and sum l (taken after exp) go into one
-    (..., heads, nq, 2) array. Backward rebuilds the full weights from
-    them over the same blocks with the forward's ops on the same operands,
-    exp(q kᵀ scale - m) / l, so they have the forward's bits; they and the
-    score gradient live only while the node's VJPs run. Backward keeps the
-    row statistics and views of q, k and v: v only for q's or k's gradient.
+    (..., heads, nq, 2) array. Backward also runs head by head: it rebuilds
+    one head's weights from them over the same blocks with the forward's
+    ops on the same operands, exp(q kᵀ scale - m) / l, so they have the
+    forward's bits, and writes that head's slices of the q, k and v
+    gradients. So backward holds one head's weights and score gradient,
+    two (..., nq, nk) arrays, besides the gradients. Backward keeps the row
+    statistics and views of q, k and v: v only for q's or k's gradient.
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     if (q.ndim < 2 or k.ndim < 2 or k.shape != v.shape or q.shape[-1] != k.shape[-1]
@@ -528,56 +536,80 @@ def attention(q, k, v, heads):
     need_q, need_k, need_v = (_grad_enabled and t.requires_grad for t in (q, k, v))
     # each row's max and sum, the only arrays backward keeps besides q, k and v
     stats = np.empty(lead + (heads, nq, 2), dtype) if need_q or need_k or need_v else None
-    s = np.empty(lead + (heads, min(rows, nq), nk), dtype)
+    s = np.empty(lead + (min(rows, nq), nk), dtype)
     out = np.empty(lead + (nq, d), np.result_type(dtype, v.data))
-    for block in blocks():
-        w = s[..., :min(rows, nq - block.start), :]
-        np.matmul(qh[..., block, :], kt, out=w)
-        w *= scale
-        m = w.max(axis=-1, keepdims=True)
-        w -= m
-        np.exp(w, out=w)
-        l = w.sum(axis=-1, keepdims=True)
-        w /= l
-        np.matmul(w, vh, out=split(out)[..., block, :])
-        if stats is not None:
-            stats[..., block, :1] = m
-            stats[..., block, 1:] = l
+    oh = split(out)
+    for h in range(heads):
+        for block in blocks():
+            w = s[..., :min(rows, nq - block.start), :]
+            np.matmul(qh[..., h, block, :], kt[..., h, :, :], out=w)
+            w *= scale
+            m = w.max(axis=-1, keepdims=True)
+            w -= m
+            np.exp(w, out=w)
+            l = w.sum(axis=-1, keepdims=True)
+            w /= l
+            np.matmul(w, vh[..., h, :, :], out=oh[..., h, block, :])
+            if stats is not None:
+                stats[..., h, block, :1] = m
+                stats[..., h, block, 1:] = l
     q_shape, kt_shape, v_shape = qh.shape, kt.shape, vh.shape
     vh = vh if need_q or need_k else None
 
-    def grads(g):
-        s = np.empty(lead + (heads, nq, nk), dtype)
-        for block in blocks():
-            w = s[..., block, :]
-            np.matmul(qh[..., block, :], kt, out=w)
-            w *= scale
-            w -= stats[..., block, :1]
-            np.exp(w, out=w)
-            w /= stats[..., block, 1:]
+    def by_head(g):
+        """The q, k and v gradients in the head layout, each head's slices
+        written in turn, with the dtypes of the whole-tensor products."""
         gh = split(g)
-        out = {}
+        s = np.empty(lead + (nq, nk), dtype)
+        gq = gk = gv = None
         if need_v:
-            out[2] = merge(_unbroadcast(s.swapaxes(-1, -2) @ gh, v_shape))
+            gv = np.empty(lead + v_shape[-3:], np.result_type(s, g))
         if need_q or need_k:
-            # the softmax Jacobian in place: the bits of s * (gs - rowsum(gs * s)) * scale,
-            # each row's sum taken in chunks of rows over the same contiguous values
-            gs = gh @ vh.swapaxes(-1, -2)
+            gs = np.empty(lead + (nq, nk), np.result_type(g, vh))
             flat_gs, flat_s = gs.reshape(-1, nk), s.reshape(-1, nk)
             rowsum = np.empty((len(flat_gs), 1), np.result_type(gs, s))
             chunk = max(1, _CHUNK // nk)
             product = np.empty((min(chunk, len(flat_gs)), nk), rowsum.dtype)
-            for i in range(0, len(flat_gs), chunk):
-                p = product[:len(flat_gs[i:i + chunk])]
-                np.multiply(flat_gs[i:i + chunk], flat_s[i:i + chunk], out=p)
-                rowsum[i:i + chunk] = p.sum(axis=-1, keepdims=True)
-            gs -= rowsum.reshape(gs.shape[:-1] + (1,))
-            gs *= s
-            gs *= scale
             if need_q:
-                out[0] = merge(_unbroadcast(gs @ kh, q_shape))
+                gq = np.empty(lead + q_shape[-3:], np.result_type(gs, kh))
             if need_k:
-                out[1] = merge(_unbroadcast(qh.swapaxes(-1, -2) @ gs, kt_shape).swapaxes(-1, -2))
+                gk = np.empty(lead + kt_shape[-3:], np.result_type(qh, gs))
+        for h in range(heads):
+            for block in blocks():
+                w = s[..., block, :]
+                np.matmul(qh[..., h, block, :], kt[..., h, :, :], out=w)
+                w *= scale
+                w -= stats[..., h, block, :1]
+                np.exp(w, out=w)
+                w /= stats[..., h, block, 1:]
+            if need_v:
+                np.matmul(s.swapaxes(-1, -2), gh[..., h, :, :], out=gv[..., h, :, :])
+            if need_q or need_k:
+                # the softmax Jacobian in place: the bits of s * (gs - rowsum(gs * s)) * scale,
+                # each row's sum taken in chunks of rows over the same contiguous values
+                np.matmul(gh[..., h, :, :], vh[..., h, :, :].swapaxes(-1, -2), out=gs)
+                for i in range(0, len(flat_gs), chunk):
+                    p = product[:len(flat_gs[i:i + chunk])]
+                    np.multiply(flat_gs[i:i + chunk], flat_s[i:i + chunk], out=p)
+                    rowsum[i:i + chunk] = p.sum(axis=-1, keepdims=True)
+                gs -= rowsum.reshape(gs.shape[:-1] + (1,))
+                gs *= s
+                gs *= scale
+                if need_q:
+                    np.matmul(gs, kh[..., h, :, :], out=gq[..., h, :, :])
+                if need_k:
+                    np.matmul(qh[..., h, :, :].swapaxes(-1, -2), gs, out=gk[..., h, :, :])
+        return gq, gk, gv
+
+    def grads(g):
+        gq, gk, gv = by_head(g)         # one head's weights and score gradient freed
+        out = {}
+        if need_q:
+            out[0] = merge(_unbroadcast(gq, q_shape))
+        if need_k:
+            out[1] = merge(_unbroadcast(gk, kt_shape).swapaxes(-1, -2))
+        if need_v:
+            out[2] = merge(_unbroadcast(gv, v_shape))
         return out
 
     return _make(out, list(zip((q, k, v), _joint_vjps(grads, 3))))

@@ -120,16 +120,21 @@ def _sum_to(grad, shape):
     return grad.reshape(shape)
 
 
-def attention_kept_weights(q, k, v, heads, g, wanted):
+def attention_kept_weights(q, k, v, heads, g, wanted, rows=None):
     """Multi-head softmax attention whose backward reads the whole weights
     array kept from the forward: the output and the gradients {index: grad}
     of the inputs `wanted` (0 q, 1 k, 2 v) for the output gradient `g`.
 
     Plain numpy over the whole score tensor, with numcore.attention's
-    per-row arithmetic and its VJP expressions, so equal bits.
+    per-row arithmetic and its VJP expressions, so equal bits. With `rows`,
+    the forward builds the weights and the output `rows` query rows at a
+    time, every head of a block in one batched product, and a last block
+    of one row takes the row before it along: numcore's row blocks, whose
+    row counts a product's bits can depend on.
     """
     d = q.shape[-1]
     dh = d // heads
+    nq = q.shape[-2]
 
     def split(x):
         return x.reshape(x.shape[:-1] + (heads, dh)).swapaxes(-3, -2)
@@ -140,12 +145,19 @@ def attention_kept_weights(q, k, v, heads, g, wanted):
 
     qh, kh, vh = split(q), split(k), split(v)
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=np.result_type(q, k))
-    s = qh @ kh.swapaxes(-1, -2)
-    s *= scale
-    s -= s.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
-    out = merge(s @ vh)
+    starts = [0] if rows is None else [max(0, min(i, nq - 2)) for i in range(0, nq, rows)]
+    rows = nq if rows is None else rows
+    s = np.empty(np.broadcast_shapes(qh.shape[:-2], kh.shape[:-2]) + (nq, k.shape[-2]), scale.dtype)
+    oh = np.empty(s.shape[:-1] + (dh,), np.result_type(s, v))
+    for start in starts:
+        w = qh[..., start:start + rows, :] @ kh.swapaxes(-1, -2)
+        w *= scale
+        w -= w.max(axis=-1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=-1, keepdims=True)
+        s[..., start:start + rows, :] = w
+        oh[..., start:start + rows, :] = w @ vh
+    out = merge(oh)
     gh = split(g) if wanted else None
     grads = {}
     if 2 in wanted:

@@ -123,6 +123,22 @@ def test_aj_rejects_empty_tracks():
                         np.zeros((0, 4, 2)), np.zeros((0, 4), dtype=bool))
 
 
+@pytest.mark.parametrize("case", ["fewer tracks", "one track", "flat logits", "fewer gt frames"])
+def test_aj_rejects_a_prediction_of_another_shape(case):
+    # broadcasting once scored a (1, 16, 2) prediction against 12 tracks and
+    # a (16,) logit vector as visible everywhere
+    rng = np.random.default_rng(13)
+    pred_xy, logits, gt_xy, gt_vis = _random_tracks(rng, tracks=12, frames=16)
+    pred_xy, logits, gt_xy, gt_vis, shapes = {
+        "fewer tracks": (pred_xy[:5], logits[:5], gt_xy, gt_vis, ((12, 16, 2), (5, 16, 2))),
+        "one track": (pred_xy[:1], logits[:1], gt_xy, gt_vis, ((12, 16, 2), (1, 16, 2))),
+        "flat logits": (pred_xy, logits[0], gt_xy, gt_vis, ((16,), (12, 16, 2))),
+        "fewer gt frames": (pred_xy, logits, gt_xy, gt_vis[:, :3], ((12, 3), (12, 16))),
+    }[case]
+    with pytest.raises(ValueError, match=re.escape(str(shapes[0])) + ".*" + re.escape(str(shapes[1]))):
+        average_jaccard(pred_xy, logits, gt_xy, gt_vis)
+
+
 # ---------------------------------------------------------------------------
 # AbsRel
 # ---------------------------------------------------------------------------
@@ -158,6 +174,12 @@ def test_absrel_matches_scalar_oracle():
 def test_absrel_empty_mask_errors():
     with pytest.raises(ValueError):
         absrel(DepthPair.from_depths(np.ones((2, 2)), np.full((2, 2), 50.0)))
+
+
+def test_depth_pair_rejects_maps_of_another_shape():
+    # absrel once failed with "boolean index did not match"
+    with pytest.raises(ValueError, match=re.escape("(4, 5)") + ".*" + re.escape("(4, 4)")):
+        DepthPair.from_depths(np.ones((4, 4)), np.ones((4, 5)))
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +230,14 @@ def test_iou_rejects_boxes_with_nothing_to_score(shape):
     boxes = np.zeros(shape)
     with pytest.raises(ValueError, match=re.escape(f"mean_iou: boxes of shape {shape} need")):
         mean_iou(boxes, boxes)
+
+
+@pytest.mark.parametrize("pred_shape", [(5, 4, 4), (2, 3, 4)])
+def test_iou_rejects_a_prediction_of_another_shape(pred_shape):
+    # once scored only the first two of five boxes, or failed with IndexError
+    boxes = np.tile(np.array([0.0, 1.0, 0.0, 1.0]), (2, 4, 1))
+    with pytest.raises(ValueError, match=re.escape("(2, 4, 4)") + ".*" + re.escape(str(pred_shape))):
+        mean_iou(np.zeros(pred_shape), boxes)
 
 
 def test_iou_is_zero_when_every_ground_truth_box_has_zero_area():

@@ -1,6 +1,7 @@
 """Forward semantics and gradient checks for the autodiff core."""
 
 import ctypes
+import math
 import os
 import resource
 import subprocess
@@ -231,20 +232,40 @@ def test_attention_blocks_match_unblocked_formula(q_shape, kv_shape, heads, dtyp
 
 def test_attention_no_grad_memory_is_bounded():
     # the depth readout at eval geometry: 16 heads x 2048 queries x 1024 keys
-    # make a 128 MB float32 score tensor
+    # make a 128 MB float32 score tensor; one head's row block takes 512 KB
     rng = np.random.default_rng(6)
     q = Tensor(rng.standard_normal((1, 2048, 1024), dtype=np.float32))
     k = Tensor(rng.standard_normal((1, 1024, 1024), dtype=np.float32))
     v = Tensor(rng.standard_normal((1, 1024, 1024), dtype=np.float32))
-    scores_bytes = 16 * 2048 * 1024 * 4
     tracemalloc.start()
     try:
         with nc.no_grad():
-            nc.attention(q, k, v, 16)
+            out = nc.attention(q, k, v, 16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < scores_bytes / 4
+    assert peak < out.data.nbytes + 2 ** 21
+
+
+def test_attention_backward_holds_one_head_at_a_time():
+    # the depth readout at eval geometry with a gradient: all 16 heads'
+    # weights and score gradient would take 2 x 128 MB during backward
+    rng = np.random.default_rng(8)
+    q = nc.parameter(rng.standard_normal((1, 2048, 1024), dtype=np.float32))
+    k = nc.parameter(rng.standard_normal((1, 1024, 1024), dtype=np.float32))
+    v = nc.parameter(rng.standard_normal((1, 1024, 1024), dtype=np.float32))
+    out = nc.attention(q, k, v, 16)
+    loss = nc.sum_(out * Tensor(rng.standard_normal(out.shape, dtype=np.float32)))
+    head_scores_bytes = 2048 * 1024 * 4
+    tracemalloc.start()
+    try:
+        nc.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the walk holds the output's gradient while attention's VJPs run
+    held = peak - sum(t.grad.nbytes for t in (q, k, v)) - out.data.nbytes
+    assert held < 3 * head_scores_bytes
 
 
 # dtypes of (q, k, v); a float64 k or v promotes the weights or the output
@@ -274,6 +295,31 @@ def test_attention_is_the_kept_weights_attention_bitwise(q_shape, kv_shape, head
             where = f"input {i} of {subset}"
             assert tensors[i].grad.dtype == ref_grads[i].dtype, where
             np.testing.assert_array_equal(tensors[i].grad, ref_grads[i], err_msg=where)
+
+
+# attention shapes of the benchmark, where a product's bits depend on its row
+# count: the pretrain latent tokens, and the probe depth head's queries
+# against a batch of two clips' features
+ATTENTION_BENCH_CASES = [((538, 256), (538, 256), 8), ((1, 512, 384), (2, 256, 384), 16)]
+
+
+@pytest.mark.parametrize("q_shape, kv_shape, heads", ATTENTION_BENCH_CASES)
+def test_attention_keeps_the_row_blocks_bits_at_bench_shapes(q_shape, kv_shape, heads):
+    rng = np.random.default_rng(q_shape[-2])
+    q, k, v = (rng.standard_normal(s, dtype=np.float32) for s in (q_shape, kv_shape, kv_shape))
+    lead = np.broadcast_shapes(q_shape[:-2], kv_shape[:-2])
+    rows = max(2, nc.BLOCK // (math.prod(lead) * heads * kv_shape[-2]))
+    expected, _ = oracles.attention_kept_weights(q, k, v, heads, None, (), rows)
+    g = rng.standard_normal(expected.shape, dtype=np.float32)
+    for subset in ATTENTION_GRAD_SUBSETS:
+        _, ref_grads = oracles.attention_kept_weights(q, k, v, heads, g, subset, rows)
+        tensors = [nc.parameter(a) if i in subset else Tensor(a) for i, a in enumerate((q, k, v))]
+        out = nc.attention(*tensors, heads)
+        np.testing.assert_array_equal(out.data, expected)
+        nc.backward(nc.sum_(out * Tensor(g)))
+        for i in subset:
+            np.testing.assert_array_equal(tensors[i].grad, ref_grads[i],
+                                          err_msg=f"input {i} of {subset}")
 
 
 def test_attention_with_grad_keeps_only_row_statistics():
