@@ -21,13 +21,15 @@ _RESERVED = frozenset({CONFIG, "file", "allow_pickle"})   # np.savez's own names
 _DAMAGED = (ValueError, TypeError, EOFError, OSError, RuntimeError, zipfile.BadZipFile)
 
 
-def save_tensors(path, tensors, config=None):
-    """Write `tensors` (dict name -> array) and a JSON-able `config`."""
+def save_tensors(path, tensors, config):
+    """Write `tensors` (dict name -> array) and a JSON-able `config` dict."""
     reserved = sorted(_RESERVED & tensors.keys())
     if reserved:
         raise ValueError(f"{path}: tensor names {reserved} are reserved")
+    if not isinstance(config, dict):            # load_tensors reads back only a JSON object
+        raise ValueError(f"{path}: config must be a dict, got {type(config).__name__}")
     members = {name: np.ascontiguousarray(arr, dtype=np.float32) for name, arr in tensors.items()}
-    members[CONFIG] = np.array(json.dumps(config if config is not None else {}))
+    members[CONFIG] = np.array(json.dumps(config))
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")

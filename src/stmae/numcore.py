@@ -16,8 +16,8 @@ RuntimeError. A fresh VJP result becomes a target's `.grad` without a copy.
 
 `attention` is the one multi-head attention of the package, used by the
 encoder's self-attention and by every readout's cross-attention. It
-splits and merges heads itself and has one hand-written VJP; the three
-input gradients share one computation of the score gradient. Its
+views its operands as heads itself and has one hand-written VJP; the
+three input gradients share one computation of the score gradient. Its
 forward runs one head at a time, in blocks of query rows sized for about
 `BLOCK` score elements over all heads, through one reused scratch block
 of one head's share, with or without a gradient, so no call holds its
@@ -25,28 +25,30 @@ whole score tensor. For backward it keeps only each query row's softmax
 max and sum (plus views of q, k and v). Backward runs head by head too:
 it rebuilds one head's weights from them bit for bit, as FlashAttention
 recomputes them (Dao et al. 2022), so it holds one head's weights and
-score gradient at a time. `affine` is the one linear layer
-(`mae.Layers.linear`): one node and one output array, the bias added in
-place into the product.
+score gradient at a time, and writes each head's share of the three
+gradients straight into (..., n, d) arrays. `affine` is the one linear
+layer (`mae.Layers.linear`): one node and one output array, the bias
+added in place into the product.
 
 `mlp` is the one MLP (`mae.Layers.mlp`), affine -> GELU -> affine as one
 node, used by every encoder block and readout. Its forward runs in
 blocks of rows along axis -2 of about `BLOCK` hidden elements, each over
-every leading axis, and a last block of one row takes the row before it
-along (a one-row product goes to gemv, whose bits differ from gemm's).
-Without a gradient one scratch pair (pre-activation, activation) is
-reused, so the output is its only full-size array. With one, its VJP
-keeps what the three-op chain would: x, w1, the GELU slope, the
-activation and w2, each only when a wanted gradient reads it; the full
-pre-activation is never held. Values and all five gradients have the
-chain's bits.
+every leading axis. Without a gradient one scratch pair (pre-activation,
+activation) is reused, so the output is its only full-size array. With
+one, its VJP keeps what the three-op chain would: x, w1, the GELU slope,
+the activation and w2, each only when a wanted gradient reads it; the
+full pre-activation is never held. Values and all five gradients have
+the chain's bits.
 
 Data is row-major float64 or float32; both dtypes run the same code
 path, except `gelu`, whose float32 kernel stays in float32 (within 3e-7
 absolute of the exact value) while float64 uses scipy's erf, imported only
-when a float64 GELU runs. Reductions delegate to numpy, whose summation
-order over the row-major layout is fixed within one build, so results are
-bitwise reproducible for identical inputs.
+when a float64 GELU runs. The fused ops `affine`, `attention` and `mlp`
+take operands of one dtype, raise a ValueError naming each operand's
+dtype otherwise, and make every output and gradient in that dtype.
+Reductions delegate to numpy, whose summation order over the row-major
+layout is fixed within one build, so results are bitwise reproducible
+for identical inputs.
 """
 
 from __future__ import annotations
@@ -339,8 +341,18 @@ def neg(a):
     return _make(-a.data, [(a, lambda g: -g)])
 
 
+def _one_dtype(op, **operands):
+    """The dtype all `operands` (name -> Tensor) of `op` share; a ValueError
+    names each operand's dtype when they differ."""
+    dtypes = {name: t.dtype for name, t in operands.items()}
+    if len(set(dtypes.values())) > 1:
+        named = ", ".join(f"{name} {dtype}" for name, dtype in dtypes.items())
+        raise ValueError(f"{op}: operands must share one dtype, got {named}")
+    return next(iter(dtypes.values()))
+
+
 def affine(x, w, b):
-    """The linear layer x @ w + b: x (..., n, k), w (k, m), b (m,).
+    """The linear layer x @ w + b: x (..., n, k), w (k, m), b (m,), one dtype.
 
     The bias goes into the fresh product in place, so the layer makes one
     output array and one graph node; values and gradients have the bits
@@ -351,11 +363,9 @@ def affine(x, w, b):
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(f"affine: x {x.shape}, w {w.shape} and b {b.shape} "
                          f"need x (..., n, k), w (k, m) and b (m,)")
+    _one_dtype("affine", x=x, w=w, b=b)
     data = x.data @ w.data
-    if data.dtype == np.result_type(data, b.data):
-        data += b.data
-    else:
-        data = data + b.data
+    data += b.data
     xd, wd, sx, sw, sb = x.data, w.data, x.shape, w.shape, b.shape
     return _make(data, [
         (x, lambda g: _unbroadcast(g @ wd.swapaxes(-1, -2), sx)),
@@ -386,9 +396,16 @@ def concat(tensors, axis=0):
 
 
 def slice_(a, key):
-    """Basic indexing (ints and slices); gradient scatters back. Backward
+    """Basic indexing (ints, slices, Ellipsis and None); gradient scatters
+    back. Any other key raises ShapeError: an index array may repeat rows,
+    whose gradients this scatter would not add (`gather` does). Backward
     keeps the key, the input's shape and its dtype."""
     a = _wrap(a)
+    for part in key if isinstance(key, tuple) else (key,):
+        if not (part is None or part is Ellipsis or isinstance(part, slice)
+                or isinstance(part, (int, np.integer)) and not isinstance(part, bool)):
+            raise ShapeError(f"slice: key {key!r} is not ints, slices, Ellipsis or None; "
+                             f"select rows with gather")
     data = a.data[key]
     shape, dtype = a.shape, a.dtype
 
@@ -474,13 +491,25 @@ def _joint_vjps(grads, count):
     return [vjp(i) for i in range(count)]
 
 
+def _row_blocks(n, row_size):
+    """Slices that cover `n` rows of `row_size` elements in blocks of about
+    `BLOCK` elements and at least two rows; the first block, always there,
+    is the largest. numpy sends a one-row product to gemv, whose bits
+    differ from gemm's, so a last block of one row takes the row before it
+    along."""
+    rows = max(2, BLOCK // max(1, row_size))
+    for start in range(0, max(n, 1), rows):     # one empty block when n is 0
+        start = max(0, min(start, n - 2))
+        yield slice(start, min(start + rows, n))
+
+
 def attention(q, k, v, heads):
     """Multi-head scaled dot-product attention, softmax(q kᵀ / sqrt(dh)) v.
 
-    q is (..., nq, d); k and v are (..., nk, d); leading axes broadcast and
-    the output is (..., nq, d). The last axis splits into `heads`
-    contiguous slices of dh = d / heads channels, each attending on its
-    own; their outputs are merged back in the same order.
+    q is (..., nq, d); k and v are (..., nk, d), all of one dtype; leading
+    axes broadcast and the output is (..., nq, d). The last axis splits
+    into `heads` contiguous slices of dh = d / heads channels, each
+    attending on its own; their outputs are merged back in the same order.
 
     The softmax runs one head at a time, in blocks of query rows sized as
     if every head shared the block: `BLOCK` score elements over every
@@ -490,14 +519,15 @@ def attention(q, k, v, heads):
     arithmetic of each row is that of an unblocked softmax; but a gemm's
     bits can depend on its row count, so the row blocks stay sized over
     all heads (numpy's batched matmul already makes one gemm per head) and
-    forward and backward share one block generator. With a gradient to
-    take, each query row's max m and sum l (taken after exp) go into one
+    forward and backward share one block plan. With a gradient to take,
+    each query row's max m and sum l (taken after exp) go into one
     (..., heads, nq, 2) array. Backward also runs head by head: it rebuilds
     one head's weights from them over the same blocks with the forward's
     ops on the same operands, exp(q kᵀ scale - m) / l, so they have the
-    forward's bits, and writes that head's slices of the q, k and v
-    gradients. So backward holds one head's weights and score gradient,
-    two (..., nq, nk) arrays, besides the gradients. Backward keeps the row
+    forward's bits, and writes that head's channels of the q, k and v
+    gradients straight into (..., n, d) arrays, k's through a transposed
+    view. So backward holds one head's weights and score gradient, two
+    (..., nq, nk) arrays, besides the gradients. Backward keeps the row
     statistics and views of q, k and v: v only for q's or k's gradient.
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
@@ -509,6 +539,7 @@ def attention(q, k, v, heads):
         lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2])
     except ValueError:
         raise ShapeError(f"attention: leading axes of q {q.shape} and k {k.shape} do not broadcast")
+    dtype = _one_dtype("attention", q=q, k=k, v=v)
     d = q.shape[-1]
     dh = d // heads
     nq, nk = q.shape[-2], k.shape[-2]
@@ -516,32 +547,20 @@ def attention(q, k, v, heads):
     def split(x):                    # (..., n, d) -> (..., heads, n, dh), a view
         return x.reshape(x.shape[:-1] + (heads, dh)).swapaxes(-3, -2)
 
-    def merge(x):                    # (..., heads, n, dh) -> (..., n, d)
-        x = x.swapaxes(-3, -2)
-        return x.reshape(x.shape[:-2] + (d,))
-
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     kt = kh.swapaxes(-1, -2)
-    dtype = np.result_type(q.data, k.data)
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=dtype)
-    rows = max(2, BLOCK // (math.prod(lead) * heads * nk))
-
-    def blocks():
-        for start in range(0, nq, rows):
-            # numpy sends a one-row product to gemv, whose bits differ from gemm's,
-            # so a last block of one row takes the row before it along
-            start = max(0, min(start, nq - 2))
-            yield slice(start, start + rows)
-
-    need_q, need_k, need_v = (_grad_enabled and t.requires_grad for t in (q, k, v))
+    blocks = list(_row_blocks(nq, math.prod(lead) * heads * nk))
+    need = [_grad_enabled and t.requires_grad for t in (q, k, v)]
+    need_q, need_k, need_v = need
     # each row's max and sum, the only arrays backward keeps besides q, k and v
-    stats = np.empty(lead + (heads, nq, 2), dtype) if need_q or need_k or need_v else None
-    s = np.empty(lead + (min(rows, nq), nk), dtype)
-    out = np.empty(lead + (nq, d), np.result_type(dtype, v.data))
+    stats = np.empty(lead + (heads, nq, 2), dtype) if any(need) else None
+    s = np.empty(lead + (blocks[0].stop, nk), dtype)
+    out = np.empty(lead + (nq, d), dtype)
     oh = split(out)
     for h in range(heads):
-        for block in blocks():
-            w = s[..., :min(rows, nq - block.start), :]
+        for block in blocks:
+            w = s[..., :block.stop - block.start, :]
             np.matmul(qh[..., h, block, :], kt[..., h, :, :], out=w)
             w *= scale
             m = w.max(axis=-1, keepdims=True)
@@ -553,29 +572,24 @@ def attention(q, k, v, heads):
             if stats is not None:
                 stats[..., h, block, :1] = m
                 stats[..., h, block, 1:] = l
-    q_shape, kt_shape, v_shape = qh.shape, kt.shape, vh.shape
+    shapes = q.shape, k.shape, v.shape
     vh = vh if need_q or need_k else None
 
     def by_head(g):
-        """The q, k and v gradients in the head layout, each head's slices
-        written in turn, with the dtypes of the whole-tensor products."""
+        """The wanted gradients at full leading shape, each head's channels
+        written in turn."""
         gh = split(g)
+        gq, gk, gv = (np.empty(lead + shape[-2:], dtype) if wanted else None
+                      for shape, wanted in zip(shapes, need))
         s = np.empty(lead + (nq, nk), dtype)
-        gq = gk = gv = None
-        if need_v:
-            gv = np.empty(lead + v_shape[-3:], np.result_type(s, g))
         if need_q or need_k:
-            gs = np.empty(lead + (nq, nk), np.result_type(g, vh))
+            gs = np.empty(lead + (nq, nk), dtype)
             flat_gs, flat_s = gs.reshape(-1, nk), s.reshape(-1, nk)
-            rowsum = np.empty((len(flat_gs), 1), np.result_type(gs, s))
+            rowsum = np.empty((len(flat_gs), 1), dtype)
             chunk = max(1, _CHUNK // nk)
-            product = np.empty((min(chunk, len(flat_gs)), nk), rowsum.dtype)
-            if need_q:
-                gq = np.empty(lead + q_shape[-3:], np.result_type(gs, kh))
-            if need_k:
-                gk = np.empty(lead + kt_shape[-3:], np.result_type(qh, gs))
+            product = np.empty((min(chunk, len(flat_gs)), nk), dtype)
         for h in range(heads):
-            for block in blocks():
+            for block in blocks:
                 w = s[..., block, :]
                 np.matmul(qh[..., h, block, :], kt[..., h, :, :], out=w)
                 w *= scale
@@ -583,7 +597,7 @@ def attention(q, k, v, heads):
                 np.exp(w, out=w)
                 w /= stats[..., h, block, 1:]
             if need_v:
-                np.matmul(s.swapaxes(-1, -2), gh[..., h, :, :], out=gv[..., h, :, :])
+                np.matmul(s.swapaxes(-1, -2), gh[..., h, :, :], out=split(gv)[..., h, :, :])
             if need_q or need_k:
                 # the softmax Jacobian in place: the bits of s * (gs - rowsum(gs * s)) * scale,
                 # each row's sum taken in chunks of rows over the same contiguous values
@@ -596,21 +610,15 @@ def attention(q, k, v, heads):
                 gs *= s
                 gs *= scale
                 if need_q:
-                    np.matmul(gs, kh[..., h, :, :], out=gq[..., h, :, :])
+                    np.matmul(gs, kh[..., h, :, :], out=split(gq)[..., h, :, :])
                 if need_k:
-                    np.matmul(qh[..., h, :, :].swapaxes(-1, -2), gs, out=gk[..., h, :, :])
+                    np.matmul(qh[..., h, :, :].swapaxes(-1, -2), gs,
+                              out=split(gk)[..., h, :, :].swapaxes(-1, -2))
         return gq, gk, gv
 
     def grads(g):
-        gq, gk, gv = by_head(g)         # one head's weights and score gradient freed
-        out = {}
-        if need_q:
-            out[0] = merge(_unbroadcast(gq, q_shape))
-        if need_k:
-            out[1] = merge(_unbroadcast(gk, kt_shape).swapaxes(-1, -2))
-        if need_v:
-            out[2] = merge(_unbroadcast(gv, v_shape))
-        return out
+        full = by_head(g)               # one head's weights and score gradient freed
+        return {i: _unbroadcast(full[i], shapes[i]) for i in range(3) if need[i]}
 
     return _make(out, list(zip((q, k, v), _joint_vjps(grads, 3))))
 
@@ -726,16 +734,16 @@ def gelu(a):
 
 def mlp(x, w1, b1, w2, b2):
     """The two-layer perceptron affine(gelu(affine(x, w1, b1)), w2, b2) as one
-    node: x (..., n, k), w1 (k, h), b1 (h,), w2 (h, m), b2 (m,).
+    node: x (..., n, k), w1 (k, h), b1 (h,), w2 (h, m), b2 (m,), one dtype.
 
-    The forward runs in blocks of rows along axis -2, each holding about
-    `BLOCK` hidden elements over every leading axis; a last block of one
-    row takes the row before it along. A block's pre-activation gets its
-    bias in place and goes through GELU into the activation z. Without a
-    gradient one scratch pair (pre-activation, z) is reused, so the output
-    is the only full-size array; with one, z and the GELU slope are written
-    block by block into full arrays and the pre-activation is never held
-    whole. Values and gradients have the bits of the three-op chain.
+    The forward runs in `_row_blocks` along axis -2, each holding about
+    `BLOCK` hidden elements over every leading axis. A block's
+    pre-activation gets its bias in place and goes through GELU into the
+    activation z. Without a gradient one scratch pair (pre-activation, z)
+    is reused, so the output is the only full-size array; with one, z and
+    the GELU slope are written block by block into full arrays and the
+    pre-activation is never held whole. Values and gradients have the bits
+    of the three-op chain, and the one dtype of the operands.
     Backward keeps what the chain keeps: x when w1 takes a gradient, w1
     when x does, the slope and w2 when x, w1 or b1 does, z when w2 does.
     """
@@ -744,43 +752,32 @@ def mlp(x, w1, b1, w2, b2):
             or b1.shape != w1.shape[1:] or w2.shape[0] != w1.shape[1] or b2.shape != w2.shape[1:]):
         raise ShapeError(f"mlp: x {x.shape}, w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape} and "
                          f"b2 {b2.shape} need x (..., n, k), w1 (k, h), b1 (h,), w2 (h, m), b2 (m,)")
+    dtype = _one_dtype("mlp", x=x, w1=w1, b1=b1, w2=w2, b2=b2)
     need_x, need_w1, need_b1, need_w2, need_b2 = (_grad_enabled and t.requires_grad for t in inputs)
     need_h = need_x or need_w1 or need_b1
     lead, n, hidden = x.shape[:-2], x.shape[-2], w1.shape[1]
     size = math.prod(lead) * hidden
-    rows = max(2, BLOCK // max(1, size))
-    h_dtype = np.result_type(x.data, w1.data)
-    z_dtype = np.result_type(h_dtype, b1.data)
+    blocks = list(_row_blocks(n, size))
 
-    def scratch(dtype):                 # row-major (..., r, hidden) views of one buffer
-        buf = np.empty(size * min(rows, n), dtype)
+    def scratch():                      # row-major (..., r, hidden) views of one buffer
+        buf = np.empty(size * blocks[0].stop, dtype)
         return lambda r: buf[:size * r].reshape(lead + (r, hidden))
 
-    h_block = scratch(h_dtype)
-    z = np.empty(lead + (n, hidden), z_dtype) if need_w2 else None
-    z_block = scratch(z_dtype) if z is None else None
-    slope = np.empty(lead + (n, hidden), z_dtype) if need_h else None
-    out = np.empty(lead + (n, w2.shape[1]), np.result_type(z_dtype, w2.data))
-    for start in range(0, n, rows):
-        # numpy sends a one-row product to gemv, whose bits differ from gemm's,
-        # so a last block of one row takes the row before it along
-        start = max(0, min(start, n - 2))
-        block = slice(start, start + rows)
-        r = min(rows, n - start)
+    h_block = scratch()
+    z = np.empty(lead + (n, hidden), dtype) if need_w2 else None
+    z_block = scratch() if z is None else None
+    slope = np.empty(lead + (n, hidden), dtype) if need_h else None
+    out = np.empty(lead + (n, w2.shape[1]), dtype)
+    for block in blocks:
+        r = block.stop - block.start
         h = np.matmul(x.data[..., block, :], w1.data, out=h_block(r))
-        if h.dtype == z_dtype:
-            h += b1.data
-        else:
-            h = h + b1.data
+        h += b1.data
         zb = z_block(r) if z is None else z[..., block, :]
         sb = None if slope is None else slope[..., block, :]
         for i in np.ndindex(lead):      # each leading index's rows are row-major
             _gelu_into(h[i], zb[i], None if sb is None else sb[i])
         np.matmul(zb, w2.data, out=out[..., block, :])
-    if out.dtype == np.result_type(out, b2.data):
-        out += b2.data
-    else:
-        out = out + b2.data
+    out += b2.data
     xd = x.data if need_w1 else None
     w1d = w1.data if need_x else None
     w2d = w2.data if need_h else None
@@ -794,10 +791,7 @@ def mlp(x, w1, b1, w2, b2):
             out[4] = _unbroadcast(g, sb2)
         if need_h:
             gh = g @ w2d.swapaxes(-1, -2)
-            if gh.dtype == np.result_type(gh, slope):
-                gh *= slope
-            else:
-                gh = gh * slope
+            gh *= slope
             if need_x:
                 out[0] = _unbroadcast(gh @ w1d.swapaxes(-1, -2), sx)
             if need_w1:
@@ -840,7 +834,7 @@ def softplus(a):
     return _make(y, [(a, vjp)])
 
 
-def huber(a, delta=1.0):
+def huber(a, delta):
     """Elementwise Huber penalty of a residual: quadratic below delta.
     Backward keeps the input."""
     a = _wrap(a)

@@ -76,12 +76,6 @@ def procrustes_so3(m):
 # Shared cross-attention readout
 # ---------------------------------------------------------------------------
 
-def _check_rank(features):
-    shape = tuple(np.shape(features))
-    if len(shape) != 4:
-        raise ValueError(f"features have shape {shape}, readout expects (B, T, K, C)")
-
-
 class CrossAttentionReadout:
     """LayerNorm -> temporal embeddings -> cross-attention -> residual MLP -> linear."""
     TASK = ""               # a task head's name, the namespace of its parameters
@@ -129,11 +123,17 @@ class CrossAttentionReadout:
         q = self.layers["queries"]
         return nc.reshape(q, (1,) + tuple(q.shape))      # broadcasts over batch
 
+    def _features(self, features):
+        """(B, T, K, C) features as a Tensor; an array is cast to the head's dtype."""
+        shape = tuple(np.shape(features))
+        if len(shape) != 4:
+            raise ValueError(f"features have shape {shape}, readout expects (B, T, K, C)")
+        return features if isinstance(features, Tensor) else Tensor(np.asarray(features, self.dtype))
+
     def forward(self, features, queries):
         """features: (B, T, K, C) Tensor or array; queries: (B?, Q, Cq) Tensor."""
-        _check_rank(features)
         L = self.layers
-        x = features if isinstance(features, Tensor) else Tensor(np.asarray(features, dtype=self.dtype))
+        x = self._features(features)
         b, t, k, c = x.shape
         if c != self.feature_channels:
             raise ValueError(f"features have {c} channels, readout expects {self.feature_channels}")
@@ -186,7 +186,7 @@ class PoseHead(CrossAttentionReadout):
 
     def forward(self, features):
         """features: (B, T, K, C) -> (B, 12) raw pose vectors."""
-        _check_rank(features)
+        features = self._features(features)
         first = features[:, :1]
         last = features[:, features.shape[1] - 1:]
         both = nc.concat([first, last], axis=-1)         # (B, 1, K, 2C)

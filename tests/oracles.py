@@ -144,11 +144,11 @@ def attention_kept_weights(q, k, v, heads, g, wanted, rows=None):
         return x.reshape(x.shape[:-2] + (d,))
 
     qh, kh, vh = split(q), split(k), split(v)
-    scale = np.asarray(1.0 / np.sqrt(dh), dtype=np.result_type(q, k))
+    scale = np.asarray(1.0 / np.sqrt(dh), dtype=q.dtype)
     starts = [0] if rows is None else [max(0, min(i, nq - 2)) for i in range(0, nq, rows)]
     rows = nq if rows is None else rows
     s = np.empty(np.broadcast_shapes(qh.shape[:-2], kh.shape[:-2]) + (nq, k.shape[-2]), scale.dtype)
-    oh = np.empty(s.shape[:-1] + (dh,), np.result_type(s, v))
+    oh = np.empty(s.shape[:-1] + (dh,), q.dtype)
     for start in starts:
         w = qh[..., start:start + rows, :] @ kh.swapaxes(-1, -2)
         w *= scale

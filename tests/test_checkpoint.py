@@ -37,9 +37,9 @@ def test_round_trip(tmp_path):
         np.testing.assert_array_equal(loaded[name], arr)
 
 
-def test_float64_input_is_stored_as_float32_and_no_config_as_an_empty_object(tmp_path):
+def test_float64_input_is_stored_as_float32_and_an_empty_config_as_an_empty_object(tmp_path):
     values = np.array([0.1, 1e-50, 3.0])
-    save_tensors(tmp_path / "c.ckpt", {"w": values})
+    save_tensors(tmp_path / "c.ckpt", {"w": values}, config={})
     loaded, config = load_tensors(tmp_path / "c.ckpt")
     assert config == {} and loaded["w"].dtype == np.float32
     np.testing.assert_array_equal(loaded["w"], values.astype(np.float32))
@@ -57,14 +57,21 @@ def test_plain_np_load_reads_a_saved_file(tmp_path):
 def test_reserved_names_are_refused_and_leave_no_file(tmp_path):
     for name in (CONFIG, "file", "allow_pickle"):
         with pytest.raises(ValueError, match=rf"c\.npz: tensor names \['{name}'\] are reserved"):
-            save_tensors(tmp_path / "c.npz", {"w": np.zeros(2), name: np.zeros(2)})
+            save_tensors(tmp_path / "c.npz", {"w": np.zeros(2), name: np.zeros(2)}, config={})
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("config", [None, [1, 2], "nano"])
+def test_a_config_that_is_not_a_dict_is_refused_and_leaves_no_file(tmp_path, config):
+    with pytest.raises(ValueError, match=r"c\.npz: config must be a dict"):
+        save_tensors(tmp_path / "c.npz", {"w": np.zeros(2)}, config=config)
     assert list(tmp_path.iterdir()) == []
 
 
 def test_flipped_data_byte_names_path_and_tensor(tmp_path):
     path = tmp_path / "c.npz"
     w = np.arange(64, dtype=np.float32)
-    save_tensors(path, {"v": np.ones(3), "w": w})
+    save_tensors(path, {"v": np.ones(3), "w": w}, config={})
     raw = bytearray(path.read_bytes())
     raw[raw.find(w.tobytes()) + 100] ^= 0x01
     path.write_bytes(bytes(raw))

@@ -117,7 +117,7 @@ def test_zero_final_linear_gives_zero_outputs():
     r.params["head.bias"].data[:] = 0.0
     queries = Tensor(rng.standard_normal((1, 2, 16)).astype(np.float32))
     with nc.no_grad():
-        out = r.forward(Tensor(random_features(rng, c=8)), queries)
+        out = r.forward(Tensor(random_features(rng, c=8).astype(np.float32)), queries)
     assert np.all(out.data == 0.0)
 
 
@@ -414,3 +414,23 @@ def test_float32_head_and_task_loss_keep_float32(name):
     assert loss.dtype == np.float32
     assert {k: v.grad.dtype for k, v in head.params.items()} == {
         k: np.float32 for k in head.params}
+
+
+@pytest.mark.parametrize("name", ["class", "pose", "point", "box", "depth"])
+def test_float64_array_features_are_cast_to_the_head_dtype(name):
+    rng = np.random.default_rng(19)
+    feats = random_features(rng, b=2, t=16, k=4, c=8)
+    kw = dict(qkv_size=16, heads=2)
+    head, extra = {
+        "class": (ClassHead(8, num_classes=5, **kw), ()),
+        "pose": (PoseHead(8, **kw), ()),
+        "point": (PointTrackHead(8, num_frames=16, **kw), (rng.random((2, 3, 2)),)),
+        "box": (BoxTrackHead(8, num_frames=16, **kw), (rng.random((2, 3, 4)),)),
+        "depth": (DepthHead(8, clip_size=(16, 16, 16), **kw), ()),
+    }[name]
+    with nc.no_grad():
+        outs = head.forward(feats, *extra)
+        refs = head.forward(Tensor(feats.astype(np.float32)), *extra)
+    for out, ref in zip(*(o if isinstance(o, tuple) else (o,) for o in (outs, refs))):
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out.data, ref.data)
