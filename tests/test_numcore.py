@@ -193,6 +193,38 @@ def test_gelu_float32_no_grad_allocates_only_its_output():
     assert peak < x.nbytes + (1 << 20)
 
 
+# (rows n, elements a row, BLOCK): rows a block are max(2, BLOCK // row size)
+ROW_BLOCK_CASES = [
+    (0, 8, 64),                         # no rows: one empty block
+    (1, 8, 64),                         # a single row
+    (2, 8, 8),                          # at least two rows a block
+    (7, 8, 16),                         # 2 rows a block, last block 1 row
+    (37, 96, 600),                      # 6 rows a block, last block 1 row
+    (40, 96, 600),                      # last block 4 rows
+    (5, 0, 64),                         # empty rows count as one element
+    (9, 1, 1 << 40),                    # one block
+]
+
+
+@pytest.mark.parametrize("n, row_size, block", ROW_BLOCK_CASES)
+def test_row_blocks_cover_the_rows_with_no_one_row_block(n, row_size, block, monkeypatch):
+    monkeypatch.setattr(nc, "BLOCK", block)
+    rows = max(2, block // max(1, row_size))
+    blocks = list(nc._row_blocks(n, row_size))
+    if n == 0:
+        assert blocks == [slice(0, 0)]
+        return
+    sizes = [b.stop - b.start for b in blocks]
+    assert blocks[0].start == 0 and blocks[-1].stop == n
+    assert max(sizes) == sizes[0] == min(rows, n) and min(sizes) >= min(2, n)
+    # blocks follow one another; only a one-row last block reaches back a row
+    for a, b in zip(blocks[:-1], blocks[1:-1]):
+        assert b.start == a.stop
+    if len(blocks) > 1:
+        overlap = blocks[-2].stop - blocks[-1].start
+        assert overlap == (1 if (n - blocks[-2].stop) == 1 else 0)
+
+
 # shapes spanning several query blocks once BLOCK is shrunk to 600
 # score elements; the last block is ragged, one row long in some cases
 ATTENTION_BLOCK_CASES = [
@@ -294,6 +326,27 @@ def test_attention_is_the_kept_weights_attention_bitwise(q_shape, kv_shape, head
             where = f"input {i} of {subset}"
             assert tensors[i].grad.dtype == ref_grads[i].dtype, where
             np.testing.assert_array_equal(tensors[i].grad, ref_grads[i], err_msg=where)
+
+
+# self-attention inputs (x shape, heads) spanning several blocks at BLOCK 600
+SELF_ATTENTION_CASES = [((2, 37, 16), 4), ((23, 8), 2), ((1, 16), 4)]
+
+
+@pytest.mark.parametrize("block", [600, 1 << 40])
+@pytest.mark.parametrize("x_shape, heads", SELF_ATTENTION_CASES)
+def test_attention_of_one_tensor_sums_its_three_gradients_bitwise(x_shape, heads, block,
+                                                                   monkeypatch):
+    # q, k and v share one leaf: its gradient adds the three the op writes, in
+    # order, and no gradient array of the op is another's view
+    rng = np.random.default_rng(x_shape[-2])
+    a = rng.standard_normal(x_shape, dtype=np.float32)
+    monkeypatch.setattr(nc, "BLOCK", block)
+    g = rng.standard_normal(x_shape, dtype=np.float32)
+    apart = [nc.parameter(a) for _ in range(3)]
+    nc.backward(nc.sum_(nc.attention(*apart, heads) * Tensor(g)))
+    x = nc.parameter(a)
+    nc.backward(nc.sum_(nc.attention(x, x, x, heads) * Tensor(g)))
+    np.testing.assert_array_equal(x.grad, apart[0].grad + apart[1].grad + apart[2].grad)
 
 
 # attention shapes of the benchmark, where a product's bits depend on its row

@@ -416,21 +416,37 @@ def test_float32_head_and_task_loss_keep_float32(name):
         k: np.float32 for k in head.params}
 
 
+def _small_head(name, rng):
+    """A float32 head on 8 feature channels and its extra forward arguments."""
+    kw = dict(qkv_size=16, heads=2)
+    return {
+        "class": lambda: (ClassHead(8, num_classes=5, **kw), ()),
+        "pose": lambda: (PoseHead(8, **kw), ()),
+        "point": lambda: (PointTrackHead(8, num_frames=16, **kw), (rng.random((2, 3, 2)),)),
+        "box": lambda: (BoxTrackHead(8, num_frames=16, **kw), (rng.random((2, 3, 4)),)),
+        "depth": lambda: (DepthHead(8, clip_size=(16, 16, 16), **kw), ()),
+    }[name]()
+
+
 @pytest.mark.parametrize("name", ["class", "pose", "point", "box", "depth"])
 def test_float64_array_features_are_cast_to_the_head_dtype(name):
     rng = np.random.default_rng(19)
     feats = random_features(rng, b=2, t=16, k=4, c=8)
-    kw = dict(qkv_size=16, heads=2)
-    head, extra = {
-        "class": (ClassHead(8, num_classes=5, **kw), ()),
-        "pose": (PoseHead(8, **kw), ()),
-        "point": (PointTrackHead(8, num_frames=16, **kw), (rng.random((2, 3, 2)),)),
-        "box": (BoxTrackHead(8, num_frames=16, **kw), (rng.random((2, 3, 4)),)),
-        "depth": (DepthHead(8, clip_size=(16, 16, 16), **kw), ()),
-    }[name]
+    head, extra = _small_head(name, rng)
     with nc.no_grad():
         outs = head.forward(feats, *extra)
         refs = head.forward(Tensor(feats.astype(np.float32)), *extra)
     for out, ref in zip(*(o if isinstance(o, tuple) else (o,) for o in (outs, refs))):
         assert out.dtype == np.float32
         np.testing.assert_array_equal(out.data, ref.data)
+
+
+@pytest.mark.parametrize("name", ["class", "pose", "point", "box", "depth"])
+def test_every_head_rejects_features_without_a_batch_axis(name):
+    # every head reads its features through one rank check, arrays and Tensors alike
+    rng = np.random.default_rng(20)
+    head, extra = _small_head(name, rng)
+    message = r"^features have shape \(16, 4, 8\), readout expects \(B, T, K, C\)$"
+    for feats in (np.zeros((16, 4, 8)), Tensor(np.zeros((16, 4, 8), np.float32))):
+        with pytest.raises(ValueError, match=message):
+            head.forward(feats, *extra)
