@@ -387,8 +387,8 @@ def mae_loss(reconstruction, frames):
     if tuple(reconstruction.shape) != target.shape:
         raise ValueError(f"reconstruction shape {tuple(reconstruction.shape)} "
                          f"!= clip shape {target.shape}")
-    diff = reconstruction - Tensor(target.astype(reconstruction.dtype))
-    return nc.mean(diff * diff)
+    diff = reconstruction - Tensor(np.asarray(target, reconstruction.dtype))
+    return nc.mean(nc.square(diff))
 
 
 def save_model(path, model):

@@ -222,14 +222,14 @@ def pose_loss(pred12, gt12):
     """Squared error summed over the 12 raw pose entries (batch-averaged)."""
     pred12 = _tensor(pred12)
     diff = pred12 - _tensor(_target("pose_loss", pred12.shape, gt12), dtype=pred12.dtype)
-    return nc.mean(nc.sum_(diff * diff, axis=-1))
+    return nc.mean(nc.sum_(nc.square(diff), axis=-1))
 
 
 def box_track_loss(pred_boxes, gt_boxes):
     """L2 loss on raw (xmin, xmax, ymin, ymax) coordinates."""
     pred = _tensor(pred_boxes)
     diff = pred - _tensor(_target("box_track_loss", pred.shape, gt_boxes), dtype=pred.dtype)
-    return nc.mean(diff * diff)
+    return nc.mean(nc.square(diff))
 
 
 def depth_loss(pred_depth, gt_depth):
@@ -239,7 +239,7 @@ def depth_loss(pred_depth, gt_depth):
     mask = _valid_depth(gt)
     count = max(np.count_nonzero(mask), 1)
     diff = pred - _tensor(gt, dtype=pred.dtype)
-    return nc.sum_(diff * diff * Tensor(mask.astype(diff.dtype))) * (1.0 / count)
+    return nc.sum_(nc.square(diff) * Tensor(mask.astype(diff.dtype))) * (1.0 / count)
 
 
 def cross_entropy(logits, labels):

@@ -33,15 +33,20 @@ added in place into the product.
 `mlp` is the one MLP (`mae.Layers.mlp`), affine -> GELU -> affine as one
 node, used by every encoder block and readout. Its forward runs in
 blocks of rows along axis -2 of about `BLOCK` hidden elements, each over
-every leading axis. Without a gradient one scratch pair (pre-activation,
-activation) is reused, so the output is its only full-size array. With
-one, its VJP keeps what the three-op chain would: x, w1, the GELU slope,
-the activation and w2, each only when a wanted gradient reads it; the
-full pre-activation is never held. Values and all five gradients have
-the chain's bits.
+every leading axis; each block's pre-activation is written into its
+activation buffer and goes through GELU in place. Without a gradient
+that buffer is one reused scratch block, so the output is the op's only
+full-size array. With one, its VJP keeps what the three-op chain would:
+x, w1, the GELU slope, the activation and w2, each only when a wanted
+gradient reads it; the full pre-activation is never held. Backward
+writes the hidden gradient over the spent activation and drops it and
+the slope after their last read. The weight gradients of `affine` and
+`mlp` over a batched input add one (k, m) product per leading index
+into one array instead of summing a stack of them. Values and all five
+gradients have the chain's bits.
 
 Data is row-major float64 or float32; both dtypes run the same code
-path, except `gelu`, whose float32 kernel stays in float32 (within 3e-7
+path, except GELU, whose float32 kernel stays in float32 (within 3e-7
 absolute of the exact value) while float64 uses scipy's erf, imported only
 when a float64 GELU runs. The fused ops `affine`, `attention` and `mlp`
 take operands of one dtype, raise a ValueError naming each operand's
@@ -335,6 +340,21 @@ def mul(a, b):
                         (b, lambda g: _unbroadcast(g * ad, sb))])
 
 
+def square(a):
+    """Elementwise a * a, as for a squared error. Backward keeps the input and
+    makes one array, 2·(g·a): the bits of `mul(a, a)`'s two contributions
+    summed, as x + x = 2x exactly."""
+    a = _wrap(a)
+    x = a.data
+
+    def vjp(g):
+        r = g * x
+        r *= 2
+        return r
+
+    return _make(x * x, [(a, vjp)])
+
+
 def neg(a):
     """Elementwise -a. Backward keeps nothing."""
     a = _wrap(a)
@@ -351,13 +371,35 @@ def _one_dtype(op, **operands):
     return next(iter(dtypes.values()))
 
 
+def _weight_grad(a, g):
+    """The weight gradient sum over i of a[i]ᵀ g[i], a (..., n, k) and g
+    (..., n, m) sharing their leading shape: one (k, m) product per leading
+    index i, added in row-major order into a zeroed (k, m) array.
+
+    Two (k, m) arrays, never the (..., k, m) stack of products. The bits
+    are the stack summed over its leading axes, as numpy adds them: from
+    zero, one index after another. The exception is k = m = 1 with 8 or
+    more leading indices, where numpy sums the stack pairwise.
+    """
+    at = a.swapaxes(-1, -2)
+    if a.ndim == 2:
+        return at @ g
+    total = np.zeros(at.shape[-2:-1] + g.shape[-1:], np.result_type(a, g))
+    term = None
+    for i in np.ndindex(a.shape[:-2]):
+        term = np.matmul(at[i], g[i], out=term)
+        total += term
+    return total
+
+
 def affine(x, w, b):
     """The linear layer x @ w + b: x (..., n, k), w (k, m), b (m,), one dtype.
 
     The bias goes into the fresh product in place, so the layer makes one
     output array and one graph node; values and gradients have the bits
-    of numpy's `x @ w` followed by `+ b`. Backward keeps w when x takes a
-    gradient and x when w does.
+    of numpy's `x @ w` followed by `+ b`. The w gradient of a batched x is
+    `_weight_grad`'s per-index sum, with no (..., k, m) stack. Backward
+    keeps w when x takes a gradient and x when w does.
     """
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
@@ -366,10 +408,10 @@ def affine(x, w, b):
     _one_dtype("affine", x=x, w=w, b=b)
     data = x.data @ w.data
     data += b.data
-    xd, wd, sx, sw, sb = x.data, w.data, x.shape, w.shape, b.shape
+    xd, wd, sx, sb = x.data, w.data, x.shape, b.shape
     return _make(data, [
         (x, lambda g: _unbroadcast(g @ wd.swapaxes(-1, -2), sx)),
-        (w, lambda g: _unbroadcast(xd.swapaxes(-1, -2) @ g, sw)),
+        (w, lambda g: _weight_grad(xd, g)),
         (b, lambda g: _unbroadcast(g, sb)),
     ])
 
@@ -641,7 +683,9 @@ def log_softmax(a):
 def _gelu_float32(x, y, slope=None):
     """float32 GELU as max(x, 0) - |x|·Phi(-|x|), one L2-sized chunk at a time,
     written into `y` and, when given, its slope into `slope`: row-major
-    arrays of x's size.
+    arrays of x's size. `y` may be `x` itself: four chunk-sized scratch
+    arrays hold every intermediate, so each element of x is read before
+    its GELU is written.
 
     Phi(-|x|) = erfc(|x|/sqrt2)/2 = t·exp(-x²/2 + P(t))/2 with t = 1/(1 + |x|/(2 sqrt2))
     (Numerical Recipes `erfcc`); no select and no cancellation in the
@@ -654,12 +698,12 @@ def _gelu_float32(x, y, slope=None):
     flat = np.ascontiguousarray(x).reshape(-1)
     y = y.reshape(-1)
     slope = None if slope is None else slope.reshape(-1)
-    a, t, p = (np.empty(min(_CHUNK, flat.size), np.float32) for _ in range(3))
+    a, t, p, q = (np.empty(min(_CHUNK, flat.size), np.float32) for _ in range(4))
     for start in range(0, flat.size, _CHUNK):
         xc = flat[start:start + _CHUNK]
         yc = y[start:start + _CHUNK]
         n = xc.size
-        ac, tc, pc = a[:n], t[:n], p[:n]
+        ac, tc, pc, qc = a[:n], t[:n], p[:n], q[:n]
         np.abs(xc, out=ac)
         # Phi(-|x|) and phi(x) are 0 in float32 well before |x| = 64: the same
         # y and slope for finite x, and x = ±inf gives y = max(x, 0) and a
@@ -673,9 +717,9 @@ def _gelu_float32(x, y, slope=None):
             pc += c
             pc *= tc
         pc += _ERFCC[0]
-        np.multiply(ac, -0.5, out=yc)       # exact, so -x²/2 takes one rounding
-        yc *= ac
-        pc += yc
+        np.multiply(ac, -0.5, out=qc)       # exact, so -x²/2 takes one rounding
+        qc *= ac
+        pc += qc
         np.exp(pc, out=pc)
         pc *= tc
         pc *= 0.5                           # Phi(-|x|)
@@ -687,20 +731,28 @@ def _gelu_float32(x, y, slope=None):
             sc += 1.0
             sc *= tc
             sc += pc                        # Phi(x)
-            np.exp(yc, out=tc)              # yc still holds -x²/2
+            np.exp(qc, out=tc)
             tc *= _INV_SQRT2PI
             tc *= ac
             np.copysign(tc, xc, out=tc)     # x·phi(x): |x|·phi(x) signed like x
             sc += tc
         pc *= ac
-        np.maximum(xc, 0.0, out=yc)
+        np.maximum(xc, 0.0, out=yc)         # the last read of x; y may be x
         yc -= pc
 
 
 def _gelu_into(x, y, slope=None):
-    """Write GELU(x) into `y` and, when given, its slope into `slope`: the
-    float32 kernel, or scipy's erf for float64. For float32, `y` and
-    `slope` must be row-major."""
+    """Write GELU(x) = x·Phi(x), max(x, 0) at x = ±inf, into `y` and, when
+    given, its slope Phi(x) + x·phi(x), 1 at +inf and 0 at -inf, into
+    `slope`. `y` may be `x` itself, with the bits of a separate `y`.
+
+    float32 stays float32 in `_gelu_float32`, whose `y` and `slope` must be
+    row-major: on [-12, 12] it is within 3e-7 absolute of the exact value,
+    within 16 ulp where |y| >= 1e-2 and 64 ulp where |y| >= 1e-6, and never
+    positive for negative x. float64 goes through scipy's erf, imported only
+    when a float64 GELU runs; it writes the slope before y, the last read
+    of x.
+    """
     if x.dtype == np.float32:
         _gelu_float32(x, y, slope)
         return
@@ -708,44 +760,33 @@ def _gelu_into(x, y, slope=None):
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
     # Phi(x) and phi(x) are 0 in float64 well before |x| = 64, so clamping
     # there keeps every finite bit and turns inf·0 = nan into ±0
-    np.multiply(np.maximum(x, -64.0), cdf, out=y)
     if slope is not None:
         xc = np.clip(x, -64.0, 64.0)
         np.add(cdf, xc * (np.exp(-0.5 * xc * xc) * _INV_SQRT2PI), out=slope)
-
-
-def gelu(a):
-    """Exact Gaussian-CDF GELU: x * Phi(x), max(x, 0) at x = ±inf.
-
-    float64 goes through scipy's erf. float32 stays float32 in
-    `_gelu_float32`: on [-12, 12] it is within 3e-7 absolute of the exact
-    value, within 16 ulp where |y| >= 1e-2 and 64 ulp where |y| >= 1e-6,
-    and never positive for negative x. Backward keeps one array, the slope
-    Phi(x) + x·phi(x), computed only when a gradient will be taken; it is
-    1 at +inf and 0 at -inf.
-    """
-    a = _wrap(a)
-    x = a.data
-    y = np.empty(x.shape, x.dtype)
-    slope = np.empty(x.shape, x.dtype) if _grad_enabled and a.requires_grad else None
-    _gelu_into(x, y, slope)
-    return _make(y, [(a, lambda g: g * slope)])
+    np.multiply(np.maximum(x, -64.0), cdf, out=y)
 
 
 def mlp(x, w1, b1, w2, b2):
-    """The two-layer perceptron affine(gelu(affine(x, w1, b1)), w2, b2) as one
+    """The two-layer perceptron affine(GELU(affine(x, w1, b1)), w2, b2) as one
     node: x (..., n, k), w1 (k, h), b1 (h,), w2 (h, m), b2 (m,), one dtype.
 
     The forward runs in `_row_blocks` along axis -2, each holding about
     `BLOCK` hidden elements over every leading axis. A block's
-    pre-activation gets its bias in place and goes through GELU into the
-    activation z. Without a gradient one scratch pair (pre-activation, z)
-    is reused, so the output is the only full-size array; with one, z and
-    the GELU slope are written block by block into full arrays and the
-    pre-activation is never held whole. Values and gradients have the bits
-    of the three-op chain, and the one dtype of the operands.
-    Backward keeps what the chain keeps: x when w1 takes a gradient, w1
-    when x does, the slope and w2 when x, w1 or b1 does, z when w2 does.
+    pre-activation is written straight into its activation buffer, gets
+    its bias in place and goes through GELU in place. That buffer is the
+    block's rows of the full activation z when backward keeps z, and one
+    reused scratch block otherwise; the GELU slope, when kept, is written
+    block by block into a full array. So without a gradient the output and
+    one scratch block are the only arrays of any size, and with one
+    nothing is held beyond z and the slope.
+
+    Backward keeps x when w1 takes a gradient, w1 when x does, the slope
+    and w2 when x, w1 or b1 does, z when w2 does. It reads z for the w2
+    gradient, then writes the hidden gradient over it, multiplies that by
+    the slope in place and drops both; the w1 and w2 gradients of a
+    batched x are `_weight_grad`'s per-index sums. Values and gradients
+    have the bits of the three-op chain (an affine, a GELU node and an
+    affine), and the one dtype of the operands.
     """
     x, w1, b1, w2, b2 = inputs = [_wrap(t) for t in (x, w1, b1, w2, b2)]
     if (x.ndim < 2 or w1.ndim != 2 or w2.ndim != 2 or x.shape[-1] != w1.shape[0]
@@ -758,46 +799,42 @@ def mlp(x, w1, b1, w2, b2):
     lead, n, hidden = x.shape[:-2], x.shape[-2], w1.shape[1]
     size = math.prod(lead) * hidden
     blocks = list(_row_blocks(n, size))
-
-    def scratch():                      # row-major (..., r, hidden) views of one buffer
-        buf = np.empty(size * blocks[0].stop, dtype)
-        return lambda r: buf[:size * r].reshape(lead + (r, hidden))
-
-    h_block = scratch()
     z = np.empty(lead + (n, hidden), dtype) if need_w2 else None
-    z_block = scratch() if z is None else None
+    scratch = np.empty(size * blocks[0].stop, dtype) if z is None else None
     slope = np.empty(lead + (n, hidden), dtype) if need_h else None
     out = np.empty(lead + (n, w2.shape[1]), dtype)
     for block in blocks:
         r = block.stop - block.start
-        h = np.matmul(x.data[..., block, :], w1.data, out=h_block(r))
-        h += b1.data
-        zb = z_block(r) if z is None else z[..., block, :]
+        zb = z[..., block, :] if scratch is None else scratch[:size * r].reshape(lead + (r, hidden))
+        np.matmul(x.data[..., block, :], w1.data, out=zb)
+        zb += b1.data
         sb = None if slope is None else slope[..., block, :]
         for i in np.ndindex(lead):      # each leading index's rows are row-major
-            _gelu_into(h[i], zb[i], None if sb is None else sb[i])
+            _gelu_into(zb[i], zb[i], None if sb is None else sb[i])
         np.matmul(zb, w2.data, out=out[..., block, :])
     out += b2.data
     xd = x.data if need_w1 else None
     w1d = w1.data if need_x else None
     w2d = w2.data if need_h else None
-    sx, sw1, sb1, sw2, sb2 = (t.shape for t in inputs)
+    sx, sb1, sb2 = x.shape, b1.shape, b2.shape
 
     def grads(g):
+        nonlocal z, slope
         out = {}
         if need_w2:
-            out[3] = _unbroadcast(z.swapaxes(-1, -2) @ g, sw2)
+            out[3] = _weight_grad(z, g)
         if need_b2:
             out[4] = _unbroadcast(g, sb2)
         if need_h:
-            gh = g @ w2d.swapaxes(-1, -2)
+            gh = np.matmul(g, w2d.swapaxes(-1, -2), out=z)     # over the spent activation
             gh *= slope
-            if need_x:
-                out[0] = _unbroadcast(gh @ w1d.swapaxes(-1, -2), sx)
-            if need_w1:
-                out[1] = _unbroadcast(xd.swapaxes(-1, -2) @ gh, sw1)
-            if need_b1:
-                out[2] = _unbroadcast(gh, sb1)
+        z = slope = None                # neither is read again
+        if need_x:
+            out[0] = _unbroadcast(gh @ w1d.swapaxes(-1, -2), sx)
+        if need_w1:
+            out[1] = _weight_grad(xd, gh)
+        if need_b1:
+            out[2] = _unbroadcast(gh, sb1)
         return out
 
     return _make(out, list(zip(inputs, _joint_vjps(grads, 5))))
@@ -872,6 +909,7 @@ OPS = {
     "add": add,
     "sub": sub,
     "mul": mul,
+    "square": square,
     "neg": neg,
     "affine": affine,
     "concat": concat,
@@ -882,7 +920,6 @@ OPS = {
     "layer_norm": layer_norm,
     "attention": attention,
     "log_softmax": log_softmax,
-    "gelu": gelu,
     "mlp": mlp,
     "sigmoid": sigmoid,
     "softplus": softplus,

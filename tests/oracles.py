@@ -90,6 +90,26 @@ def mlp_float64(x, w1, b1, w2, b2):
     return gelu_float64(x @ w1 + b1)[0] @ w2 + b2
 
 
+def gelu_op(a):
+    """GELU as a graph node of its own, from numcore's kernel into a fresh
+    output; backward multiplies by the kept slope. The middle op of
+    `mlp_chain`, and a generic nonlinearity for graph tests."""
+    from stmae import numcore as nc
+    a = nc._wrap(a)
+    x = a.data
+    y = np.empty(x.shape, x.dtype)
+    slope = np.empty(x.shape, x.dtype) if a.requires_grad else None
+    nc._gelu_into(x, y, slope)
+    return nc._make(y, [(a, lambda g: g * slope)])
+
+
+def mlp_chain(x, w1, b1, w2, b2):
+    """The MLP as three graph nodes, affine -> `gelu_op` -> affine, each
+    making its own full-size arrays: what numcore.mlp fuses into one."""
+    from stmae import numcore as nc
+    return nc.affine(gelu_op(nc.affine(x, w1, b1)), w2, b2)
+
+
 def attention_unblocked(q, k, v, heads):
     """Multi-head softmax attention over the whole score tensor at once, with
     the same per-row arithmetic as numcore.attention (so equal bits)."""

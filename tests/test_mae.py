@@ -267,9 +267,8 @@ def test_a_pretrain_clip_graph_holds_only_what_backward_reads():
 
 
 def test_every_mlp_is_one_node(monkeypatch):
-    # an encoder block's MLP, a readout's and its query MLP: no GELU node of
-    # its own, and each node's edges end at its layer's four parameters
-    monkeypatch.setattr(nc, "gelu", None)
+    # an encoder block's MLP, a readout's and its query MLP: each node's
+    # edges end at its layer's four parameters
     built = []
     real = mae.Layers.mlp
 

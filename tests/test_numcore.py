@@ -52,6 +52,7 @@ OP_CASES = {
     "add": _case(nc.add, (3, 4), (4,)),
     "sub": _case(nc.sub, (3, 4), (3, 1)),
     "mul": _case(nc.mul, (2, 3, 4), (4,)),
+    "square": _case(nc.square, (3, 4)),
     "neg": _case(nc.neg, (3, 4)),
     "affine": _case(nc.affine, (2, 3, 4), (4, 5), (5,)),
     "concat": _case(lambda a, b: nc.concat([a, b], axis=1), (3, 2), (3, 4)),
@@ -62,7 +63,6 @@ OP_CASES = {
     "layer_norm": _case(nc.layer_norm, (4, 8)),
     "attention": _case(lambda q, k, v: nc.attention(q, k, v, heads=2), (2, 3, 4), (2, 5, 4), (2, 5, 4)),
     "log_softmax": _case(nc.log_softmax, (3, 5)),
-    "gelu": _case(nc.gelu, (3, 4)),
     "mlp": _case(nc.mlp, (2, 3, 4), (4, 6), (6,), (6, 5), (5,)),
     "sigmoid": _case(nc.sigmoid, (3, 4)),
     "softplus": _case(nc.softplus, (3, 4)),
@@ -143,32 +143,34 @@ def test_affine_matches_matmul_then_add_bitwise(dtypes):
         np.testing.assert_array_equal(t.grad, e)
 
 
+def _gelu(x, slope=False):
+    """GELU(x) through the kernel into a fresh output, and its slope if asked."""
+    y = np.empty(x.shape, x.dtype)
+    s = np.empty(x.shape, x.dtype) if slope else None
+    nc._gelu_into(x, y, s)
+    return (y, s) if slope else y
+
+
 def test_gelu_matches_scalar_reference():
     xs = np.array([v * s for v in (0.1, 0.5, 1.0, 1.7, 2.4, 3.0) for s in (1, -1)])
-    out = nc.gelu(Tensor(xs))
     expected = [oracles.gelu_scalar(float(x)) for x in xs]
-    np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(_gelu(xs), expected, rtol=0, atol=1e-14)
 
 
 def test_gelu_float32_accuracy():
     x = np.linspace(-12.0, 12.0, 2_000_001, dtype=np.float32)
     ref, ref_grad = oracles.gelu_float64(x)
-    t = nc.parameter(x)
-    out = nc.gelu(t)
-    nc.backward(nc.sum_(out))
-    y = out.data
-    assert y.dtype == np.float32 and t.grad.dtype == np.float32
+    y, slope = _gelu(x, slope=True)
+    assert y.dtype == np.float32 and slope.dtype == np.float32
     err = np.abs(y.astype(np.float64) - ref)
     ulps = err / np.spacing(np.abs(ref).astype(np.float32))
     assert err.max() <= 3e-7
     assert ulps[np.abs(ref) >= 1e-2].max() <= 16
     assert ulps[np.abs(ref) >= 1e-6].max() <= 64
     assert np.all(y[x < 0] <= 0)
-    assert np.abs(t.grad - ref_grad).max() <= 5e-7
-    with nc.no_grad():
-        again = nc.gelu(Tensor(x)).data
-    np.testing.assert_array_equal(again, y)
-    infinite = nc.gelu(Tensor(np.array([np.inf, -np.inf], dtype=np.float32))).data
+    assert np.abs(slope - ref_grad).max() <= 5e-7
+    np.testing.assert_array_equal(_gelu(x), y)
+    infinite = _gelu(np.array([np.inf, -np.inf], dtype=np.float32))
     np.testing.assert_array_equal(infinite, [np.inf, 0.0])
 
 
@@ -176,21 +178,36 @@ def test_gelu_float32_elementwise_bits():
     # chunk boundaries fall on other elements for a transposed layout and
     # an odd length; no element's bits may depend on where it sits
     x = np.random.default_rng(4).standard_normal((301, 257)).astype(np.float32) * 4
-    y = nc.gelu(Tensor(x)).data
-    np.testing.assert_array_equal(nc.gelu(Tensor(x.T)).data, y.T)
-    np.testing.assert_array_equal(nc.gelu(Tensor(x.reshape(-1)[5:])).data, y.reshape(-1)[5:])
+    y = _gelu(x)
+    np.testing.assert_array_equal(_gelu(x.T), y.T)
+    np.testing.assert_array_equal(_gelu(x.reshape(-1)[5:]), y.reshape(-1)[5:])
 
 
-def test_gelu_float32_no_grad_allocates_only_its_output():
+@pytest.mark.parametrize("in_place", [False, True], ids=["out-of-place", "in-place"])
+def test_gelu_float32_allocates_only_chunk_scratch(in_place):
     x = np.random.default_rng(5).standard_normal(1 << 22).astype(np.float32)
     tracemalloc.start()
     try:
-        with nc.no_grad():
-            nc.gelu(Tensor(x))
+        nc._gelu_into(x, x if in_place else np.empty_like(x))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < x.nbytes + (1 << 20)
+    assert peak < (0 if in_place else x.nbytes) + (1 << 20)
+
+
+@pytest.mark.parametrize("with_slope", [False, True], ids=["value", "value-and-slope"])
+@pytest.mark.parametrize("dtype", [F32, F64])
+def test_gelu_in_place_has_the_out_of_place_bits(dtype, with_slope):
+    # three chunks and a ragged fourth, with ±inf, ±0 and both tails in the last
+    x = np.random.default_rng(6).standard_normal(3 * nc._CHUNK + 777).astype(dtype) * 6
+    x[-6:] = [np.inf, -np.inf, 0.0, -0.0, 70.0, -70.0]
+    y, slope = _gelu(x, slope=True)
+    inplace = x.copy()
+    inplace_slope = np.empty_like(x) if with_slope else None
+    nc._gelu_into(inplace, inplace, inplace_slope)
+    np.testing.assert_array_equal(inplace.view(np.uint8), y.view(np.uint8))
+    if with_slope:
+        np.testing.assert_array_equal(inplace_slope.view(np.uint8), slope.view(np.uint8))
 
 
 # (rows n, elements a row, BLOCK): rows a block are max(2, BLOCK // row size)
@@ -394,9 +411,9 @@ def test_attention_with_grad_keeps_only_row_statistics():
 def test_float32_model_code_loads_no_scipy_special():
     # scipy.special (and its own BLAS) is imported only by a float64 GELU
     code = ("import sys, numpy as np, stmae.mae, stmae.readout, stmae.metrics; "
-            "from stmae import numcore as nc; nc.gelu(np.ones(3, np.float32)); "
+            "from stmae import numcore as nc; x = np.ones(3, np.float32); nc._gelu_into(x, x); "
             "print('scipy.special' in sys.modules, end=' '); "
-            "nc.gelu(np.ones(3)); print('scipy.special' in sys.modules)")
+            "x = np.ones(3); nc._gelu_into(x, x); print('scipy.special' in sys.modules)")
     src = os.path.dirname(os.path.dirname(nc.__file__))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
@@ -417,10 +434,6 @@ MLP_BLOCK_CASES = [
 MLP_GRAD_SUBSETS = [(0, 1, 2, 3, 4), (0,), (1, 2), (3, 4), (4,), (0, 3), (2,)]
 
 
-def _mlp_chain(x, w1, b1, w2, b2):
-    return nc.affine(nc.gelu(nc.affine(x, w1, b1)), w2, b2)
-
-
 # dtypes of (x, w1, b1, w2, b2)
 @pytest.mark.parametrize("dtypes", [(F32,) * 5, (F64,) * 5])
 @pytest.mark.parametrize("x_shape, hidden, block", MLP_BLOCK_CASES)
@@ -430,14 +443,14 @@ def test_mlp_is_the_chain_bitwise(x_shape, hidden, block, dtypes, monkeypatch):
     arrays = [(rng.standard_normal(s) * 2).astype(d) for s, d in zip(shapes, dtypes)]
     monkeypatch.setattr(nc, "BLOCK", block)
     with nc.no_grad():
-        expected = _mlp_chain(*arrays).data
+        expected = oracles.mlp_chain(*arrays).data
         frozen = nc.mlp(*arrays).data
     assert frozen.dtype == expected.dtype
     np.testing.assert_array_equal(frozen, expected)
     g = rng.standard_normal(expected.shape).astype(expected.dtype)
     for subset in MLP_GRAD_SUBSETS:
         runs = []
-        for build in (nc.mlp, _mlp_chain):
+        for build in (nc.mlp, oracles.mlp_chain):
             tensors = [nc.parameter(a) if i in subset else Tensor(a) for i, a in enumerate(arrays)]
             out = build(*tensors)
             nc.backward(nc.sum_(out * Tensor(g)))
@@ -468,22 +481,76 @@ def test_mlp_is_one_node_with_an_edge_per_input():
 def test_mlp_no_grad_memory_is_bounded():
     # the depth readout's MLP at eval geometry: 2048 queries, width 1024,
     # hidden 4096; one float32 hidden tensor is 32 MB and the chain peaks
-    # at about 72 MB above its inputs
+    # at about 72 MB above its inputs. The op holds its 8 MB output and one
+    # 8 MB scratch block of 512 hidden rows, plus GELU's chunk scratch
     rng = np.random.default_rng(10)
     x = Tensor(rng.standard_normal((1, 2048, 1024), dtype=np.float32))
     w1 = Tensor(rng.standard_normal((1024, 4096), dtype=np.float32) * 0.02)
     b1 = Tensor(np.zeros(4096, np.float32))
     w2 = Tensor(rng.standard_normal((4096, 1024), dtype=np.float32) * 0.02)
     b2 = Tensor(np.zeros(1024, np.float32))
-    hidden_bytes = 2048 * 4096 * 4
+    block_bytes = max(2, nc.BLOCK // 4096) * 4096 * 4
     tracemalloc.start()
     try:
         with nc.no_grad():
-            nc.mlp(x, w1, b1, w2, b2)
+            out = nc.mlp(x, w1, b1, w2, b2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < hidden_bytes
+    assert peak < out.data.nbytes + block_bytes + (1 << 20)
+
+
+def test_mlp_backward_reuses_the_activation_and_stacks_no_weight_gradients():
+    # the probe depth head's MLP, (2, 512, 384) -> 1536 -> 384 in float32: the
+    # hidden gradient goes over the kept activation, and each weight gradient
+    # is two (k, m) arrays, the sum and one leading index's product. The
+    # bound is what backward hands out (the loss's output gradient and the
+    # five input gradients) plus one w-sized product and 1 MB; a 6 MB
+    # (2, 512, 1536) hidden gradient or a 4.5 MB (2, k, m) stack breaks it
+    rng = np.random.default_rng(11)
+    shapes = [(2, 512, 384), (384, 1536), (1536,), (1536, 384), (384,)]
+    params = [nc.parameter(rng.standard_normal(s, dtype=np.float32) * 0.05) for s in shapes]
+    out = nc.mlp(*params)
+    loss = nc.sum_(out * Tensor(rng.standard_normal(out.shape, dtype=np.float32)))
+    handed_out = out.data.nbytes + sum(p.data.nbytes for p in params)
+    tracemalloc.start()
+    try:
+        nc.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [p.grad.shape for p in params] == shapes
+    assert peak < handed_out + params[1].data.nbytes + (1 << 20)
+
+
+@pytest.mark.parametrize("dtype", [F32, F64])
+@pytest.mark.parametrize("lead", [(), (1,), (2,), (2, 3)], ids=str)
+def test_weight_grad_is_the_summed_stack_bitwise(lead, dtype):
+    rng = np.random.default_rng(len(lead) * 10 + sum(lead))
+    a = rng.standard_normal(lead + (13, 6)).astype(dtype)
+    g = np.abs(rng.standard_normal(lead + (13, 5))).astype(dtype)
+    a[..., 0] = -0.0                    # a row of -0.0 products: summing from zero gives +0.0
+    stack = a.swapaxes(-1, -2) @ g
+    expected = stack.sum(axis=tuple(range(len(lead)))) if lead else stack
+    got = nc._weight_grad(a, g)
+    assert got.shape == (6, 5) and got.dtype == dtype
+    np.testing.assert_array_equal(got.view(np.uint8), expected.view(np.uint8))
+
+
+@pytest.mark.parametrize("dtype", [F32, F64])
+def test_square_is_mul_by_itself_bitwise(dtype):
+    rng = np.random.default_rng(12)
+    x = (rng.standard_normal((4, 7, 3)) * 3).astype(dtype)
+    weights = Tensor(rng.standard_normal((4, 7, 3)).astype(dtype))
+    runs = []
+    for build in (nc.square, lambda t: t * t):
+        t = nc.parameter(x)
+        out = build(t)
+        nc.backward(nc.sum_(out * weights))
+        runs.append((out.data, t.grad))
+    for got, expected in zip(*runs):
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got.view(np.uint8), expected.view(np.uint8))
 
 
 def test_layer_norm_moments():
@@ -510,11 +577,9 @@ def test_softplus_slope_is_finite_at_extreme_inputs(dtype, far):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_gelu_at_infinity_is_relu_with_its_slope(dtype):
-    t = nc.parameter(np.array([np.inf, -np.inf, 100.0, -100.0], dtype))
-    out = nc.gelu(t)
-    nc.backward(nc.sum_(out))
-    np.testing.assert_array_equal(out.data, [np.inf, 0.0, 100.0, 0.0])
-    np.testing.assert_array_equal(t.grad, [1.0, 0.0, 1.0, 0.0])
+    y, slope = _gelu(np.array([np.inf, -np.inf, 100.0, -100.0], dtype), slope=True)
+    np.testing.assert_array_equal(y, [np.inf, 0.0, 100.0, 0.0])
+    np.testing.assert_array_equal(slope, [1.0, 0.0, 1.0, 0.0])
 
 
 @pytest.mark.parametrize("build, shapes", [
@@ -644,7 +709,7 @@ def test_no_vjp_closure_holds_a_tensor(name):
 
 @pytest.mark.parametrize("consume", [
     lambda y: nc.sum_(y),
-    lambda y: nc.mean(nc.gelu(y)),
+    lambda y: nc.mean(oracles.gelu_op(y)),
     lambda y: nc.sum_(nc.reshape(y, (2, 2)) + nc.transpose(nc.reshape(y, (2, 2)), (1, 0))),
 ], ids=["sum", "gelu-mean", "reshape-transpose-add"])
 def test_an_op_result_no_vjp_reads_is_freed_when_dropped(consume):
@@ -677,7 +742,7 @@ def test_deterministic_outputs_bitwise():
         a = Tensor(rng.standard_normal((16, 16)))
         b = Tensor(rng.standard_normal((16, 16)))
         out = nc.attention(a, b, nc.affine(a, b, np.zeros(16)), heads=4)
-        return nc.mean(nc.gelu(out)).data.copy()
+        return nc.mean(oracles.gelu_op(out)).data.copy()
     assert np.array_equal(run(), run())
 
 
@@ -725,7 +790,7 @@ def test_backward_twice_through_the_same_loss_raises():
 def test_backward_through_a_consumed_intermediate_raises_before_any_gradient_moves():
     x = nc.parameter(np.array([1.0, 2.0]))
     w = nc.parameter(np.array([0.5, -1.0]))
-    shared = nc.gelu(x)
+    shared = oracles.gelu_op(x)
     nc.backward(nc.sum_(shared * shared))
     first = x.grad.copy()
     # w is reached before the consumed node, but the walk checks the whole graph first
@@ -750,7 +815,7 @@ def test_backward_memory_follows_the_walk_not_the_graph():
     c = Tensor(np.full(1 << 20, 0.5, dtype=np.float32))
     y = x
     for i in range(32):
-        y = (y * c, y + c, nc.sigmoid(y), nc.gelu(y))[i % 4]
+        y = (y * c, y + c, nc.sigmoid(y), oracles.gelu_op(y))[i % 4]
     loss = nc.sum_(y)
     tracemalloc.start()
     try:
@@ -780,7 +845,7 @@ def test_a_repeated_step_reuses_the_memory_it_freed():
     def step():
         y = x
         for _ in range(16):
-            y = nc.gelu(y * 0.5 + 1.0)
+            y = oracles.gelu_op(y * 0.5 + 1.0)
         nc.backward(nc.sum_(y))
         x.grad = None
 
@@ -814,7 +879,7 @@ def _residual_chain(x, w):
     y = x
     for _ in range(3):
         y = y + nc.reshape(nc.affine(nc.reshape(y, (2, 2, 6)), w, np.zeros(6, w.dtype)), (4, 6))
-        y = nc.gelu(y) - y
+        y = oracles.gelu_op(y) - y
     return y
 
 
