@@ -177,10 +177,10 @@ def _class_labels(what, logits_shape, labels):
 
 
 def _tensor(x, dtype=None):
+    """`x` as a Tensor; an array already of `dtype` is wrapped without a copy."""
     if isinstance(x, Tensor):
         return x
-    arr = np.asarray(x)
-    return Tensor(arr if dtype is None else arr.astype(dtype))
+    return Tensor(np.asarray(x, dtype))
 
 
 def bce_with_logits(logits, targets):

@@ -21,9 +21,10 @@ three input gradients share one computation of the score gradient. Its
 forward runs one head at a time, in blocks of query rows sized for about
 `BLOCK` score elements over all heads, through one reused scratch block
 of one head's share, with or without a gradient, so no call holds its
-whole score tensor. For backward it keeps only each query row's softmax
-max and sum (plus views of q, k and v). Backward runs head by head too:
-it rebuilds one head's weights from them bit for bit, as FlashAttention
+whole score tensor. When any input takes a gradient, backward writes all
+three, and for it the forward keeps only each query row's softmax max
+and sum (plus views of q, k and v). Backward runs head by head too: it
+rebuilds one head's weights from them bit for bit, as FlashAttention
 recomputes them (Dao et al. 2022), so it holds one head's weights and
 score gradient at a time, and writes each head's share of the three
 gradients straight into (..., n, d) arrays. `affine` is the one linear
@@ -36,14 +37,14 @@ blocks of rows along axis -2 of about `BLOCK` hidden elements, each over
 every leading axis; each block's pre-activation is written into its
 activation buffer and goes through GELU in place. Without a gradient
 that buffer is one reused scratch block, so the output is the op's only
-full-size array. With one, its VJP keeps what the three-op chain would:
-x, w1, the GELU slope, the activation and w2, each only when a wanted
-gradient reads it; the full pre-activation is never held. Backward
-writes the hidden gradient over the spent activation and drops it and
-the slope after their last read. The weight gradients of `affine` and
-`mlp` over a batched input add one (k, m) product per leading index
-into one array instead of summing a stack of them. Values and all five
-gradients have the chain's bits.
+full-size array. With one, backward writes the four weight gradients,
+and x's only when x takes one; its VJP keeps x, the GELU slope, the
+activation and w2, and w1 only for x's gradient. The full pre-activation
+is never held. Backward writes the hidden gradient over the spent
+activation and drops it and the slope after their last read. The weight
+gradients of `affine` and `mlp` over a batched input add one (k, m)
+product per leading index into one array instead of summing a stack of
+them. Values and all five gradients have the chain's bits.
 
 Data is row-major float64 or float32; both dtypes run the same code
 path, except GELU, whose float32 kernel stays in float32 (within 3e-7
@@ -518,9 +519,10 @@ def layer_norm(a):
 
 def _joint_vjps(grads, count):
     """VJPs for `count` inputs that share one computation. Backward calls a
-    node's VJPs back to back with one g: the first call computes every
-    wanted gradient as `grads(g)`, a dict keyed by input index, and each
-    call takes its own."""
+    node's VJPs back to back with one g: the first call computes the
+    gradients as `grads(g)`, a dict keyed by input index, and each call
+    takes its own; the entry of an input that takes no gradient goes
+    unread and is freed with the node."""
     pending = {}
 
     def vjp(i):
@@ -561,16 +563,17 @@ def attention(q, k, v, heads):
     arithmetic of each row is that of an unblocked softmax; but a gemm's
     bits can depend on its row count, so the row blocks stay sized over
     all heads (numpy's batched matmul already makes one gemm per head) and
-    forward and backward share one block plan. With a gradient to take,
-    each query row's max m and sum l (taken after exp) go into one
-    (..., heads, nq, 2) array. Backward also runs head by head: it rebuilds
-    one head's weights from them over the same blocks with the forward's
-    ops on the same operands, exp(q kᵀ scale - m) / l, so they have the
-    forward's bits, and writes that head's channels of the q, k and v
-    gradients straight into (..., n, d) arrays, k's through a transposed
-    view. So backward holds one head's weights and score gradient, two
+    forward and backward share one block plan. When any input takes a
+    gradient, each query row's max m and sum l (taken after exp) go into
+    one (..., heads, nq, 2) array, and backward writes all three input
+    gradients. Backward also runs head by head: it rebuilds one head's
+    weights from them over the same blocks with the forward's ops on the
+    same operands, exp(q kᵀ scale - m) / l, so they have the forward's
+    bits, and writes that head's channels of the q, k and v gradients
+    straight into (..., n, d) arrays, k's through a transposed view. So
+    backward holds one head's weights and score gradient, two
     (..., nq, nk) arrays, besides the gradients. Backward keeps the row
-    statistics and views of q, k and v: v only for q's or k's gradient.
+    statistics and views of q, k and v.
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     if (q.ndim < 2 or k.ndim < 2 or k.shape != v.shape or q.shape[-1] != k.shape[-1]
@@ -593,10 +596,9 @@ def attention(q, k, v, heads):
     kt = kh.swapaxes(-1, -2)
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=dtype)
     blocks = list(_row_blocks(nq, math.prod(lead) * heads * nk))
-    need = [_grad_enabled and t.requires_grad for t in (q, k, v)]
-    need_q, need_k, need_v = need
+    grad = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
     # each row's max and sum, the only arrays backward keeps besides q, k and v
-    stats = np.empty(lead + (heads, nq, 2), dtype) if any(need) else None
+    stats = np.empty(lead + (heads, nq, 2), dtype) if grad else None
     s = np.empty(lead + (blocks[0].stop, nk), dtype)
     out = np.empty(lead + (nq, d), dtype)
     oh = split(out)
@@ -611,25 +613,22 @@ def attention(q, k, v, heads):
             l = w.sum(axis=-1, keepdims=True)
             w /= l
             np.matmul(w, vh[..., h, :, :], out=oh[..., h, block, :])
-            if stats is not None:
+            if grad:
                 stats[..., h, block, :1] = m
                 stats[..., h, block, 1:] = l
     shapes = q.shape, k.shape, v.shape
-    vh = vh if need_q or need_k else None
 
     def by_head(g):
-        """The wanted gradients at full leading shape, each head's channels
+        """The three gradients at full leading shape, each head's channels
         written in turn."""
         gh = split(g)
-        gq, gk, gv = (np.empty(lead + shape[-2:], dtype) if wanted else None
-                      for shape, wanted in zip(shapes, need))
+        gq, gk, gv = (np.empty(lead + shape[-2:], dtype) for shape in shapes)
         s = np.empty(lead + (nq, nk), dtype)
-        if need_q or need_k:
-            gs = np.empty(lead + (nq, nk), dtype)
-            flat_gs, flat_s = gs.reshape(-1, nk), s.reshape(-1, nk)
-            rowsum = np.empty((len(flat_gs), 1), dtype)
-            chunk = max(1, _CHUNK // nk)
-            product = np.empty((min(chunk, len(flat_gs)), nk), dtype)
+        gs = np.empty(lead + (nq, nk), dtype)
+        flat_gs, flat_s = gs.reshape(-1, nk), s.reshape(-1, nk)
+        rowsum = np.empty((len(flat_gs), 1), dtype)
+        chunk = max(1, _CHUNK // nk)
+        product = np.empty((min(chunk, len(flat_gs)), nk), dtype)
         for h in range(heads):
             for block in blocks:
                 w = s[..., block, :]
@@ -638,29 +637,25 @@ def attention(q, k, v, heads):
                 w -= stats[..., h, block, :1]
                 np.exp(w, out=w)
                 w /= stats[..., h, block, 1:]
-            if need_v:
-                np.matmul(s.swapaxes(-1, -2), gh[..., h, :, :], out=split(gv)[..., h, :, :])
-            if need_q or need_k:
-                # the softmax Jacobian in place: the bits of s * (gs - rowsum(gs * s)) * scale,
-                # each row's sum taken in chunks of rows over the same contiguous values
-                np.matmul(gh[..., h, :, :], vh[..., h, :, :].swapaxes(-1, -2), out=gs)
-                for i in range(0, len(flat_gs), chunk):
-                    p = product[:len(flat_gs[i:i + chunk])]
-                    np.multiply(flat_gs[i:i + chunk], flat_s[i:i + chunk], out=p)
-                    rowsum[i:i + chunk] = p.sum(axis=-1, keepdims=True)
-                gs -= rowsum.reshape(gs.shape[:-1] + (1,))
-                gs *= s
-                gs *= scale
-                if need_q:
-                    np.matmul(gs, kh[..., h, :, :], out=split(gq)[..., h, :, :])
-                if need_k:
-                    np.matmul(qh[..., h, :, :].swapaxes(-1, -2), gs,
-                              out=split(gk)[..., h, :, :].swapaxes(-1, -2))
+            np.matmul(s.swapaxes(-1, -2), gh[..., h, :, :], out=split(gv)[..., h, :, :])
+            # the softmax Jacobian in place: the bits of s * (gs - rowsum(gs * s)) * scale,
+            # each row's sum taken in chunks of rows over the same contiguous values
+            np.matmul(gh[..., h, :, :], vh[..., h, :, :].swapaxes(-1, -2), out=gs)
+            for i in range(0, len(flat_gs), chunk):
+                p = product[:len(flat_gs[i:i + chunk])]
+                np.multiply(flat_gs[i:i + chunk], flat_s[i:i + chunk], out=p)
+                rowsum[i:i + chunk] = p.sum(axis=-1, keepdims=True)
+            gs -= rowsum.reshape(gs.shape[:-1] + (1,))
+            gs *= s
+            gs *= scale
+            np.matmul(gs, kh[..., h, :, :], out=split(gq)[..., h, :, :])
+            np.matmul(qh[..., h, :, :].swapaxes(-1, -2), gs,
+                      out=split(gk)[..., h, :, :].swapaxes(-1, -2))
         return gq, gk, gv
 
     def grads(g):
         full = by_head(g)               # one head's weights and score gradient freed
-        return {i: _unbroadcast(full[i], shapes[i]) for i in range(3) if need[i]}
+        return {i: _unbroadcast(full[i], shapes[i]) for i in range(3)}
 
     return _make(out, list(zip((q, k, v), _joint_vjps(grads, 3))))
 
@@ -774,14 +769,16 @@ def mlp(x, w1, b1, w2, b2):
     `BLOCK` hidden elements over every leading axis. A block's
     pre-activation is written straight into its activation buffer, gets
     its bias in place and goes through GELU in place. That buffer is the
-    block's rows of the full activation z when backward keeps z, and one
+    block's rows of the full activation z with a gradient to take, and one
     reused scratch block otherwise; the GELU slope, when kept, is written
     block by block into a full array. So without a gradient the output and
     one scratch block are the only arrays of any size, and with one
     nothing is held beyond z and the slope.
 
-    Backward keeps x when w1 takes a gradient, w1 when x does, the slope
-    and w2 when x, w1 or b1 does, z when w2 does. It reads z for the w2
+    When any input takes a gradient, backward writes the four weight
+    gradients, and x's only when x takes one (a constant x, such as a
+    readout's query coordinates, skips that product). It keeps x, z, the
+    slope and w2, and w1 only for x's gradient. It reads z for the w2
     gradient, then writes the hidden gradient over it, multiplies that by
     the slope in place and drops both; the w1 and w2 gradients of a
     batched x are `_weight_grad`'s per-index sums. Values and gradients
@@ -794,47 +791,39 @@ def mlp(x, w1, b1, w2, b2):
         raise ShapeError(f"mlp: x {x.shape}, w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape} and "
                          f"b2 {b2.shape} need x (..., n, k), w1 (k, h), b1 (h,), w2 (h, m), b2 (m,)")
     dtype = _one_dtype("mlp", x=x, w1=w1, b1=b1, w2=w2, b2=b2)
-    need_x, need_w1, need_b1, need_w2, need_b2 = (_grad_enabled and t.requires_grad for t in inputs)
-    need_h = need_x or need_w1 or need_b1
+    grad = _grad_enabled and any(t.requires_grad for t in inputs)
+    need_x = grad and x.requires_grad
     lead, n, hidden = x.shape[:-2], x.shape[-2], w1.shape[1]
     size = math.prod(lead) * hidden
     blocks = list(_row_blocks(n, size))
-    z = np.empty(lead + (n, hidden), dtype) if need_w2 else None
-    scratch = np.empty(size * blocks[0].stop, dtype) if z is None else None
-    slope = np.empty(lead + (n, hidden), dtype) if need_h else None
+    z = np.empty(lead + (n, hidden), dtype) if grad else None
+    scratch = None if grad else np.empty(size * blocks[0].stop, dtype)
+    slope = np.empty(lead + (n, hidden), dtype) if grad else None
     out = np.empty(lead + (n, w2.shape[1]), dtype)
     for block in blocks:
         r = block.stop - block.start
-        zb = z[..., block, :] if scratch is None else scratch[:size * r].reshape(lead + (r, hidden))
+        zb = z[..., block, :] if grad else scratch[:size * r].reshape(lead + (r, hidden))
         np.matmul(x.data[..., block, :], w1.data, out=zb)
         zb += b1.data
-        sb = None if slope is None else slope[..., block, :]
+        sb = slope[..., block, :] if grad else None
         for i in np.ndindex(lead):      # each leading index's rows are row-major
             _gelu_into(zb[i], zb[i], None if sb is None else sb[i])
         np.matmul(zb, w2.data, out=out[..., block, :])
     out += b2.data
-    xd = x.data if need_w1 else None
+    xd, w2d = x.data, w2.data
     w1d = w1.data if need_x else None
-    w2d = w2.data if need_h else None
     sx, sb1, sb2 = x.shape, b1.shape, b2.shape
 
     def grads(g):
         nonlocal z, slope
-        out = {}
-        if need_w2:
-            out[3] = _weight_grad(z, g)
-        if need_b2:
-            out[4] = _unbroadcast(g, sb2)
-        if need_h:
-            gh = np.matmul(g, w2d.swapaxes(-1, -2), out=z)     # over the spent activation
-            gh *= slope
+        out = {3: _weight_grad(z, g), 4: _unbroadcast(g, sb2)}
+        gh = np.matmul(g, w2d.swapaxes(-1, -2), out=z)     # over the spent activation
+        gh *= slope
         z = slope = None                # neither is read again
         if need_x:
             out[0] = _unbroadcast(gh @ w1d.swapaxes(-1, -2), sx)
-        if need_w1:
-            out[1] = _weight_grad(xd, gh)
-        if need_b1:
-            out[2] = _unbroadcast(gh, sb1)
+        out[1] = _weight_grad(xd, gh)
+        out[2] = _unbroadcast(gh, sb1)
         return out
 
     return _make(out, list(zip(inputs, _joint_vjps(grads, 5))))

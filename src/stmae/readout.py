@@ -130,6 +130,16 @@ class CrossAttentionReadout:
             raise ValueError(f"features have shape {shape}, readout expects (B, T, K, C)")
         return features if isinstance(features, Tensor) else Tensor(np.asarray(features, self.dtype))
 
+    def _coords(self, what, coords, features):
+        """`coords` as a (B, n, COORDS) array, B the batch of the (B, T, K, C)
+        `features` Tensor."""
+        coords = np.asarray(coords)
+        b = features.shape[0]
+        if coords.ndim != 3 or coords.shape[0] != b or coords.shape[2] != self.COORDS:
+            raise ValueError(f"{what} have shape {coords.shape}, expected ({b}, n, {self.COORDS}) "
+                             f"for features of shape {features.shape}")
+        return coords
+
     def forward(self, features, queries):
         """features: (B, T, K, C) Tensor or array; queries: (B?, Q, Cq) Tensor."""
         L = self.layers
@@ -221,7 +231,8 @@ class PointTrackHead(CrossAttentionReadout):
 
         Returns (positions01 (B,tracks,frames,2), vis_logits, unc_logits).
         """
-        query_points = np.asarray(query_points)
+        features = self._features(features)
+        query_points = self._coords("query_points", query_points, features)
         b, tracks = query_points.shape[:2]
         if tracks > self.MAX_TRACKS:
             raise ValueError(f"{tracks} tracks exceed the maximum {self.MAX_TRACKS}")
@@ -252,7 +263,8 @@ class BoxTrackHead(CrossAttentionReadout):
 
         Returns (B, boxes, frames, 4), no output activation.
         """
-        query_boxes = np.asarray(query_boxes)
+        features = self._features(features)
+        query_boxes = self._coords("query_boxes", query_boxes, features)
         b, boxes = query_boxes.shape[:2]
         if boxes > self.MAX_BOXES:
             raise ValueError(f"{boxes} boxes exceed the maximum {self.MAX_BOXES}")

@@ -571,11 +571,16 @@ def _check_size(name, value):
 def generate(seed, count, resolution, frames=16):
     """Lazy iterator over `count` deterministic (VideoClip, SceneLabels) pairs.
 
-    The arguments are checked at the call; each clip is rendered when it is
-    pulled. Clip i draws its scene from the rng stream [seed, i, attempt],
-    attempt being the first feasible draw (see `_sample_scene`); class ids
-    rotate round-robin so every window of clips is balanced.
+    The arguments are checked at the call: seed and count are integers of
+    at least 0, resolution and frames of at least 1. Each clip is rendered
+    when it is pulled. Clip i draws its scene from the rng stream
+    [seed, i, attempt], attempt being the first feasible draw (see
+    `_sample_scene`); class ids rotate round-robin so every window of clips
+    is balanced.
     """
+    for name, value in (("seed", seed), ("count", count)):
+        if not _is_int(value) or value < 0:
+            raise ValueError(f"{name} {value!r} must be an integer >= 0")
     for name, value in (("resolution", resolution), ("frames", frames)):
         _check_size(name, value)
     return (render_clip(_sample_scene((seed, i), i % NUM_CLASSES, frames), resolution, frames)

@@ -150,7 +150,8 @@ def attention_kept_weights(q, k, v, heads, g, wanted, rows=None):
     the forward builds the weights and the output `rows` query rows at a
     time, every head of a block in one batched product, and a last block
     of one row takes the row before it along: numcore's row blocks, whose
-    row counts a product's bits can depend on.
+    row counts a product's bits can depend on. The weights are kept only
+    when a gradient is wanted.
     """
     d = q.shape[-1]
     dh = d // heads
@@ -167,15 +168,17 @@ def attention_kept_weights(q, k, v, heads, g, wanted, rows=None):
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=q.dtype)
     starts = [0] if rows is None else [max(0, min(i, nq - 2)) for i in range(0, nq, rows)]
     rows = nq if rows is None else rows
-    s = np.empty(np.broadcast_shapes(qh.shape[:-2], kh.shape[:-2]) + (nq, k.shape[-2]), scale.dtype)
-    oh = np.empty(s.shape[:-1] + (dh,), q.dtype)
+    lead = np.broadcast_shapes(qh.shape[:-2], kh.shape[:-2])
+    s = np.empty(lead + (nq, k.shape[-2]), scale.dtype) if wanted else None
+    oh = np.empty(lead + (nq, dh), q.dtype)
     for start in starts:
         w = qh[..., start:start + rows, :] @ kh.swapaxes(-1, -2)
         w *= scale
         w -= w.max(axis=-1, keepdims=True)
         np.exp(w, out=w)
         w /= w.sum(axis=-1, keepdims=True)
-        s[..., start:start + rows, :] = w
+        if wanted:
+            s[..., start:start + rows, :] = w
         oh[..., start:start + rows, :] = w @ vh
     out = merge(oh)
     gh = split(g) if wanted else None

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from stmae import numcore as nc
+from stmae import metrics, numcore as nc
 from stmae.metrics import (DepthPair, absrel, average_jaccard, bce_with_logits,
                            box_track_loss, cross_entropy, cube_points, depth_loss,
                            epe_pose, mean_iou, point_track_loss, pose_loss, top1,
@@ -393,6 +393,15 @@ def test_depth_loss_respects_mask():
 def test_box_loss_zero_at_target():
     boxes = np.random.default_rng(19).random((2, 4, 4))
     assert float(box_track_loss(boxes, boxes).data) == 0.0
+
+
+def test_a_target_already_of_the_dtype_is_not_copied():
+    target = np.random.default_rng(20).random((2, 4, 4)).astype(np.float32)
+    kept = metrics._tensor(target, np.float32)
+    assert np.shares_memory(kept.data, target)
+    cast = metrics._tensor(target, np.float64)
+    assert cast.dtype == np.float64 and not np.shares_memory(cast.data, target)
+    np.testing.assert_array_equal(cast.data, target)
 
 
 def _shape_error(what, target, pred):

@@ -1,5 +1,7 @@
 """Readout heads: published parameter counts, pipeline order, head contracts."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -314,6 +316,27 @@ def test_box_head_shape_and_limit():
     assert tuple(out.shape) == (1, 2, 16, 4)
     with pytest.raises(ValueError):
         head.forward(feats, np.zeros((1, 26, 4)))
+
+
+QUERY_SHAPE_CASES = [
+    ("point", (5, 2)),                  # no batch axis
+    ("point", (2, 5, 2)),               # two clips' queries for one clip's features
+    ("point", (1, 5, 3)),
+    ("box", (2, 5, 4)),
+    ("box", (5, 4)),
+    ("box", (1, 5, 2)),
+]
+
+
+@pytest.mark.parametrize("name, shape", QUERY_SHAPE_CASES)
+def test_point_and_box_heads_reject_queries_of_another_shape(name, shape):
+    head = {"point": PointTrackHead, "box": BoxTrackHead}[name](8, qkv_size=16, heads=2)
+    what, coords = {"point": ("query_points", 2), "box": ("query_boxes", 4)}[name]
+    feats = Tensor(np.zeros((1, 16, 4, 8), dtype=np.float32))
+    message = (f"{what} have shape {shape}, expected (1, n, {coords}) "
+               f"for features of shape (1, 16, 4, 8)")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        head.forward(feats, np.zeros(shape))
 
 
 def test_depth_head_query_grid_and_positivity():

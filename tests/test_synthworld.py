@@ -108,6 +108,15 @@ def test_generate_rejects_sizes_that_are_not_integers(resolution, frames, messag
         synthworld.generate(0, 1, resolution, frames)
 
 
+@pytest.mark.parametrize("seed, count, message", [
+    (-1, 1, "seed -1"), (1.5, 1, "seed 1.5"), (True, 1, "seed True"),
+    (0, -3, "count -3"), (0, 2.5, "count 2.5"), (0, np.float64(2.0), "count np.float64(2.0)")])
+def test_generate_rejects_a_seed_or_count_that_is_not_an_integer_of_at_least_zero(seed, count,
+                                                                                    message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)} must be an integer >= 0$"):
+        synthworld.generate(seed, count, 16, 4)
+
+
 @pytest.mark.parametrize("out_size", [8.5, True])
 def test_pretrain_view_rejects_sizes_that_are_not_integers(clips, out_size):
     with pytest.raises(ValueError, match=f"^out_size {out_size!r} must be an integer$"):
@@ -120,6 +129,7 @@ def test_sizes_may_be_numpy_integers(clips):
     assert view.shape[1:3] == (8, 8)
     out, _ = synthworld.augment(clip, labels, np.random.default_rng(0), out_hw=(np.int64(8), 8))
     assert out.frames.shape[1:3] == (8, 8)
+    assert list(synthworld.generate(np.int64(0), np.uint8(0), np.int64(16), 4)) == []
 
 
 def resize_then_crop_view(clip, rng, out_size):
