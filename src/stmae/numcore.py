@@ -20,16 +20,17 @@ views its operands as heads itself and has one hand-written VJP; the
 three input gradients share one computation of the score gradient. Its
 forward runs one head at a time, in blocks of query rows sized for about
 `BLOCK` score elements over all heads, through one reused scratch block
-of one head's share, with or without a gradient, so no call holds its
-whole score tensor. When any input takes a gradient, backward writes all
-three, and for it the forward keeps only each query row's softmax max
-and sum (plus views of q, k and v). Backward runs head by head too: it
-rebuilds one head's weights from them bit for bit, as FlashAttention
-recomputes them (Dao et al. 2022), so it holds one head's weights and
-score gradient at a time, and writes each head's share of the three
-gradients straight into (..., n, d) arrays. `affine` is the one linear
-layer (`mae.Layers.linear`): one node and one output array, the bias
-added in place into the product.
+of one head's share, so no call holds its whole score tensor. One
+routine builds a head's softmax weights for the forward, recording each
+query row's max and sum, and rebuilds them bit for bit in backward from
+those statistics, as FlashAttention recomputes them (Dao et al. 2022).
+Backward writes all three gradients. It keeps the row statistics, views
+of q, k and v, and the output, from which each row's softmax term
+D = g · o comes (FlashAttention-2, Dao 2023). It runs head by head, so
+it holds one head's weights and score gradient at a time, and writes
+each head's share of the three gradients straight into (..., n, d)
+arrays. `affine` is the one linear layer (`mae.Layers.linear`): one node
+and one output array, the bias added in place into the product.
 
 `mlp` is the one MLP (`mae.Layers.mlp`), affine -> GELU -> affine as one
 node, used by every encoder block and readout. Its forward runs in
@@ -50,8 +51,10 @@ Data is row-major float64 or float32; both dtypes run the same code
 path, except GELU, whose float32 kernel stays in float32 (within 3e-7
 absolute of the exact value) while float64 uses scipy's erf, imported only
 when a float64 GELU runs. The fused ops `affine`, `attention` and `mlp`
-take operands of one dtype, raise a ValueError naming each operand's
-dtype otherwise, and make every output and gradient in that dtype.
+and the elementwise `add`, `sub`, `mul` and `concat` take operands of one
+dtype, raise a ValueError naming the op and each operand's dtype
+otherwise, and make every output and gradient in that dtype; a python
+scalar operand of the operator sugar takes the tensor's dtype.
 Reductions delegate to numpy, whose summation order over the row-major
 layout is fixed within one build, so results are bitwise reproducible
 for identical inputs.
@@ -74,7 +77,7 @@ _HALF_INV_SQRT2 = 0.5 / math.sqrt(2.0)
 # erfc(z) = t·exp(-z² + P(t)), t = 1/(1 + z/2), fractional error < 1.2e-7 for z >= 0
 _ERFCC = (-1.26551223, 1.00002368, 0.37409196, 0.09678418, -0.18628806,
           0.27886807, -1.13520398, 1.48851587, -0.82215223, 0.17087277)
-_CHUNK = 1 << 15             # elements of a GELU chunk or an attention row-sum chunk; fits in L2
+_CHUNK = 1 << 15             # elements of a GELU chunk; fits in L2
 
 BLOCK = 1 << 21              # elements per row block of `attention` (scores) and `mlp` (hidden)
 
@@ -155,20 +158,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap_like(other, self.dtype))
 
-    def __radd__(self, other):
-        return add(_wrap_like(other, self.dtype), self)
-
     def __sub__(self, other):
         return sub(self, _wrap_like(other, self.dtype))
 
-    def __rsub__(self, other):
-        return sub(_wrap_like(other, self.dtype), self)
-
     def __mul__(self, other):
         return mul(self, _wrap_like(other, self.dtype))
-
-    def __rmul__(self, other):
-        return mul(_wrap_like(other, self.dtype), self)
 
     def __neg__(self):
         return neg(self)
@@ -304,9 +298,21 @@ def _covers(view, base):
 # ---------------------------------------------------------------------------
 
 
+def _one_dtype(op, **operands):
+    """The dtype all `operands` (name -> Tensor) of `op` share; a ValueError
+    names each operand's dtype when they differ."""
+    dtypes = {name: t.dtype for name, t in operands.items()}
+    if len(set(dtypes.values())) > 1:
+        named = ", ".join(f"{name} {dtype}" for name, dtype in dtypes.items())
+        raise ValueError(f"{op}: operands must share one dtype, got {named}")
+    return next(iter(dtypes.values()))
+
+
 def add(a, b):
-    """Elementwise a + b with numpy broadcasting. Backward keeps the two shapes."""
+    """Elementwise a + b with numpy broadcasting, one dtype. Backward keeps
+    the two shapes."""
     a, b = _wrap(a), _wrap(b)
+    _one_dtype("add", a=a, b=b)
     try:
         data = a.data + b.data
     except ValueError:
@@ -317,8 +323,10 @@ def add(a, b):
 
 
 def sub(a, b):
-    """Elementwise a - b with numpy broadcasting. Backward keeps the two shapes."""
+    """Elementwise a - b with numpy broadcasting, one dtype. Backward keeps
+    the two shapes."""
     a, b = _wrap(a), _wrap(b)
+    _one_dtype("sub", a=a, b=b)
     try:
         data = a.data - b.data
     except ValueError:
@@ -329,9 +337,10 @@ def sub(a, b):
 
 
 def mul(a, b):
-    """Elementwise a * b with numpy broadcasting. Backward keeps each
-    operand whose partner takes a gradient."""
+    """Elementwise a * b with numpy broadcasting, one dtype. Backward keeps
+    each operand whose partner takes a gradient."""
     a, b = _wrap(a), _wrap(b)
+    _one_dtype("mul", a=a, b=b)
     try:
         data = a.data * b.data
     except ValueError:
@@ -360,16 +369,6 @@ def neg(a):
     """Elementwise -a. Backward keeps nothing."""
     a = _wrap(a)
     return _make(-a.data, [(a, lambda g: -g)])
-
-
-def _one_dtype(op, **operands):
-    """The dtype all `operands` (name -> Tensor) of `op` share; a ValueError
-    names each operand's dtype when they differ."""
-    dtypes = {name: t.dtype for name, t in operands.items()}
-    if len(set(dtypes.values())) > 1:
-        named = ", ".join(f"{name} {dtype}" for name, dtype in dtypes.items())
-        raise ValueError(f"{op}: operands must share one dtype, got {named}")
-    return next(iter(dtypes.values()))
 
 
 def _weight_grad(a, g):
@@ -418,9 +417,10 @@ def affine(x, w, b):
 
 
 def concat(tensors, axis=0):
-    """Concatenate along `axis`; all other extents must match. Backward
-    keeps each input's slice key."""
+    """Concatenate along `axis`; all other extents and the dtypes must match.
+    Backward keeps each input's slice key."""
     tensors = [_wrap(t) for t in tensors]
+    _one_dtype("concat", **{f"tensor {i}": t for i, t in enumerate(tensors)})
     try:
         data = np.concatenate([t.data for t in tensors], axis=axis)
     except ValueError:
@@ -558,22 +558,26 @@ def attention(q, k, v, heads):
     The softmax runs one head at a time, in blocks of query rows sized as
     if every head shared the block: `BLOCK` score elements over every
     leading axis, every head and all nk keys. One head's block goes
-    through one reused scratch array of 1/heads of that size, with or
-    without a gradient. Every block sees all the keys, so the softmax
-    arithmetic of each row is that of an unblocked softmax; but a gemm's
-    bits can depend on its row count, so the row blocks stay sized over
-    all heads (numpy's batched matmul already makes one gemm per head) and
-    forward and backward share one block plan. When any input takes a
-    gradient, each query row's max m and sum l (taken after exp) go into
-    one (..., heads, nq, 2) array, and backward writes all three input
-    gradients. Backward also runs head by head: it rebuilds one head's
-    weights from them over the same blocks with the forward's ops on the
-    same operands, exp(q kᵀ scale - m) / l, so they have the forward's
-    bits, and writes that head's channels of the q, k and v gradients
-    straight into (..., n, d) arrays, k's through a transposed view. So
-    backward holds one head's weights and score gradient, two
-    (..., nq, nk) arrays, besides the gradients. Backward keeps the row
-    statistics and views of q, k and v.
+    through one reused scratch array of 1/heads of that size. Every block
+    sees all the keys, so the softmax arithmetic of each row is that of an
+    unblocked softmax; but a gemm's bits can depend on its row count, so
+    the row blocks stay sized over all heads (numpy's batched matmul
+    already makes one gemm per head) and forward and backward share one
+    block plan. They also share one routine, `weights`, that writes a
+    block's weights exp(q kᵀ scale - m) / l: the forward records each
+    query row's max m and sum l (taken after exp) in one
+    (..., heads, nq, 2) array, and backward reads them back, so its
+    weights have the forward's bits.
+
+    Backward writes all three input gradients, head by head: it rebuilds
+    one head's weights over the blocks and writes that head's channels of
+    the q, k and v gradients straight into (..., n, d) arrays, k's
+    through a transposed view. The softmax Jacobian's row term is
+    D = g · o per query row (FlashAttention-2, Dao 2023), equal to the sum
+    over the weights and their gradient in exact arithmetic. So backward
+    holds one head's weights and score gradient, two (..., nq, nk) arrays,
+    besides the gradients. It keeps the row statistics, views of q, k and
+    v, and the output.
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     if (q.ndim < 2 or k.ndim < 2 or k.shape != v.shape or q.shape[-1] != k.shape[-1]
@@ -596,26 +600,30 @@ def attention(q, k, v, heads):
     kt = kh.swapaxes(-1, -2)
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=dtype)
     blocks = list(_row_blocks(nq, math.prod(lead) * heads * nk))
-    grad = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
-    # each row's max and sum, the only arrays backward keeps besides q, k and v
-    stats = np.empty(lead + (heads, nq, 2), dtype) if grad else None
+    stats = np.empty(lead + (heads, nq, 2), dtype)      # each row's max and sum
     s = np.empty(lead + (blocks[0].stop, nk), dtype)
     out = np.empty(lead + (nq, d), dtype)
     oh = split(out)
+
+    def weights(h, block, w, fresh):
+        """Write head h's softmax weights of the query rows `block` into w,
+        recording each row's max and sum in `stats` when `fresh` and
+        reading them back otherwise."""
+        np.matmul(qh[..., h, block, :], kt[..., h, :, :], out=w)
+        w *= scale
+        if fresh:
+            stats[..., h, block, :1] = w.max(axis=-1, keepdims=True)
+        w -= stats[..., h, block, :1]
+        np.exp(w, out=w)
+        if fresh:
+            stats[..., h, block, 1:] = w.sum(axis=-1, keepdims=True)
+        w /= stats[..., h, block, 1:]
+
     for h in range(heads):
         for block in blocks:
             w = s[..., :block.stop - block.start, :]
-            np.matmul(qh[..., h, block, :], kt[..., h, :, :], out=w)
-            w *= scale
-            m = w.max(axis=-1, keepdims=True)
-            w -= m
-            np.exp(w, out=w)
-            l = w.sum(axis=-1, keepdims=True)
-            w /= l
+            weights(h, block, w, True)
             np.matmul(w, vh[..., h, :, :], out=oh[..., h, block, :])
-            if grad:
-                stats[..., h, block, :1] = m
-                stats[..., h, block, 1:] = l
     shapes = q.shape, k.shape, v.shape
 
     def by_head(g):
@@ -625,27 +633,13 @@ def attention(q, k, v, heads):
         gq, gk, gv = (np.empty(lead + shape[-2:], dtype) for shape in shapes)
         s = np.empty(lead + (nq, nk), dtype)
         gs = np.empty(lead + (nq, nk), dtype)
-        flat_gs, flat_s = gs.reshape(-1, nk), s.reshape(-1, nk)
-        rowsum = np.empty((len(flat_gs), 1), dtype)
-        chunk = max(1, _CHUNK // nk)
-        product = np.empty((min(chunk, len(flat_gs)), nk), dtype)
         for h in range(heads):
             for block in blocks:
-                w = s[..., block, :]
-                np.matmul(qh[..., h, block, :], kt[..., h, :, :], out=w)
-                w *= scale
-                w -= stats[..., h, block, :1]
-                np.exp(w, out=w)
-                w /= stats[..., h, block, 1:]
+                weights(h, block, s[..., block, :], False)
             np.matmul(s.swapaxes(-1, -2), gh[..., h, :, :], out=split(gv)[..., h, :, :])
-            # the softmax Jacobian in place: the bits of s * (gs - rowsum(gs * s)) * scale,
-            # each row's sum taken in chunks of rows over the same contiguous values
+            # the softmax Jacobian in place, s * (gs - D) * scale, each row's D = g · o
             np.matmul(gh[..., h, :, :], vh[..., h, :, :].swapaxes(-1, -2), out=gs)
-            for i in range(0, len(flat_gs), chunk):
-                p = product[:len(flat_gs[i:i + chunk])]
-                np.multiply(flat_gs[i:i + chunk], flat_s[i:i + chunk], out=p)
-                rowsum[i:i + chunk] = p.sum(axis=-1, keepdims=True)
-            gs -= rowsum.reshape(gs.shape[:-1] + (1,))
+            gs -= (gh[..., h, :, :] * oh[..., h, :, :]).sum(-1, keepdims=True)
             gs *= s
             gs *= scale
             np.matmul(gs, kh[..., h, :, :], out=split(gq)[..., h, :, :])

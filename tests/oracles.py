@@ -140,7 +140,7 @@ def _sum_to(grad, shape):
     return grad.reshape(shape)
 
 
-def attention_kept_weights(q, k, v, heads, g, wanted, rows=None):
+def attention_kept_weights(q, k, v, heads, g, wanted, rows=None, weights_row_term=False):
     """Multi-head softmax attention whose backward reads the whole weights
     array kept from the forward: the output and the gradients {index: grad}
     of the inputs `wanted` (0 q, 1 k, 2 v) for the output gradient `g`.
@@ -152,6 +152,12 @@ def attention_kept_weights(q, k, v, heads, g, wanted, rows=None):
     of one row takes the row before it along: numcore's row blocks, whose
     row counts a product's bits can depend on. The weights are kept only
     when a gradient is wanted.
+
+    The softmax Jacobian's row term D is taken from the output, each row's
+    D = g · o as in numcore (FlashAttention-2, Dao 2023). With
+    `weights_row_term` it is the equal sum over the weights, rowsum(gs * s),
+    gs being the weights' gradient: the same gradients in exact arithmetic,
+    not in bits.
     """
     d = q.shape[-1]
     dh = d // heads
@@ -187,7 +193,7 @@ def attention_kept_weights(q, k, v, heads, g, wanted, rows=None):
         grads[2] = merge(_sum_to(s.swapaxes(-1, -2) @ gh, vh.shape))
     if 0 in wanted or 1 in wanted:
         gs = gh @ vh.swapaxes(-1, -2)
-        gs -= (gs * s).sum(axis=-1, keepdims=True)
+        gs -= ((gs * s) if weights_row_term else (gh * oh)).sum(axis=-1, keepdims=True)
         gs *= s
         gs *= scale
         if 0 in wanted:

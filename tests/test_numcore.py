@@ -421,9 +421,31 @@ def test_attention_keeps_the_row_blocks_bits_at_bench_shapes(q_shape, kv_shape, 
         np.testing.assert_array_equal(t.grad, ref_grads[i], err_msg=f"input {i}")
 
 
-def test_attention_with_grad_keeps_only_row_statistics():
+ATTENTION_GRAD_CASES = {name: case[:3] for name, case in ATTENTION_BENCH_CASES.items()
+                        if case[3]}
+
+
+@pytest.mark.parametrize("q_shape, kv_shape, heads", ATTENTION_GRAD_CASES.values(),
+                         ids=ATTENTION_GRAD_CASES)
+def test_attention_row_term_from_the_output_is_the_weights_sum_float64(q_shape, kv_shape, heads):
+    # each row's D = g · o is rowsum(gs * s) in exact arithmetic, o being s v
+    # and gs = g vᵀ; in float64 the two forms' gradients agree to 1e-12
+    rng = np.random.default_rng(q_shape[-2])
+    q, k, v = (rng.standard_normal(s) for s in (q_shape, kv_shape, kv_shape))
+    lead = np.broadcast_shapes(q_shape[:-2], kv_shape[:-2])
+    g = rng.standard_normal(lead + q_shape[-2:])
+    _, from_output = oracles.attention_kept_weights(q, k, v, heads, g, (0, 1, 2))
+    _, from_weights = oracles.attention_kept_weights(q, k, v, heads, g, (0, 1, 2),
+                                                     weights_row_term=True)
+    for i in range(3):
+        error = np.abs(from_output[i] - from_weights[i]).max()
+        assert error <= 1e-12 * np.abs(from_weights[i]).max(), f"input {i}"
+
+
+def test_attention_with_grad_keeps_row_statistics_and_output():
     # the depth readout at eval geometry with a gradient to take: its weights
-    # would be a 128 MB float32 array; each row's max and sum take 256 KB
+    # would be a 128 MB float32 array; each row's max and sum take 256 KB, and
+    # the output backward reads is the one the caller holds
     rng = np.random.default_rng(7)
     q = nc.parameter(rng.standard_normal((1, 2048, 1024), dtype=np.float32))
     k = nc.parameter(rng.standard_normal((1, 1024, 1024), dtype=np.float32))
@@ -568,6 +590,51 @@ def test_weight_grad_is_the_summed_stack_bitwise(lead, dtype):
     np.testing.assert_array_equal(got.view(np.uint8), expected.view(np.uint8))
 
 
+def _assert_each_clip_is_its_lone_run(build, batched, fixed, g):
+    """build(*batched, *fixed) with the (B, n, k) `batched` arrays taking a
+    gradient, against build on each clip's (n, k) slices alone: each clip's
+    output and gradients have the lone run's bits."""
+    def run(arrays, grad):
+        tensors = [nc.parameter(a) for a in arrays]
+        out = build(*tensors, *fixed)
+        nc.backward(nc.sum_(out * Tensor(grad)))
+        return [out.data] + [t.grad for t in tensors]
+
+    together = run(batched, g)
+    for b in range(len(g)):
+        alone = run([a[b] for a in batched], g[b])
+        for i, (x, y) in enumerate(zip(together, alone)):
+            np.testing.assert_array_equal(x[b], y, err_msg=f"clip {b}, array {i}")
+
+
+# Batched clips (ROADMAP C) need each clip of a stacked (B, n, k) input to get
+# the bits of that clip run alone: the kept-token counts of the workloads and
+# nano, at the widths of nano, the encoder and the probe readouts
+@pytest.mark.parametrize("clips", [2, 3])
+@pytest.mark.parametrize("width", [64, 256, 384])
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 96, 256])
+@pytest.mark.parametrize("op", ["affine", "mlp"])
+def test_linear_ops_give_each_clip_its_lone_bits(op, n, width, clips):
+    rng = np.random.default_rng(n * 1000 + width + clips)
+    x = rng.standard_normal((clips, n, width), dtype=F32)
+    dims = [(width, width), (width,)] if op == "affine" else [
+        (width, 4 * width), (4 * width,), (4 * width, width), (width,)]
+    fixed = [Tensor(rng.standard_normal(s, dtype=F32) / math.sqrt(s[0])) for s in dims]
+    g = rng.standard_normal((clips, n, width), dtype=F32)
+    _assert_each_clip_is_its_lone_run(getattr(nc, op), [x], fixed, g)
+
+
+# the one-block self-attention shapes: nano's 16 and 80 tokens at width 64,
+# the pretrain encoder's 26 visible tokens at width 256
+@pytest.mark.parametrize("clips", [2, 3])
+@pytest.mark.parametrize("n, width, heads", [(16, 64, 4), (26, 256, 8), (80, 64, 4)])
+def test_attention_gives_each_clip_its_lone_bits(n, width, heads, clips):
+    rng = np.random.default_rng(n * 10 + clips)
+    q, k, v, g = (rng.standard_normal((clips, n, width), dtype=F32) for _ in range(4))
+    _assert_each_clip_is_its_lone_run(lambda q, k, v: nc.attention(q, k, v, heads),
+                                      [q, k, v], [], g)
+
+
 @pytest.mark.parametrize("dtype", [F32, F64])
 def test_square_is_mul_by_itself_bitwise(dtype):
     rng = np.random.default_rng(12)
@@ -629,18 +696,22 @@ def test_shape_mismatch_raises_descriptive_error(build, shapes):
     assert str(shapes[0]).replace(" ", "") in str(err.value).replace(" ", "")
 
 
-FUSED_OPS = {
+ONE_DTYPE_OPS = {
     "affine": (nc.affine, [(2, 3, 4), (4, 5), (5,)]),
     "attention": (lambda q, k, v: nc.attention(q, k, v, heads=2), [(3, 4), (5, 4), (5, 4)]),
     "mlp": (nc.mlp, [(3, 4), (4, 6), (6,), (6, 2), (2,)]),
+    "add": (nc.add, [(3, 4), (4,)]),
+    "sub": (nc.sub, [(3, 4), (4,)]),
+    "mul": (nc.mul, [(3, 4), (4,)]),
+    "concat": (lambda *parts: nc.concat(parts, axis=0), [(3, 4), (1, 4), (2, 4)]),
 }
 
 
-# one float64 operand among float32 ones, in each position
-@pytest.mark.parametrize("name, odd", [(name, i) for name, (_, shapes) in FUSED_OPS.items()
+# one float64 operand among float32 ones, in each position: no silent promotion
+@pytest.mark.parametrize("name, odd", [(name, i) for name, (_, shapes) in ONE_DTYPE_OPS.items()
                                        for i in range(len(shapes))])
-def test_fused_op_rejects_mixed_dtypes(name, odd):
-    build, shapes = FUSED_OPS[name]
+def test_op_rejects_mixed_dtypes(name, odd):
+    build, shapes = ONE_DTYPE_OPS[name]
     tensors = [Tensor(np.zeros(s, F64 if i == odd else F32)) for i, s in enumerate(shapes)]
     with pytest.raises(ValueError, match=f"^{name}: ") as err:
         build(*tensors)
