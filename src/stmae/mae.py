@@ -2,11 +2,11 @@
 
 Clips are cut into non-overlapping space-time patches. A mask is one array
 of kept token indices: only those tokens run through the pre-norm
-transformer blocks, and a learned grid of latent tokens joins for the
-final blocks. Each latent token maps linearly to one output pixel patch;
-the full-grid reconstruction is trained with a plain mean-squared error
-against the RGB input. Features for downstream readouts come from any
-block, with every token kept and the latent tokens stripped.
+transformer blocks, and a learned grid of latent tokens, one per token of
+the clip, joins for the final blocks. Each latent maps linearly to its
+token's pixel patch; the full-grid reconstruction is trained with a plain
+mean-squared error against the RGB input. Features for downstream readouts
+come from any block, with every token kept and the latent tokens stripped.
 """
 
 from __future__ import annotations
@@ -35,18 +35,13 @@ class ModelConfig:
     input_size: tuple = (16, 224, 224)        # frames, height, width
     input_patch: tuple = (2, 16, 16)
     latent_layers: int = 4
-    output_patch: tuple = None                 # defaults to input_patch
     mask_ratio: float = 0.95
 
     def __post_init__(self):
-        for name in ("input_size", "input_patch", "output_patch"):
-            value = getattr(self, name)
-            if value is not None:           # JSON configs carry lists
-                object.__setattr__(self, name, tuple(value))
-        if self.output_patch is None:
-            object.__setattr__(self, "output_patch", self.input_patch)
+        for name in ("input_size", "input_patch"):     # JSON configs carry lists
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         for name in ("width", "depth", "mlp", "heads", "latent_layers",
-                     "input_size", "input_patch", "output_patch"):
+                     "input_size", "input_patch"):
             value = getattr(self, name)
             if min(value if isinstance(value, tuple) else (value,)) < 1:
                 raise ValueError(f"{name} {value} has an extent below 1")
@@ -54,10 +49,9 @@ class ModelConfig:
             raise ValueError(f"width {self.width} not divisible by heads {self.heads}")
         if self.latent_layers > self.depth:
             raise ValueError(f"latent_layers {self.latent_layers} exceeds depth {self.depth}")
-        for name in ("input_patch", "output_patch"):
-            if any(s % p for s, p in zip(self.input_size, getattr(self, name))):
-                raise ValueError(f"input_size {self.input_size} not divisible by "
-                                 f"{name} {getattr(self, name)}")
+        if any(s % p for s, p in zip(self.input_size, self.input_patch)):
+            raise ValueError(f"input_size {self.input_size} not divisible by "
+                             f"input_patch {self.input_patch}")
         if not 0 < self.mask_ratio < 1:
             raise ValueError(f"mask_ratio {self.mask_ratio} outside (0, 1)")
 
@@ -66,28 +60,13 @@ class ModelConfig:
         return tuple(s // p for s, p in zip(self.input_size, self.input_patch))
 
     @property
-    def decode_grid(self):
-        """The latent token grid: one latent per output patch of the clip."""
-        return tuple(s // p for s, p in zip(self.input_size, self.output_patch))
-
-    @property
     def num_tokens(self):
         t, h, w = self.token_grid
         return t * h * w
 
     @property
-    def num_latents(self):
-        t, h, w = self.decode_grid
-        return t * h * w
-
-    @property
     def patch_dim(self):
         t, h, w = self.input_patch
-        return t * h * w * 3
-
-    @property
-    def output_patch_dim(self):
-        t, h, w = self.output_patch
         return t * h * w * 3
 
     def to_dict(self):
@@ -107,8 +86,7 @@ PRESETS = {
     "H": _cfg(1280, 32, 5120, 16),
     "G": _cfg(1664, 48, 8192, 16),
     "e": _cfg(1792, 56, 15360, 16),
-    "j": _cfg(4096, 64, 32768, 32, input_size=(16, 256, 256), latent_layers=2,
-              output_patch=(4, 32, 32)),
+    "j": _cfg(4096, 64, 32768, 32, input_size=(16, 256, 256), latent_layers=2),
     "nano": _cfg(64, 4, 256, 4, input_size=(8, 64, 64), latent_layers=2),
     "micro": _cfg(128, 6, 512, 8, input_size=(8, 64, 64), latent_layers=2),
 }
@@ -124,7 +102,8 @@ def preset(name, **overrides):
 
 
 def count_parameters(config):
-    """Analytic parameter totals, split into encoder and decoding parts.
+    """Analytic parameter totals, split into encoder and decoding parts (one
+    latent per token of the grid, and its projection to a pixel patch).
 
     Matches an actual instantiation exactly (see tests); avoids allocating
     the multi-billion-parameter configs just to count them.
@@ -138,8 +117,8 @@ def count_parameters(config):
         + 2 * w                         # final layer norm
     )
     decoding = (
-        config.num_latents * w                       # latent tokens
-        + w * config.output_patch_dim + config.output_patch_dim  # pixel projection
+        config.num_tokens * w                           # latent tokens
+        + w * config.patch_dim + config.patch_dim       # pixel projection
     )
     return {"encoder": encoder, "decoding": decoding, "total": encoder + decoding}
 
@@ -280,7 +259,7 @@ def feature_block_index(fraction_pct, depth):
 
 
 class MaskedVideoModel:
-    """Encoder + latent-grid pixel decoder over one clip geometry."""
+    """Encoder + pixel decoder over one token grid."""
 
     def __init__(self, config, seed=0, dtype=np.float32):
         self.config = config
@@ -298,8 +277,8 @@ class MaskedVideoModel:
             L.add_linear(f"{b}.mlp.fc1", w, m)
             L.add_linear(f"{b}.mlp.fc2", m, w)
         L.add_norm("final_norm", w)
-        L.add_weight("latent_tokens", (config.num_latents, w))
-        L.add_linear("decode", w, config.output_patch_dim)
+        L.add_weight("latent_tokens", (config.num_tokens, w))
+        L.add_linear("decode", w, config.patch_dim)
         self.params = L.params
 
     def num_parameters(self):
@@ -350,7 +329,7 @@ class MaskedVideoModel:
         x = self.encode(frames, kept)
         latents = x[len(kept):]
         pixels = self.layers.linear("decode", self.layers.norm("final_norm", latents))
-        return unpatchify(pixels, self.config.decode_grid, self.config.output_patch), x
+        return unpatchify(pixels, self.config.token_grid, self.config.input_patch), x
 
     def features(self, frames, fraction_pct):
         """(T, K, C) Tensor of the frozen activations at a depth fraction: T
@@ -395,8 +374,8 @@ def save_model(path, model):
     save_tensors(path, model.state(), config=model.config.to_dict())
 
 
-def load_model(path, dtype=np.float32):
-    """A model saved by `save_model`. A file whose config is not a
+def load_model(path):
+    """A float32 model saved by `save_model`. A file whose config is not a
     ModelConfig (a clip, say), or that lacks a tensor, holds one the model
     lacks or one of the wrong shape, raises ValueError naming the path and
     the keys at fault."""
@@ -408,7 +387,7 @@ def load_model(path, dtype=np.float32):
     if unexpected or missing:
         raise ValueError(f"{path}: config is not a ModelConfig: unexpected keys {unexpected}, "
                          f"missing keys {missing}")
-    model = MaskedVideoModel(ModelConfig(**cfg), seed=0, dtype=dtype)
+    model = MaskedVideoModel(ModelConfig(**cfg), seed=0)
     try:
         model.load_state(tensors)
     except ValueError as exc:
