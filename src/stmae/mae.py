@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ import numpy as np
 from . import numcore as nc
 from .checkpoint import load_tensors, save_tensors
 from .numcore import Tensor
+from .synthworld import _check_size, _is_int
 
 
 # ---------------------------------------------------------------------------
@@ -38,13 +40,19 @@ class ModelConfig:
     mask_ratio: float = 0.95
 
     def __post_init__(self):
-        for name in ("input_size", "input_patch"):     # JSON configs carry lists
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        for name in ("width", "depth", "mlp", "heads", "latent_layers",
-                     "input_size", "input_patch"):
+        for name in ("width", "depth", "mlp", "heads", "latent_layers"):
+            _check_size(name, getattr(self, name))
+        for name in ("input_size", "input_patch"):
             value = getattr(self, name)
-            if min(value if isinstance(value, tuple) else (value,)) < 1:
-                raise ValueError(f"{name} {value} has an extent below 1")
+            if not isinstance(value, (tuple, list)) or len(value) != 3 \
+                    or not all(map(_is_int, value)):
+                raise ValueError(f"{name} {value!r} must be three integers")
+            value = tuple(value)                        # JSON configs carry lists
+            if min(value) < 1:
+                raise ValueError(f"{name} {value} must be >= 1 in each extent")
+            object.__setattr__(self, name, value)
+        if isinstance(self.mask_ratio, bool) or not isinstance(self.mask_ratio, numbers.Real):
+            raise ValueError(f"mask_ratio {self.mask_ratio!r} must be a real number")
         if self.width % self.heads != 0:
             raise ValueError(f"width {self.width} not divisible by heads {self.heads}")
         if self.latent_layers > self.depth:
@@ -376,9 +384,9 @@ def save_model(path, model):
 
 def load_model(path):
     """A float32 model saved by `save_model`. A file whose config is not a
-    ModelConfig (a clip, say), or that lacks a tensor, holds one the model
-    lacks or one of the wrong shape, raises ValueError naming the path and
-    the keys at fault."""
+    ModelConfig (a clip, say, or one with a field of the wrong kind or
+    value), or that lacks a tensor, holds one the model lacks or one of the
+    wrong shape, raises ValueError naming the path and the keys at fault."""
     tensors, cfg = load_tensors(path)
     fields = dataclasses.fields(ModelConfig)
     unexpected = sorted(cfg.keys() - {f.name for f in fields})
@@ -387,8 +395,8 @@ def load_model(path):
     if unexpected or missing:
         raise ValueError(f"{path}: config is not a ModelConfig: unexpected keys {unexpected}, "
                          f"missing keys {missing}")
-    model = MaskedVideoModel(ModelConfig(**cfg), seed=0)
     try:
+        model = MaskedVideoModel(ModelConfig(**cfg), seed=0)
         model.load_state(tensors)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

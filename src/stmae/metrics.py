@@ -15,11 +15,14 @@ import numpy as np
 from . import numcore as nc
 from .numcore import Tensor
 
+# AJ_THRESHOLDS, HUBER_DELTA and UNCERTAINTY_THRESHOLD are in pixels of the
+# clip being scored, whatever its resolution (the probe scores at 64 px,
+# TAP-Vid at 256).
 AJ_THRESHOLDS = (1.0, 2.0, 4.0, 8.0, 16.0)
 ABSREL_EPS = 1e-6
 DEPTH_VALID_RANGE = (0.001, 10.0)
-HUBER_DELTA = 1.0          # pixels at 224-resolution coordinates
-UNCERTAINTY_THRESHOLD = 8.0  # pixels: target is 1 when the error exceeds this
+HUBER_DELTA = 1.0
+UNCERTAINTY_THRESHOLD = 8.0  # target is 1 when the error exceeds this
 POINT_LOSS_WEIGHTS = (100.0, 0.1, 0.1)
 
 

@@ -132,10 +132,10 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_node")
 
-    def __init__(self, data, requires_grad=False):
+    def __init__(self, data):
         self.data = _as_float_array(data)
         self.grad = None
-        self.requires_grad = bool(requires_grad)
+        self.requires_grad = False
         self._node = None
 
     @property
@@ -176,14 +176,16 @@ def _wrap(x):
 
 
 def _wrap_like(x, dtype):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
+    """A python scalar `x` as a Tensor of `dtype`; an array keeps its own
+    dtype, which the op then checks against the tensor's."""
+    return Tensor(np.asarray(x, dtype=dtype)) if isinstance(x, (int, float)) else _wrap(x)
 
 
 def parameter(data):
-    """A leaf tensor that accumulates gradients."""
-    return Tensor(data, requires_grad=True)
+    """A leaf tensor that accumulates gradients, the one way to make one."""
+    leaf = Tensor(data)
+    leaf.requires_grad = True
+    return leaf
 
 
 def _make(data, parents):
@@ -220,15 +222,14 @@ def backward(loss):
 
     `loss` must hold a single scalar and require grad: a ValueError names a
     loss built under `no_grad` or from constants only, which has no graph.
-    Leaves (parameters and any other tensor made with requires_grad) keep
-    their `.grad` and add to it on every call, a scalar leaf given as the
-    loss too. The walk visits the nodes of op results, never their
-    Tensors, so it holds only what the VJPs read. It consumes the graph:
-    each node gives its gradient to its targets, then drops its gradient
-    and its VJP closures (and with them the arrays they hold), so memory
-    follows the live frontier of the walk. A later backward that reaches a
-    consumed node raises RuntimeError before any gradient moves; run a
-    fresh forward instead.
+    Leaves (parameters) keep their `.grad` and add to it on every call, a
+    scalar leaf given as the loss too. The walk visits the nodes of op
+    results, never their Tensors, so it holds only what the VJPs read. It
+    consumes the graph: each node gives its gradient to its targets, then
+    drops its gradient and its VJP closures (and with them the arrays they
+    hold), so memory follows the live frontier of the walk. A later
+    backward that reaches a consumed node raises RuntimeError before any
+    gradient moves; run a fresh forward instead.
 
     A VJP returns its incoming gradient `g`, a view of `g`, or an array it
     made and keeps no reference to. A target's first contribution of the

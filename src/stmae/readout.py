@@ -31,7 +31,7 @@ import numpy as np
 from . import numcore as nc
 from .mae import Layers, unpatchify
 from .numcore import Tensor
-from .synthworld import SE3Pose
+from .synthworld import SE3Pose, _check_size
 
 FOURIER_BASES = 16
 FOURIER_MLP_SIZE = 512
@@ -85,8 +85,7 @@ class CrossAttentionReadout:
     def __init__(self, feature_channels, output_size, qkv_size, heads, seed=0, dtype=np.float32):
         for name, value in (("qkv_size", qkv_size), ("heads", heads), ("output_size", output_size),
                             ("feature_channels", feature_channels)):
-            if value < 1:
-                raise ValueError(f"{name} {value} must be >= 1")
+            _check_size(name, value)
         if qkv_size % heads != 0:
             raise ValueError(f"qkv_size {qkv_size} not divisible by heads {heads}")
         self.feature_channels, self.heads, self.dtype = feature_channels, heads, dtype
@@ -219,8 +218,10 @@ class PointTrackHead(CrossAttentionReadout):
 
     def __init__(self, feature_channels, num_frames=16, qkv_size=1024, heads=8,
                  seed=0, dtype=np.float32):
+        _check_size("num_frames", num_frames)
         if num_frames % 2:
-            raise ValueError("point head predicts 2 frames per query; frames must be even")
+            raise ValueError(f"num_frames {num_frames} must be even: the point head "
+                             "predicts 2 frames per query")
         self.num_frames = num_frames
         self.replicas = num_frames // 2
         super().__init__(feature_channels, 8, qkv_size, heads, seed=seed, dtype=dtype)

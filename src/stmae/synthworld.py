@@ -106,23 +106,17 @@ class Rect:
     texture: Texture
     sprite_index: int = -1    # >= 0 marks a tracked sprite
 
-    def displaced(self, offset):
-        return Rect(origin=self.origin + offset, edge_u=self.edge_u,
-                    edge_v=self.edge_v, texture=self.texture,
-                    sprite_index=self.sprite_index)
-
 
 @dataclass
 class SceneSpec:
-    seed_key: tuple
     class_id: int
-    statics: list              # list[Rect]
+    statics: list               # list[Rect]
     sprites: list               # list[Rect] at frame 0
     sprite_paths: np.ndarray    # (n_sprites, T, 3) world offsets per frame
     camera_centers: np.ndarray  # (T, 3)
     camera_yaw: np.ndarray      # (T,)
     camera_pitch: np.ndarray    # (T,)
-    track_anchors: list         # list[(rect_ref, u, v)] with rect_ref ("static"/"sprite", idx)
+    track_anchors: list         # list[(i, u, v)]: point (u, v) of rectangle i of `_frame_rects`
 
 
 @dataclass
@@ -294,16 +288,14 @@ def _sprite_paths(rng, class_id, count, frames):
     return paths
 
 
-def _feasible(spec):
+def _feasible(sprites, paths, centers):
     """Camera must stay clear of walls and sprites at every frame."""
     margin = 0.2
-    if np.any(np.abs(spec.camera_centers) > ROOM_HALF - margin):
+    if np.any(np.abs(centers) > ROOM_HALF - margin):
         return False
-    for si, sprite in enumerate(spec.sprites):
-        corners = sprite.origin + spec.sprite_paths[si][:, None, :]
-        center = corners + (sprite.edge_u + sprite.edge_v) / 2.0
-        dist = np.linalg.norm(center - spec.camera_centers[:, None, :], axis=-1)
-        if dist.min() < 0.3:
+    for sprite, path in zip(sprites, paths):
+        center = sprite.origin + path[:, None, :] + (sprite.edge_u + sprite.edge_v) / 2.0
+        if np.linalg.norm(center - centers[:, None, :], axis=-1).min() < 0.3:
             return False
     return True
 
@@ -313,35 +305,29 @@ def _sample_scene(seed_key, class_id, frames, attempts=20):
         rng = np.random.default_rng(list(seed_key) + [attempt])
         statics = _room(rng)
         sprites = _sprites(rng, int(rng.integers(1, 4)))
-        spec = SceneSpec(
-            seed_key=seed_key, class_id=class_id, statics=statics, sprites=sprites,
-            sprite_paths=_sprite_paths(rng, class_id, len(sprites), frames),
-            camera_centers=None, camera_yaw=None, camera_pitch=None,
-            track_anchors=None,
-        )
-        spec.camera_centers, spec.camera_yaw, spec.camera_pitch = \
-            _camera_path(rng, class_id, frames)
-        if _feasible(spec):
+        paths = _sprite_paths(rng, class_id, len(sprites), frames)
+        centers, yaw, pitch = _camera_path(rng, class_id, frames)
+        if _feasible(sprites, paths, centers):
             if attempt:
                 log.warning("scene %s resampled %d time(s) for feasibility", seed_key, attempt)
-            spec.track_anchors = _track_anchors(rng, spec)
-            return spec
+            return SceneSpec(class_id, statics, sprites, paths, centers, yaw, pitch,
+                             _track_anchors(rng, len(statics), len(sprites)))
     raise RuntimeError(f"could not sample a feasible scene for {seed_key}")
 
 
-def _track_anchors(rng, spec, num_points=12):
-    """Half the points sit on sprites, half on the back wall / panel."""
+def _track_anchors(rng, n_statics, n_sprites, num_points=12):
+    """Half the points sit on sprites (a scene has at least one), half on
+    the back wall or panel, as (i, u, v) with i indexing `_frame_rects`."""
     anchors = []
-    n_sprites = len(spec.sprites)
     for i in range(num_points):
-        if i % 2 == 0 and n_sprites:
-            anchors.append(("sprite", i // 2 % n_sprites,
+        if i % 2 == 0:
+            anchors.append((n_statics + i // 2 % n_sprites,
                             rng.uniform(0.12, 0.88), rng.uniform(0.12, 0.88)))
         else:
             # back wall (index 0) or panel (index 6), central region
             rect_idx = 6 if (i % 4 == 3) else 0
             lo, hi = (0.15, 0.85) if rect_idx == 6 else (0.3, 0.7)
-            anchors.append(("static", rect_idx, rng.uniform(lo, hi), rng.uniform(lo, hi)))
+            anchors.append((rect_idx, rng.uniform(lo, hi), rng.uniform(lo, hi)))
     return anchors
 
 
@@ -350,10 +336,10 @@ def _track_anchors(rng, spec, num_points=12):
 # ---------------------------------------------------------------------------
 
 def _frame_rects(spec, frame):
-    rects = list(spec.statics)
-    for si, sprite in enumerate(spec.sprites):
-        rects.append(sprite.displaced(spec.sprite_paths[si, frame]))
-    return rects
+    """The rectangles of one frame, `statics + sprites`, each sprite moved
+    along its path: sprite j is rectangle len(statics) + j."""
+    return spec.statics + [Rect(s.origin + spec.sprite_paths[j, frame], s.edge_u, s.edge_v,
+                                s.texture, s.sprite_index) for j, s in enumerate(spec.sprites)]
 
 
 @functools.lru_cache(maxsize=8)
@@ -510,12 +496,9 @@ def render_frame(spec, frame, width, height):
 
 def _track_positions(spec, frame):
     """World positions of every track anchor at one frame."""
-    points = []
-    for kind, idx, u, v in spec.track_anchors:
-        rect = spec.statics[idx] if kind == "static" else spec.sprites[idx]
-        offset = 0.0 if kind == "static" else spec.sprite_paths[idx, frame]
-        points.append(rect.origin + offset + u * rect.edge_u + v * rect.edge_v)
-    return np.array(points)
+    rects = _frame_rects(spec, frame)
+    return np.array([rects[i].origin + u * rects[i].edge_u + v * rects[i].edge_v
+                     for i, u, v in spec.track_anchors])
 
 
 def render_clip(spec, resolution, frames):
@@ -651,8 +634,7 @@ def augment(clip, labels, rng, out_hw=None, crop=None, flip=None):
     clip to the crop, depth values are resampled unchanged, the relative
     pose is mirror-conjugated on flips.
     """
-    frames = clip.frames
-    t, h, w, _ = frames.shape
+    _, h, w, _ = clip.frames.shape
     if crop is None:
         crop = _sample_crop(rng, h, w)
     if flip is None:
@@ -670,18 +652,11 @@ def augment(clip, labels, rng, out_hw=None, crop=None, flip=None):
             raise ValueError(f"{name} {extents} must be >= 1 in each extent")
     sy, sx = out_h / ch, out_w / cw
 
-    cropped = frames[:, y0:y0 + ch, x0:x0 + cw]
-    if (out_h, out_w) != (ch, cw):
-        cropped = resize_bilinear(cropped, out_h, out_w)
-    if flip:
-        cropped = cropped[:, :, ::-1]
-    new_clip = VideoClip(frames=np.ascontiguousarray(cropped))
-
+    frames = clip.frames[:, y0:y0 + ch, x0:x0 + cw]
     depth = labels.depth[:, y0:y0 + ch, x0:x0 + cw]
     if (out_h, out_w) != (ch, cw):
+        frames = resize_bilinear(frames, out_h, out_w)
         depth = resize_nearest(depth, out_h, out_w)
-    if flip:
-        depth = depth[:, :, ::-1]
 
     xy = labels.track_xy.copy()
     xy[..., 0] = (xy[..., 0] - x0) * sx
@@ -689,8 +664,6 @@ def augment(clip, labels, rng, out_hw=None, crop=None, flip=None):
     inside = (xy[..., 0] >= 0) & (xy[..., 0] <= out_w) & \
              (xy[..., 1] >= 0) & (xy[..., 1] <= out_h)
     vis = labels.track_vis & inside
-    if flip:
-        xy[..., 0] = out_w - xy[..., 0]
 
     boxes = labels.boxes.copy()
     boxes[..., :2] = (boxes[..., :2] * w - x0) * sx / out_w
@@ -698,26 +671,22 @@ def augment(clip, labels, rng, out_hw=None, crop=None, flip=None):
     boxes = np.clip(boxes, 0.0, 1.0)
     degenerate = (boxes[..., 1] <= boxes[..., 0]) | (boxes[..., 3] <= boxes[..., 2])
     boxes[degenerate] = 0.0
-    if flip:
-        flipped = boxes.copy()
-        flipped[..., 0] = 1.0 - boxes[..., 1]
-        flipped[..., 1] = 1.0 - boxes[..., 0]
-        boxes = flipped
 
-    pose = labels.pose_first_to_last
-    camera_poses = labels.camera_poses
+    pose, camera_poses = labels.pose_first_to_last, labels.camera_poses
     if flip:
+        frames, depth = frames[:, :, ::-1], depth[:, :, ::-1]
+        xy[..., 0] = out_w - xy[..., 0]
+        boxes[..., :2] = 1.0 - boxes[..., 1::-1]
         mirror = np.diag([-1.0, 1.0, 1.0])
         pose = SE3Pose(r=mirror @ pose.r @ mirror, t=mirror @ pose.t)
         camera_poses = camera_poses.copy()
         camera_poses[:, :, :3] = mirror @ camera_poses[:, :, :3] @ mirror
         camera_poses[:, :, 3] = camera_poses[:, :, 3] @ mirror
 
-    new_labels = SceneLabels(
+    return VideoClip(frames=np.ascontiguousarray(frames)), SceneLabels(
         depth=depth.astype(labels.depth.dtype), pose_first_to_last=pose,
         camera_poses=camera_poses, track_xy=xy, track_vis=vis,
         track_world=labels.track_world, boxes=boxes, class_id=labels.class_id)
-    return new_clip, new_labels
 
 
 def pretrain_view(clip, rng, out_size):

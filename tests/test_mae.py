@@ -137,6 +137,16 @@ def test_analytic_count_matches_instantiation():
         assert count_parameters(cfg)["total"] == MaskedVideoModel(cfg, seed=0).num_parameters()
 
 
+# a field of the wrong kind or value, as a checkpoint's JSON config could carry it
+BAD_CONFIG_FIELDS = [
+    ("latent_layers", 0), ("heads", 0), ("width", 0), ("input_size", (0, 64, 64)),
+    ("width", "x"), ("width", True), ("width", 8.0), ("depth", None), ("latent_layers", 2.0),
+    ("input_size", None), ("input_size", (16, 16)), ("input_size", [8, 64, 64, 1]),
+    ("input_patch", (2, 16.0, 16)), ("input_patch", "2x16x16"),
+    ("mask_ratio", True), ("mask_ratio", "0.9"), ("mask_ratio", None),
+]
+
+
 def test_config_invariants():
     assert preset("j").token_grid == (8, 16, 16) and preset("nano").token_grid == (4, 4, 4)
     with pytest.raises(ValueError):
@@ -148,9 +158,13 @@ def test_config_invariants():
                     input_patch=(3, 16, 16))
     with pytest.raises(ValueError, match="mask_ratio"):
         ModelConfig(width=64, depth=4, mlp=256, heads=4, input_size=(8, 64, 64), mask_ratio=0.0)
-    for field, bad in [("latent_layers", 0), ("heads", 0), ("input_patch", (2, 0, 16)),
-                       ("width", 0), ("mlp", 0), ("input_size", (0, 64, 64))]:
+    for field, bad in BAD_CONFIG_FIELDS + [("input_patch", (2, 0, 16)), ("mlp", 0)]:
         with pytest.raises(ValueError, match=field):
+            preset("nano", **{field: bad})
+    for field, bad, message in [("width", True, "width True must be an integer"),
+                                ("heads", 0, "heads 0 must be >= 1"),
+                                ("input_size", [16, 16], r"input_size \[16, 16\] must be three integers")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
             preset("nano", **{field: bad})
 
 
@@ -512,6 +526,15 @@ def test_load_model_on_a_clip_file_names_the_config_keys(tmp_path):
     with pytest.raises(ValueError, match=r"clip\.stm: config is not a ModelConfig: unexpected keys "
                                          r"\['class_id'\], missing keys \['depth', 'heads', 'mlp', 'width'\]"):
         mae.load_model(tmp_path / "clip.stm")
+
+
+@pytest.mark.parametrize("field, bad", BAD_CONFIG_FIELDS, ids=repr)
+def test_load_model_names_the_path_and_a_bad_config_field(tmp_path, field, bad):
+    model = small_nano(seed=16)
+    config = {**model.config.to_dict(), field: bad}
+    save_tensors(tmp_path / "model.ckpt", model.state(), config=config)
+    with pytest.raises(ValueError, match=rf"^\S*model\.ckpt: {field} "):
+        mae.load_model(tmp_path / "model.ckpt")
 
 
 def test_load_model_names_the_path_and_every_missing_tensor(tmp_path):

@@ -2,6 +2,7 @@
 
 import ctypes
 import math
+import operator
 import os
 import resource
 import subprocess
@@ -716,6 +717,16 @@ def test_op_rejects_mixed_dtypes(name, odd):
     with pytest.raises(ValueError, match=f"^{name}: ") as err:
         build(*tensors)
     assert "float32" in str(err.value) and "float64" in str(err.value)
+
+
+# the operator sugar wraps only python scalars at the tensor's dtype; an array keeps its own
+@pytest.mark.parametrize("name, sugar", [("add", operator.add), ("sub", operator.sub),
+                                         ("mul", operator.mul)])
+def test_sugar_rejects_an_array_of_another_dtype(name, sugar):
+    with pytest.raises(ValueError, match=f"^{name}: operands must share one dtype, "
+                                         "got a float32, b float64$"):
+        sugar(Tensor(np.zeros(3, F32)), np.zeros(3, F64))
+    assert sugar(Tensor(np.zeros(3, F32)), np.zeros(3, F32)).dtype == F32
 
 
 @pytest.mark.parametrize("key", [np.array([0, 0, 2]), [0, 2], (slice(None), np.array([1])),

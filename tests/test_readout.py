@@ -151,6 +151,17 @@ def test_class_constants_fix_the_query_path():
     for name in common:
         with pytest.raises(ValueError, match=f"^{name} 0 must be >= 1$"):
             CrossAttentionReadout(**{**common, name: 0})
+        for bad in (True, float(common[name])):
+            with pytest.raises(ValueError, match=f"^{name} {bad!r} must be an integer$"):
+                CrossAttentionReadout(**{**common, name: bad})
+    with pytest.raises(ValueError, match="^heads True must be an integer$"):
+        ClassHead(8, 3, qkv_size=16, heads=True)
+    for num_frames, message in [(0, "num_frames 0 must be >= 1"),
+                                (16.0, "num_frames 16.0 must be an integer"),
+                                (True, "num_frames True must be an integer"),
+                                (3, "num_frames 3 must be even: the point head predicts 2 frames per query")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PointTrackHead(8, num_frames=num_frames, qkv_size=16, heads=2)
     with pytest.raises(ValueError, match="qkv_size 16 not divisible by heads 3"):
         CrossAttentionReadout(**{**common, "heads": 3})
 
