@@ -40,19 +40,23 @@ class ModelConfig:
     mask_ratio: float = 0.95
 
     def __post_init__(self):
+        # each checked field is stored as a python int or float: a numpy
+        # scalar would compare equal but break the JSON of `save_model`
         for name in ("width", "depth", "mlp", "heads", "latent_layers"):
             _check_size(name, getattr(self, name))
+            object.__setattr__(self, name, int(getattr(self, name)))
         for name in ("input_size", "input_patch"):
             value = getattr(self, name)
             if not isinstance(value, (tuple, list)) or len(value) != 3 \
                     or not all(map(_is_int, value)):
                 raise ValueError(f"{name} {value!r} must be three integers")
-            value = tuple(value)                        # JSON configs carry lists
+            value = tuple(map(int, value))              # JSON configs carry lists
             if min(value) < 1:
                 raise ValueError(f"{name} {value} must be >= 1 in each extent")
             object.__setattr__(self, name, value)
         if isinstance(self.mask_ratio, bool) or not isinstance(self.mask_ratio, numbers.Real):
             raise ValueError(f"mask_ratio {self.mask_ratio!r} must be a real number")
+        object.__setattr__(self, "mask_ratio", float(self.mask_ratio))
         if self.width % self.heads != 0:
             raise ValueError(f"width {self.width} not divisible by heads {self.heads}")
         if self.latent_layers > self.depth:

@@ -21,7 +21,16 @@ every layer is declared and applied through `mae.Layers`, so heads and
 encoder share one naming and init scheme. Each task head subclasses
 `CrossAttentionReadout`, and its TASK namespaces the one `params` dict its
 forward reads ("pose.head.weight"); a bare readout's names are unprefixed.
-The depth head assembles its patches with `mae.unpatchify`.
+
+`forward` is `_read(queries, *_keys_values(features))`. `_keys_values`
+normalizes the features, adds the temporal embedding and projects them to
+keys and values, once per call; `_read` takes any rows of queries through
+the q projection, attention, the residual MLP and the head, each query on
+its own. The depth head projects its keys and values once and reads its
+query grid in the row blocks of the residual MLP, so its readout holds one
+block of activations however many queries the clip has; only the keys,
+values and output grow with the clip. It assembles its patches with
+`mae.unpatchify`.
 """
 
 from __future__ import annotations
@@ -141,6 +150,12 @@ class CrossAttentionReadout:
 
     def forward(self, features, queries):
         """features: (B, T, K, C) Tensor or array; queries: (B?, Q, Cq) Tensor."""
+        return self._read(queries, *self._keys_values(features))
+
+    def _keys_values(self, features):
+        """The (B, T*K, qkv_size) keys and values of `features`: the checks,
+        `feat_norm`, the temporal embedding and the k and v projections, run
+        once however many query blocks `_read` then takes."""
         L = self.layers
         x = self._features(features)
         b, t, k, c = x.shape
@@ -148,14 +163,21 @@ class CrossAttentionReadout:
             raise ValueError(f"features have {c} channels, readout expects {self.feature_channels}")
         if t != self.TIME_STEPS:
             raise ValueError(f"features have {t} time steps, readout expects {self.TIME_STEPS}")
-        if queries.shape[-1] != self.query_channels:
-            raise ValueError(f"queries have {queries.shape[-1]} channels, "
-                             f"readout expects {self.query_channels}")
         x = L.norm("feat_norm", x)
         x = x + nc.reshape(L["temporal_embed"], (t, 1, c))
         x = nc.reshape(x, (b, t * k, c))
-        y = nc.attention(L.linear("attn.q", queries), L.linear("attn.k", x),
-                         L.linear("attn.v", x), self.heads)         # (B, Q, qkv_size)
+        return L.linear("attn.k", x), L.linear("attn.v", x)
+
+    def _read(self, queries, keys, values):
+        """The outputs of (B?, Q, Cq) `queries` over `_keys_values`: the q
+        projection, attention, the output projection, the residual MLP and
+        the head. Each query is read out on its own, so in exact arithmetic
+        any split of the query rows gives the rows of the whole."""
+        if queries.shape[-1] != self.query_channels:
+            raise ValueError(f"queries have {queries.shape[-1]} channels, "
+                             f"readout expects {self.query_channels}")
+        L = self.layers
+        y = nc.attention(L.linear("attn.q", queries), keys, values, self.heads)  # (B, Q, qkv_size)
         if self.COORDS:
             y = L.linear("attn.out", y)
         y = y + L.mlp("mlp", L.norm("mlp_norm", y))
@@ -278,6 +300,21 @@ class DepthHead(CrossAttentionReadout):
 
     Output patch is (2, 8, 8): 128 depth values per query, softplus-mapped
     so depths stay positive, assembled to the full T x H x W map.
+
+    The features are projected to keys and values once. The query grid is
+    then read out in the row blocks that `numcore.mlp` takes for the
+    residual MLP's (B, Q, qkv_size) input, `_row_blocks(Q, B * 4 *
+    qkv_size)`: 512 queries per block at 128 px with B = 1 and qkv_size
+    1024, and one block at the probe's 64 px. A last block of one row,
+    which `_row_blocks` pads with the row before it, joins the block before
+    it instead, so the MLP inside runs the blocks a single pass would run.
+    Each block encodes its own slice of `query_positions`, so apart from
+    the keys and values only one block's activations and the (B, Q, 128)
+    output are held. Every product then has a block's rows or more, and
+    the depth has the bits of a single pass over the grid. A ragged last
+    block of a few rows would not: OpenBLAS sends products of so few rows
+    to other kernels (up to 7 rows for the head's (1024, 128) weight in
+    OpenBLAS 0.3.31).
     """
 
     TASK = "depth"
@@ -301,7 +338,14 @@ class DepthHead(CrossAttentionReadout):
 
     def forward(self, features):
         """-> (B, T, H, W) strictly positive depth."""
-        queries = self.encode_queries(self.query_positions[None])   # (1, Q, 512)
-        out = nc.softplus(super().forward(features, queries))       # (B, Q, 128)
+        keys, values = self._keys_values(features)
+        hidden = self.layers["mlp.fc1.weight"].shape[1]
+        blocks = list(nc._row_blocks(len(self.query_positions), keys.shape[0] * hidden))
+        if len(blocks) > 1 and blocks[-1].start < blocks[-2].stop:
+            # a last block of one row took the row before it along: join it to that block instead
+            blocks[-2:] = [slice(blocks[-2].start, blocks[-1].stop)]
+        parts = [self._read(self.encode_queries(self.query_positions[None, block]), keys, values)
+                 for block in blocks]                                       # (B, r, 128) each
+        out = nc.softplus(parts[0] if len(parts) == 1 else nc.concat(parts, axis=1))
         depth = unpatchify(out, self.grid, self.PATCH)              # (B, T, H, W, 1)
         return nc.reshape(depth, depth.shape[:-1])

@@ -520,6 +520,24 @@ def test_config_from_lists_round_trips_through_checkpoint(tmp_path):
         np.testing.assert_array_equal(loaded.params[name].data, t.data)
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(width=np.int64(64), input_size=(4, 32, 32)),
+    dict(input_size=(np.int32(4), 32, np.int64(32)), input_patch=(np.int64(2), 16, 16)),
+    dict(depth=np.int16(2), latent_layers=np.uint8(1), input_size=(4, 32, 32)),
+    dict(input_size=(4, 32, 32), mask_ratio=np.float32(0.75)),
+], ids=["width", "input_size", "depth-latent_layers", "mask_ratio"])
+def test_a_config_of_numpy_scalars_saves_and_reloads(tmp_path, overrides):
+    cfg = preset("nano", **overrides)
+    assert all(type(v) in (int, float, tuple) for v in cfg.to_dict().values())
+    assert all(type(e) is int for f in ("input_size", "input_patch") for e in getattr(cfg, f))
+    model = MaskedVideoModel(cfg, seed=4)
+    mae.save_model(tmp_path / "model.ckpt", model)
+    loaded = mae.load_model(tmp_path / "model.ckpt")
+    assert loaded.config == cfg
+    for name, t in model.params.items():
+        np.testing.assert_array_equal(loaded.params[name].data, t.data)
+
+
 def test_load_model_on_a_clip_file_names_the_config_keys(tmp_path):
     clip, labels = next(synthworld.generate(0, 1, 16, 2))
     synthworld.save_clip(tmp_path / "clip.stm", clip, labels)

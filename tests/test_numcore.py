@@ -581,14 +581,16 @@ def test_mlp_backward_reuses_the_activation_and_stacks_no_weight_gradients():
 @pytest.mark.parametrize("lead", [(), (1,), (2,), (2, 3)], ids=str)
 def test_weight_grad_is_the_summed_stack_bitwise(lead, dtype):
     rng = np.random.default_rng(len(lead) * 10 + sum(lead))
-    a = rng.standard_normal(lead + (13, 6)).astype(dtype)
-    g = np.abs(rng.standard_normal(lead + (13, 5))).astype(dtype)
-    a[..., 0] = -0.0                    # a row of -0.0 products: summing from zero gives +0.0
-    stack = a.swapaxes(-1, -2) @ g
-    expected = stack.sum(axis=tuple(range(len(lead)))) if lead else stack
-    got = nc._weight_grad(a, g)
-    assert got.shape == (6, 5) and got.dtype == dtype
-    np.testing.assert_array_equal(got.view(np.uint8), expected.view(np.uint8))
+    for rows in (13, 1):                # one row per index: the class and pose heads' MLP
+        a = rng.standard_normal(lead + (rows, 6)).astype(dtype)
+        g = np.abs(rng.standard_normal(lead + (rows, 5))).astype(dtype)
+        a[..., 0] = -0.0                # a row of -0.0 products: summing from zero gives +0.0
+        stack = a.swapaxes(-1, -2) @ g
+        expected = stack.sum(axis=tuple(range(len(lead)))) if lead else stack
+        got = nc._weight_grad(a, g)
+        assert got.shape == (6, 5) and got.dtype == dtype
+        np.testing.assert_array_equal(got.view(np.uint8), expected.view(np.uint8),
+                                      err_msg=f"{rows} rows")
 
 
 def _assert_each_clip_is_its_lone_run(build, batched, fixed, g):

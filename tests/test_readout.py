@@ -1,12 +1,14 @@
 """Readout heads: published parameter counts, pipeline order, head contracts."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
 from stmae import metrics, numcore as nc
+from stmae.mae import unpatchify
 from stmae.numcore import Tensor
 from stmae.readout import (FOURIER_MLP_SIZE, BoxTrackHead, ClassHead, CrossAttentionReadout,
                            DepthHead, PointTrackHead, PoseHead, SE3Pose, fourier_features,
@@ -378,6 +380,96 @@ def test_depth_head_assembly_matches_reference():
     out = np.log1p(np.exp(-np.abs(out))) + np.maximum(out, 0)      # softplus
     expected = out.reshape(2, 2, 2, 2, 8, 8).transpose(0, 3, 1, 4, 2, 5).reshape(4, 16, 16)
     np.testing.assert_allclose(depth[0], expected, rtol=1e-10)
+
+
+def depth_single_pass(head, features):
+    """The depth of one readout pass over the whole query grid, assembled as
+    `DepthHead.forward` assembles its blocks."""
+    queries = head.encode_queries(head.query_positions[None])
+    out = nc.softplus(CrossAttentionReadout.forward(head, features, queries))
+    depth = unpatchify(out, head.grid, head.PATCH)
+    return nc.reshape(depth, depth.shape[:-1])
+
+
+def query_blocks(head, batch):
+    """The row blocks of the residual MLP's input, (B, Q, qkv_size)."""
+    d = head.params["depth.attn.q.weight"].shape[1]
+    return list(nc._row_blocks(len(head.query_positions), batch * 4 * d))
+
+
+@pytest.fixture(scope="module")
+def eval_depth_head():
+    """The eval workload's depth head (128 px, 256 feature channels, qkv 1024
+    over 16 heads) and a batch of one clip's features on its 16 x 64 tokens."""
+    head = DepthHead(256, clip_size=(16, 128, 128), qkv_size=1024, heads=16, seed=21)
+    feats = Tensor(random_features(np.random.default_rng(22), b=1, t=16, k=64, c=256)
+                   .astype(np.float32))
+    return head, feats
+
+
+def test_depth_head_holds_one_query_block_at_a_time(eval_depth_head):
+    head, feats = eval_depth_head
+    b, q, d, tokens = 1, len(head.query_positions), 1024, 16 * 64
+    blocks = query_blocks(head, b)
+    rows = blocks[0].stop
+    assert (q, len(blocks), rows) == (2048, 4, 512)
+    bound = 4 * (2 * b * tokens * d         # keys and values
+                 + nc.BLOCK                 # one block of the MLP's hidden activation
+                 + 6 * b * rows * d         # about six activations of one query block
+                 + b * q * 128) + (1 << 20)  # the output, and 1 MB of slack
+    with nc.no_grad():
+        tracemalloc.start()
+        try:
+            head.forward(feats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < bound, f"peak {peak / 2 ** 20:.1f} MB, bound {bound / 2 ** 20:.1f} MB"
+
+
+def test_depth_head_blocks_keep_the_single_pass_bits_at_eval_size(eval_depth_head):
+    head, feats = eval_depth_head
+    with nc.no_grad():
+        np.testing.assert_array_equal(head.forward(feats).data,
+                                      depth_single_pass(head, feats).data)
+
+
+def test_depth_head_joins_a_last_block_of_one_row_to_the_one_before():
+    # 3 x 9 x 19 = 513 queries: the MLP's blocks are 512 rows and the last
+    # two rows, one of them taken along; the head reads rows 0-511 and 0-512
+    head = DepthHead(32, clip_size=(6, 72, 152), qkv_size=1024, heads=16, seed=23)
+    feats = Tensor(random_features(np.random.default_rng(24), b=1, t=16, k=4, c=32)
+                   .astype(np.float32))
+    assert [(s.start, s.stop) for s in query_blocks(head, 1)] == [(0, 512), (511, 513)]
+    with nc.no_grad():
+        np.testing.assert_array_equal(head.forward(feats).data,
+                                      depth_single_pass(head, feats).data)
+
+
+def test_depth_head_blocks_keep_the_single_pass_gradients():
+    # (16, 96, 96) gives 8 x 12 x 12 = 1152 queries, read in blocks of 682
+    # rows for two clips at qkv_size 384, as the probe's head would be
+    head = DepthHead(32, clip_size=(16, 96, 96), qkv_size=384, heads=8, seed=25)
+    rng = np.random.default_rng(26)
+    feats = random_features(rng, b=2, t=16, k=4, c=32).astype(np.float32)
+    g = rng.standard_normal((2, 16, 96, 96)).astype(np.float32)
+    assert len(query_blocks(head, 2)) == 2
+
+    def run(forward):
+        for p in head.params.values():
+            p.grad = None
+        out = forward(head, Tensor(feats))
+        nc.backward(nc.sum_(out * Tensor(g)))
+        return out.data, {name: p.grad for name, p in head.params.items()}
+
+    blocked, blocked_grads = run(DepthHead.forward)
+    single, single_grads = run(depth_single_pass)
+    np.testing.assert_array_equal(blocked, single)
+    # attn.k.bias shifts every score of a row alike: its gradient is 0 up to
+    # rounding, of about 1e-8 here, which the 1e-7 floor admits
+    for name, grad in single_grads.items():
+        np.testing.assert_allclose(blocked_grads[name], grad, rtol=1e-4,
+                                   atol=1e-5 * np.abs(grad).max() + 1e-7, err_msg=name)
 
 
 def test_class_head_logits_and_softmax():
