@@ -378,8 +378,7 @@ def mae_loss(reconstruction, frames):
     if tuple(reconstruction.shape) != target.shape:
         raise ValueError(f"reconstruction shape {tuple(reconstruction.shape)} "
                          f"!= clip shape {target.shape}")
-    diff = reconstruction - Tensor(np.asarray(target, reconstruction.dtype))
-    return nc.mean(nc.square(diff))
+    return nc.mean(nc.squared_error(reconstruction, np.asarray(target, reconstruction.dtype)))
 
 
 def save_model(path, model):

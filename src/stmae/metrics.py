@@ -224,15 +224,15 @@ def point_track_loss(pred_xy, vis_logits, unc_logits, gt_xy, gt_vis):
 def pose_loss(pred12, gt12):
     """Squared error summed over the 12 raw pose entries (batch-averaged)."""
     pred12 = _tensor(pred12)
-    diff = pred12 - _tensor(_target("pose_loss", pred12.shape, gt12), dtype=pred12.dtype)
-    return nc.mean(nc.sum_(nc.square(diff), axis=-1))
+    gt12 = _tensor(_target("pose_loss", pred12.shape, gt12), dtype=pred12.dtype).data
+    return nc.mean(nc.sum_(nc.squared_error(pred12, gt12), axis=-1))
 
 
 def box_track_loss(pred_boxes, gt_boxes):
     """L2 loss on raw (xmin, xmax, ymin, ymax) coordinates."""
     pred = _tensor(pred_boxes)
-    diff = pred - _tensor(_target("box_track_loss", pred.shape, gt_boxes), dtype=pred.dtype)
-    return nc.mean(nc.square(diff))
+    gt = _tensor(_target("box_track_loss", pred.shape, gt_boxes), dtype=pred.dtype).data
+    return nc.mean(nc.squared_error(pred, gt))
 
 
 def depth_loss(pred_depth, gt_depth):
@@ -241,8 +241,8 @@ def depth_loss(pred_depth, gt_depth):
     gt = _target("depth_loss", pred.shape, gt_depth)
     mask = _valid_depth(gt)
     count = max(np.count_nonzero(mask), 1)
-    diff = pred - _tensor(gt, dtype=pred.dtype)
-    return nc.sum_(nc.square(diff) * Tensor(mask.astype(diff.dtype))) * (1.0 / count)
+    squared = nc.squared_error(pred, _tensor(gt, dtype=pred.dtype).data)
+    return nc.sum_(squared * Tensor(mask.astype(pred.dtype))) * (1.0 / count)
 
 
 def cross_entropy(logits, labels):

@@ -17,20 +17,23 @@ RuntimeError. A fresh VJP result becomes a target's `.grad` without a copy.
 `attention` is the one multi-head attention of the package, used by the
 encoder's self-attention and by every readout's cross-attention. It
 views its operands as heads itself and has one hand-written VJP; the
-three input gradients share one computation of the score gradient. Its
-forward runs one head at a time, in blocks of query rows sized for about
+three input gradients share one computation of the score gradient. It
+runs its heads in groups: all of them in one pass when the whole score
+tensor has at most `_GROUP_SCORES` elements (256 KB of float32), one
+head at a time otherwise, so a large call never holds its whole score
+tensor. Its forward runs a group in blocks of query rows sized for about
 `BLOCK` score elements over all heads, through one reused scratch block
-of one head's share, so no call holds its whole score tensor. One
-routine builds a head's softmax weights for the forward, recording each
-query row's max and sum, and rebuilds them bit for bit in backward from
-those statistics, as FlashAttention recomputes them (Dao et al. 2022).
-Backward writes all three gradients. It keeps the row statistics, views
-of q, k and v, and the output, from which each row's softmax term
-D = g · o comes (FlashAttention-2, Dao 2023). It runs head by head, so
-it holds one head's weights and score gradient at a time, and writes
-each head's share of the three gradients straight into (..., n, d)
-arrays. `affine` is the one linear layer (`mae.Layers.linear`): one node
-and one output array, the bias added in place into the product.
+of the group's share. One routine builds a group's softmax weights for
+the forward, recording each query row's max and sum, and rebuilds them
+bit for bit in backward from those statistics, as FlashAttention
+recomputes them (Dao et al. 2022). Backward writes all three gradients.
+It keeps the row statistics, views of q, k and v, and the output, from
+which each row's softmax term D = g · o comes (FlashAttention-2, Dao
+2023). It runs group by group, so it holds one group's weights and score
+gradient at a time, and writes each group's share of the three
+gradients straight into (..., n, d) arrays. `affine` is the one linear
+layer (`mae.Layers.linear`): one node and one output array, the bias
+added in place into the product.
 
 `mlp` is the one MLP (`mae.Layers.mlp`), affine -> GELU -> affine as one
 node, used by every encoder block and readout. Its forward runs in
@@ -45,7 +48,19 @@ is never held. Backward writes the hidden gradient over the spent
 activation and drops it and the slope after their last read. The weight
 gradients of `affine` and `mlp` over a batched input add one (k, m)
 product per leading index into one array instead of summing a stack of
-them. Values and all five gradients have the chain's bits.
+them. Values and all five gradients have the chain's bits. The row
+blocks of `attention` and `mlp` are disjoint and at least 8 rows long,
+so no product goes to the kernels OpenBLAS keeps for a few rows.
+
+The losses' squared errors are `squared_error`, one node whose output is
+its only array: backward keeps the prediction's data and the target,
+which the caller holds anyway, not their difference, and rebuilds the
+difference into the one array it makes, the prediction's gradient.
+`mean` keeps the input's shape and makes one value, g / size, handed on
+as a read-only broadcast; `sum_` hands on a broadcast view of g. Backward
+copies such a broadcast into a full array for every target but
+`squared_error`, which reads its gradient elementwise and takes it as it
+is, so a loss `mean(squared_error(...))` makes one array in backward.
 
 Data is row-major float64 or float32; both dtypes run the same code
 path, except GELU, whose float32 kernel stays in float32 (within 3e-7
@@ -80,6 +95,8 @@ _ERFCC = (-1.26551223, 1.00002368, 0.37409196, 0.09678418, -0.18628806,
 _CHUNK = 1 << 15             # elements of a GELU chunk; fits in L2
 
 BLOCK = 1 << 21              # elements per row block of `attention` (scores) and `mlp` (hidden)
+_MIN_ROWS = 8                # rows of the shortest row block
+_GROUP_SCORES = 1 << 16      # score elements up to which `attention` runs all heads in one pass
 
 _grad_enabled = True
 
@@ -113,13 +130,16 @@ def _as_float_array(data):
 class _Node:
     """An op result's place in the graph: its gradient while backward runs
     and its (target, vjp) edges, a target being a `_Node` or a leaf Tensor.
-    Backward sets both to None once the node has been consumed."""
+    Backward sets both to None once the node has been consumed. A node
+    whose VJPs read g elementwise only (`any_layout`) may hold a gradient
+    of any layout, a read-only broadcast included."""
 
-    __slots__ = ("grad", "edges")
+    __slots__ = ("grad", "edges", "any_layout")
 
-    def __init__(self, edges):
+    def __init__(self, edges, any_layout):
         self.grad = None
         self.edges = edges
+        self.any_layout = any_layout
 
 
 class Tensor:
@@ -188,11 +208,13 @@ def parameter(data):
     return leaf
 
 
-def _make(data, parents):
+def _make(data, parents, any_layout=False):
     """Build an op result; parents is a list of (tensor, vjp closure).
 
     The closures must hold arrays and plain values only, never a Tensor,
-    so that the graph holds no op result's `data` that no VJP reads.
+    so that the graph holds no op result's `data` that no VJP reads. With
+    `any_layout` the closures read their g elementwise only, so backward
+    may hand them a read-only broadcast.
     """
     out = Tensor(data)
     if _grad_enabled:
@@ -200,7 +222,7 @@ def _make(data, parents):
                       for p, fn in parents if p.requires_grad)
         if edges:
             out.requires_grad = True
-            out._node = _Node(edges)
+            out._node = _Node(edges, any_layout)
     return out
 
 
@@ -238,9 +260,12 @@ def backward(loss):
     memory order, so a kept transposed layout would change their bits).
     So does `g` itself, or a row-major view spanning all of it, for the
     node's last target: every `.grad` is owned by one node or leaf, and no
-    later VJP of the node reads `g`. Everything else is copied: views of
-    `g` for earlier targets, partial views (`concat` and `slice_` keys),
-    read-only broadcasts and other layouts.
+    later VJP of the node reads `g`. An `any_layout` node (`squared_error`)
+    also takes any other contribution that shares no memory with `g` as it
+    is, such as `mean`'s read-only broadcast of one value; a later
+    contribution is then added out of place. Everything else is copied:
+    views of `g` for earlier targets, partial views (`concat` and `slice_`
+    keys), read-only broadcasts and other layouts.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")
@@ -278,10 +303,16 @@ def backward(loss):
         for i, (target, vjp) in enumerate(edges):
             contribution = vjp(g)
             if target.grad is not None:
-                target.grad += contribution
+                if target.grad.flags.writeable:
+                    target.grad += contribution
+                else:                       # a broadcast an any-layout node holds
+                    target.grad = target.grad + contribution
             elif contribution.flags.writeable and contribution.flags.c_contiguous and (
                     not np.may_share_memory(contribution, g)
                     or (i == last and _covers(contribution, g))):
+                target.grad = contribution
+            elif (type(target) is _Node and target.any_layout
+                  and not np.may_share_memory(contribution, g)):
                 target.grad = contribution
             else:
                 target.grad = contribution.copy()
@@ -351,19 +382,32 @@ def mul(a, b):
                         (b, lambda g: _unbroadcast(g * ad, sb))])
 
 
-def square(a):
-    """Elementwise a * a, as for a squared error. Backward keeps the input and
-    makes one array, 2·(g·a): the bits of `mul(a, a)`'s two contributions
-    summed, as x + x = 2x exactly."""
+def squared_error(a, target):
+    """Elementwise (a - target)² of a tensor and a constant array of its shape
+    and dtype, as one node whose output is its only array.
+
+    Backward keeps `a`'s data and the target, not their difference: it
+    rebuilds the difference into one fresh array and scales it there,
+    (g·(a - target))·2, the bits of `sub` followed by `mul` of the
+    difference by itself (x + x = 2x exactly). Its g may be any layout,
+    `mean`'s read-only broadcast included (`_make`'s `any_layout`).
+    """
     a = _wrap(a)
+    t = np.asarray(target)
+    if a.shape != t.shape:
+        raise ShapeError(f"squared_error: shapes {a.shape} and {t.shape} differ")
+    _one_dtype("squared_error", a=a, target=t)
     x = a.data
+    d = x - t
+    d *= d
 
     def vjp(g):
-        r = g * x
+        r = x - t
+        r *= g
         r *= 2
         return r
 
-    return _make(x * x, [(a, vjp)])
+    return _make(d, [(a, vjp)], any_layout=True)
 
 
 def neg(a):
@@ -541,15 +585,17 @@ def _joint_vjps(grads, count):
 
 
 def _row_blocks(n, row_size):
-    """Slices that cover `n` rows of `row_size` elements in blocks of about
-    `BLOCK` elements and at least two rows; the first block, always there,
-    is the largest. numpy sends a one-row product to gemv, whose bits
-    differ from gemm's, so a last block of one row takes the row before it
-    along."""
-    rows = max(2, BLOCK // max(1, row_size))
-    for start in range(0, max(n, 1), rows):     # one empty block when n is 0
-        start = max(0, min(start, n - 2))
-        yield slice(start, min(start + rows, n))
+    """Disjoint slices that cover `n` rows of `row_size` elements in blocks
+    of about `BLOCK` elements and at least `_MIN_ROWS` rows; fewer rows
+    make one block, and 0 rows one empty block. numpy's OpenBLAS sends
+    products of a few rows to other kernels (gemv for one row), whose bits
+    differ from a block's, so a shorter last block joins the block before
+    it and no row is computed twice."""
+    rows = max(_MIN_ROWS, BLOCK // max(1, row_size))
+    starts = list(range(0, n, rows)) or [0]
+    if len(starts) > 1 and n - starts[-1] < _MIN_ROWS:
+        starts.pop()
+    return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n])]
 
 
 def attention(q, k, v, heads):
@@ -560,29 +606,33 @@ def attention(q, k, v, heads):
     into `heads` contiguous slices of dh = d / heads channels, each
     attending on its own; their outputs are merged back in the same order.
 
-    The softmax runs one head at a time, in blocks of query rows sized as
-    if every head shared the block: `BLOCK` score elements over every
-    leading axis, every head and all nk keys. One head's block goes
-    through one reused scratch array of 1/heads of that size. Every block
-    sees all the keys, so the softmax arithmetic of each row is that of an
-    unblocked softmax; but a gemm's bits can depend on its row count, so
-    the row blocks stay sized over all heads (numpy's batched matmul
-    already makes one gemm per head) and forward and backward share one
-    block plan. They also share one routine, `weights`, that writes a
-    block's weights exp(q kᵀ scale - m) / l: the forward records each
-    query row's max m and sum l (taken after exp) in one
-    (..., heads, nq, 2) array, and backward reads them back, so its
-    weights have the forward's bits.
+    The heads run in groups: every head at once when the whole score
+    tensor, lead × heads × nq × nk, has at most `_GROUP_SCORES` elements,
+    one head at a time otherwise. numpy's batched matmul makes one gemm per
+    head either way, so the grouping leaves every bit as it is; it saves
+    the Python overhead of a loop over heads at small shapes. A group
+    runs in blocks of query rows sized as if every head shared the block:
+    `BLOCK` score elements over every leading axis, every head and all nk
+    keys. A group's block goes through one reused scratch array of the
+    group's share of that size. Every block sees all the keys, so the
+    softmax arithmetic of each row is that of an unblocked softmax; but a
+    gemm's bits can depend on its row count, so the row blocks stay sized
+    over all heads and forward and backward share one block plan. They
+    also share one routine, `weights`, that writes a block's weights
+    exp(q kᵀ scale - m) / l: the forward records each query row's max m
+    and sum l (taken after exp) in one (..., heads, nq, 2) array, and
+    backward reads them back, so its weights have the forward's bits.
 
-    Backward writes all three input gradients, head by head: it rebuilds
-    one head's weights over the blocks and writes that head's channels of
-    the q, k and v gradients straight into (..., n, d) arrays, k's
-    through a transposed view. The softmax Jacobian's row term is
-    D = g · o per query row (FlashAttention-2, Dao 2023), equal to the sum
-    over the weights and their gradient in exact arithmetic. So backward
-    holds one head's weights and score gradient, two (..., nq, nk) arrays,
-    besides the gradients. It keeps the row statistics, views of q, k and
-    v, and the output.
+    Backward writes all three input gradients, group by group: it
+    rebuilds one group's weights over the blocks and writes that group's
+    channels of the q, k and v gradients straight into (..., n, d)
+    arrays, k's through a transposed view. The softmax Jacobian's row term
+    is D = g · o per query row (FlashAttention-2, Dao 2023), equal to the
+    sum over the weights and their gradient in exact arithmetic. So
+    backward holds one group's weights and score gradient, two
+    (..., group, nq, nk) arrays, besides the gradients: one head's at
+    large shapes, at most 2 × `_GROUP_SCORES` elements at small ones. It
+    keeps the row statistics, views of q, k and v, and the output.
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     if (q.ndim < 2 or k.ndim < 2 or k.shape != v.shape or q.shape[-1] != k.shape[-1]
@@ -604,56 +654,58 @@ def attention(q, k, v, heads):
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     kt = kh.swapaxes(-1, -2)
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=dtype)
-    blocks = list(_row_blocks(nq, math.prod(lead) * heads * nk))
+    blocks = _row_blocks(nq, math.prod(lead) * heads * nk)
+    group = heads if math.prod(lead) * heads * nq * nk <= _GROUP_SCORES else 1
+    groups = [slice(h, h + group) for h in range(0, heads, group)]
     stats = np.empty(lead + (heads, nq, 2), dtype)      # each row's max and sum
-    s = np.empty(lead + (blocks[0].stop, nk), dtype)
+    s = np.empty(lead + (group, max(b.stop - b.start for b in blocks), nk), dtype)
     out = np.empty(lead + (nq, d), dtype)
     oh = split(out)
 
-    def weights(h, block, w, fresh):
-        """Write head h's softmax weights of the query rows `block` into w,
-        recording each row's max and sum in `stats` when `fresh` and
-        reading them back otherwise."""
-        np.matmul(qh[..., h, block, :], kt[..., h, :, :], out=w)
+    def weights(hs, block, w, fresh):
+        """Write the softmax weights of the heads `hs` and query rows `block`
+        into w, recording each row's max and sum in `stats` when `fresh`
+        and reading them back otherwise."""
+        np.matmul(qh[..., hs, block, :], kt[..., hs, :, :], out=w)
         w *= scale
         if fresh:
-            stats[..., h, block, :1] = w.max(axis=-1, keepdims=True)
-        w -= stats[..., h, block, :1]
+            stats[..., hs, block, :1] = w.max(axis=-1, keepdims=True)
+        w -= stats[..., hs, block, :1]
         np.exp(w, out=w)
         if fresh:
-            stats[..., h, block, 1:] = w.sum(axis=-1, keepdims=True)
-        w /= stats[..., h, block, 1:]
+            stats[..., hs, block, 1:] = w.sum(axis=-1, keepdims=True)
+        w /= stats[..., hs, block, 1:]
 
-    for h in range(heads):
+    for hs in groups:
         for block in blocks:
             w = s[..., :block.stop - block.start, :]
-            weights(h, block, w, True)
-            np.matmul(w, vh[..., h, :, :], out=oh[..., h, block, :])
+            weights(hs, block, w, True)
+            np.matmul(w, vh[..., hs, :, :], out=oh[..., hs, block, :])
     shapes = q.shape, k.shape, v.shape
 
-    def by_head(g):
-        """The three gradients at full leading shape, each head's channels
-        written in turn."""
+    def by_group(g):
+        """The three gradients at full leading shape, each head group's
+        channels written in turn."""
         gh = split(g)
         gq, gk, gv = (np.empty(lead + shape[-2:], dtype) for shape in shapes)
-        s = np.empty(lead + (nq, nk), dtype)
-        gs = np.empty(lead + (nq, nk), dtype)
-        for h in range(heads):
+        s = np.empty(lead + (group, nq, nk), dtype)
+        gs = np.empty(lead + (group, nq, nk), dtype)
+        for hs in groups:
             for block in blocks:
-                weights(h, block, s[..., block, :], False)
-            np.matmul(s.swapaxes(-1, -2), gh[..., h, :, :], out=split(gv)[..., h, :, :])
+                weights(hs, block, s[..., block, :], False)
+            np.matmul(s.swapaxes(-1, -2), gh[..., hs, :, :], out=split(gv)[..., hs, :, :])
             # the softmax Jacobian in place, s * (gs - D) * scale, each row's D = g · o
-            np.matmul(gh[..., h, :, :], vh[..., h, :, :].swapaxes(-1, -2), out=gs)
-            gs -= (gh[..., h, :, :] * oh[..., h, :, :]).sum(-1, keepdims=True)
+            np.matmul(gh[..., hs, :, :], vh[..., hs, :, :].swapaxes(-1, -2), out=gs)
+            gs -= (gh[..., hs, :, :] * oh[..., hs, :, :]).sum(-1, keepdims=True)
             gs *= s
             gs *= scale
-            np.matmul(gs, kh[..., h, :, :], out=split(gq)[..., h, :, :])
-            np.matmul(qh[..., h, :, :].swapaxes(-1, -2), gs,
-                      out=split(gk)[..., h, :, :].swapaxes(-1, -2))
+            np.matmul(gs, kh[..., hs, :, :], out=split(gq)[..., hs, :, :])
+            np.matmul(qh[..., hs, :, :].swapaxes(-1, -2), gs,
+                      out=split(gk)[..., hs, :, :].swapaxes(-1, -2))
         return gq, gk, gv
 
     def grads(g):
-        full = by_head(g)               # one head's weights and score gradient freed
+        full = by_group(g)              # one group's weights and score gradient freed
         return {i: _unbroadcast(full[i], shapes[i]) for i in range(3)}
 
     return _make(out, list(zip((q, k, v), _joint_vjps(grads, 3))))
@@ -794,9 +846,9 @@ def mlp(x, w1, b1, w2, b2):
     need_x = grad and x.requires_grad
     lead, n, hidden = x.shape[:-2], x.shape[-2], w1.shape[1]
     size = math.prod(lead) * hidden
-    blocks = list(_row_blocks(n, size))
+    blocks = _row_blocks(n, size)
     z = np.empty(lead + (n, hidden), dtype) if grad else None
-    scratch = None if grad else np.empty(size * blocks[0].stop, dtype)
+    scratch = None if grad else np.empty(size * max(b.stop - b.start for b in blocks), dtype)
     slope = np.empty(lead + (n, hidden), dtype) if grad else None
     out = np.empty(lead + (n, w2.shape[1]), dtype)
     for block in blocks:
@@ -885,11 +937,12 @@ def sum_(a, axis=None):
 
 
 def mean(a):
-    """Arithmetic mean over every element. Backward keeps the input's shape."""
+    """Arithmetic mean over every element. Backward keeps the input's shape
+    and makes one value, g / size, handed on as a read-only broadcast."""
     a = _wrap(a)
     shape, size = a.shape, a.data.size
     return _make(np.asarray(a.data.mean()),
-                 [(a, lambda g: np.broadcast_to(g, shape) / size)])
+                 [(a, lambda g: np.broadcast_to(g / size, shape))])
 
 
 # Registry of differentiable ops; the gradient suite checks every entry.
@@ -897,7 +950,7 @@ OPS = {
     "add": add,
     "sub": sub,
     "mul": mul,
-    "square": square,
+    "squared_error": squared_error,
     "neg": neg,
     "affine": affine,
     "concat": concat,

@@ -305,16 +305,10 @@ class DepthHead(CrossAttentionReadout):
     then read out in the row blocks that `numcore.mlp` takes for the
     residual MLP's (B, Q, qkv_size) input, `_row_blocks(Q, B * 4 *
     qkv_size)`: 512 queries per block at 128 px with B = 1 and qkv_size
-    1024, and one block at the probe's 64 px. A last block of one row,
-    which `_row_blocks` pads with the row before it, joins the block before
-    it instead, so the MLP inside runs the blocks a single pass would run.
-    Each block encodes its own slice of `query_positions`, so apart from
-    the keys and values only one block's activations and the (B, Q, 128)
-    output are held. Every product then has a block's rows or more, and
-    the depth has the bits of a single pass over the grid. A ragged last
-    block of a few rows would not: OpenBLAS sends products of so few rows
-    to other kernels (up to 7 rows for the head's (1024, 128) weight in
-    OpenBLAS 0.3.31).
+    1024, and one block at the probe's 64 px. Each block encodes its own
+    slice of `query_positions`, so apart from the keys and values only one
+    block's activations and the (B, Q, 128) output are held, and the
+    depth has the bits of a single pass over the grid.
     """
 
     TASK = "depth"
@@ -340,12 +334,8 @@ class DepthHead(CrossAttentionReadout):
         """-> (B, T, H, W) strictly positive depth."""
         keys, values = self._keys_values(features)
         hidden = self.layers["mlp.fc1.weight"].shape[1]
-        blocks = list(nc._row_blocks(len(self.query_positions), keys.shape[0] * hidden))
-        if len(blocks) > 1 and blocks[-1].start < blocks[-2].stop:
-            # a last block of one row took the row before it along: join it to that block instead
-            blocks[-2:] = [slice(blocks[-2].start, blocks[-1].stop)]
         parts = [self._read(self.encode_queries(self.query_positions[None, block]), keys, values)
-                 for block in blocks]                                       # (B, r, 128) each
+                 for block in nc._row_blocks(len(self.query_positions), keys.shape[0] * hidden)]
         out = nc.softplus(parts[0] if len(parts) == 1 else nc.concat(parts, axis=1))
         depth = unpatchify(out, self.grid, self.PATCH)              # (B, T, H, W, 1)
         return nc.reshape(depth, depth.shape[:-1])

@@ -110,6 +110,15 @@ def mlp_chain(x, w1, b1, w2, b2):
     return nc.affine(gelu_op(nc.affine(x, w1, b1)), w2, b2)
 
 
+def squared_error_chain(a, target):
+    """(a - target)² as two graph nodes, `sub` then `mul` of the difference
+    by itself, each making its own full-size arrays: what
+    numcore.squared_error fuses into one node that keeps no difference."""
+    from stmae import numcore as nc
+    diff = nc.sub(a, nc.Tensor(target))
+    return nc.mul(diff, diff)
+
+
 def attention_unblocked(q, k, v, heads):
     """Multi-head softmax attention over the whole score tensor at once, with
     the same per-row arithmetic as numcore.attention (so equal bits)."""
@@ -149,9 +158,9 @@ def attention_kept_weights(q, k, v, heads, g, wanted, rows=None, weights_row_ter
     per-row arithmetic and its VJP expressions, so equal bits. With `rows`,
     the forward builds the weights and the output `rows` query rows at a
     time, every head of a block in one batched product, and a last block
-    of one row takes the row before it along: numcore's row blocks, whose
-    row counts a product's bits can depend on. The weights are kept only
-    when a gradient is wanted.
+    of fewer than 8 rows joins the block before it: numcore's row blocks,
+    whose row counts a product's bits can depend on. The weights are kept
+    only when a gradient is wanted.
 
     The softmax Jacobian's row term D is taken from the output, each row's
     D = g · o as in numcore (FlashAttention-2, Dao 2023). With
@@ -172,20 +181,22 @@ def attention_kept_weights(q, k, v, heads, g, wanted, rows=None, weights_row_ter
 
     qh, kh, vh = split(q), split(k), split(v)
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=q.dtype)
-    starts = [0] if rows is None else [max(0, min(i, nq - 2)) for i in range(0, nq, rows)]
-    rows = nq if rows is None else rows
+    starts = [0] if rows is None else list(range(0, nq, rows))
+    if len(starts) > 1 and nq - starts[-1] < 8:
+        starts.pop()
+    stops = starts[1:] + [nq]
     lead = np.broadcast_shapes(qh.shape[:-2], kh.shape[:-2])
     s = np.empty(lead + (nq, k.shape[-2]), scale.dtype) if wanted else None
     oh = np.empty(lead + (nq, dh), q.dtype)
-    for start in starts:
-        w = qh[..., start:start + rows, :] @ kh.swapaxes(-1, -2)
+    for start, stop in zip(starts, stops):
+        w = qh[..., start:stop, :] @ kh.swapaxes(-1, -2)
         w *= scale
         w -= w.max(axis=-1, keepdims=True)
         np.exp(w, out=w)
         w /= w.sum(axis=-1, keepdims=True)
         if wanted:
-            s[..., start:start + rows, :] = w
-        oh[..., start:start + rows, :] = w @ vh
+            s[..., start:stop, :] = w
+        oh[..., start:stop, :] = w @ vh
     out = merge(oh)
     gh = split(g) if wanted else None
     grads = {}

@@ -40,6 +40,7 @@ def test_pairs_by_seed_and_applies_the_gain_rule_and_the_bound(tmp_path):
     assert (rate["wins"], rate["losses"]) == (4, 1)
     assert rate["parent"]["median"] == 5.2 and rate["change"]["median"] == 6.0
     assert not rate["gain_shown"] and rate["within_bound"]           # 4 of 5 pairs is under 9/10
+    assert not rate["unresolved"] and not rss["unresolved"]           # spreads within the bounds
     assert (rss["wins"], rss["losses"]) == (0, 5) and not rss["within_bound"]   # 5.5% over a 5% bound
 
 
@@ -48,3 +49,18 @@ def test_rejects_runs_of_one_source_on_both_sides(tmp_path):
         write_records(tmp_path / side, "same", [5.0, 5.1, 5.2], [200, 200, 200])
     with pytest.raises(ValueError, match="same source"):
         bench_summary.summarize(tmp_path / "a", tmp_path / "b", SPEC)
+
+
+def test_marks_a_metric_unresolved_when_the_parent_spreads_wider_than_its_bound(tmp_path):
+    # parent RSS 190-210 MB: quartiles 195 and 206 MB, 11 MB apart, wider than
+    # the 5% bound of 10 MB at the 200 MB median
+    write_records(tmp_path / "a", "p", [5.0] * 5, [190, 195, 200, 206, 210])
+    write_records(tmp_path / "b", "c", [5.0] * 5, [189, 201, 199, 205, 215])
+    write_records(tmp_path / "c", "c", [5.0] * 5, [185, 186, 187, 188, 189])
+    mixed = bench_summary.summarize(tmp_path / "a", tmp_path / "b", SPEC)["workloads"]["probe"]
+    assert mixed["metrics"]["peak_rss_mb"]["within_bound"]
+    assert mixed["metrics"]["peak_rss_mb"]["unresolved"]
+    assert not mixed["metrics"]["clips_per_s"]["unresolved"]          # no spread at all
+    # every change run under every parent run settles it, spread or not
+    apart = bench_summary.summarize(tmp_path / "a", tmp_path / "c", SPEC)["workloads"]["probe"]
+    assert not apart["metrics"]["peak_rss_mb"]["unresolved"]

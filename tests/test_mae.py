@@ -339,6 +339,28 @@ def test_mae_loss_shape_mismatch():
         mae_loss(nc.Tensor(np.zeros((2, 8, 8, 3))), np.zeros((2, 8, 16, 3)))
 
 
+def test_mae_loss_keeps_no_difference_and_its_backward_makes_one_clip_sized_array():
+    # a bench clip, 16 x 128 x 128 RGB in float32, is 3 MB. The loss keeps no
+    # difference for backward, and the mean hands its gradient on as one value,
+    # so backward makes only the reconstruction's gradient; a kept difference,
+    # a full array of the mean's gradient and the square's would make three
+    rng = np.random.default_rng(13)
+    frames = rng.random((16, 128, 128, 3), dtype=np.float32)
+    recon = nc.parameter(rng.random((16, 128, 128, 3), dtype=np.float32))
+    tracemalloc.start()
+    try:
+        loss = mae_loss(recon, frames)
+        kept = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        nc.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert recon.grad.shape == frames.shape
+    assert kept < 1 << 20
+    assert peak < frames.nbytes + (1 << 20)
+
+
 # ---------------------------------------------------------------------------
 # Feature extraction
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from stmae import metrics, numcore as nc
+from stmae import mae, metrics, numcore as nc
 from stmae.metrics import (DepthPair, absrel, average_jaccard, bce_with_logits,
                            box_track_loss, cross_entropy, cube_points, depth_loss,
                            epe_pose, mean_iou, point_track_loss, pose_loss, top1,
@@ -339,6 +339,38 @@ def test_pose_loss_matches_scalar_oracle():
         a, b = rng.standard_normal(12), rng.standard_normal(12)
         ref = sum((x - y) ** 2 for x, y in zip(a, b))
         assert abs(float(pose_loss(a, b).data) - ref) < 1e-9
+
+
+# the squared-error losses, each with its prediction shape
+SQUARED_ERROR_LOSSES = {
+    "mae": (mae.mae_loss, (4, 16, 16, 3)),
+    "pose": (pose_loss, (5, 12)),
+    "box": (box_track_loss, (2, 3, 16, 4)),
+    "depth": (depth_loss, (2, 4, 16, 16)),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(SQUARED_ERROR_LOSSES))
+def test_squared_error_losses_are_the_sub_square_chain_bitwise(name, dtype, monkeypatch):
+    # targets straddle the valid depth range, so the depth mask drops some pixels
+    loss_fn, shape = SQUARED_ERROR_LOSSES[name]
+    rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+    pred = (rng.standard_normal(shape) * 3 + 5).astype(dtype)
+    target = rng.uniform(0.0, 12.0, shape)
+
+    def run():
+        p = nc.parameter(pred)
+        loss = loss_fn(p, target)
+        nc.backward(loss)
+        return loss.data, p.grad
+
+    fused = run()
+    monkeypatch.setattr(nc, "squared_error", oracles.squared_error_chain)
+    chain = run()
+    for got, expected in zip(fused, chain):
+        assert got.dtype == dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_top1_one_hot_and_inverted():

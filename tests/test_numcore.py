@@ -49,11 +49,15 @@ def _away_from(value, margin):
     return fix
 
 
+# the constant target of the squared-error case, taken at the input's dtype
+SQUARED_ERROR_TARGET = np.random.default_rng(0).standard_normal((3, 4))
+
 OP_CASES = {
     "add": _case(nc.add, (3, 4), (4,)),
     "sub": _case(nc.sub, (3, 4), (3, 1)),
     "mul": _case(nc.mul, (2, 3, 4), (4,)),
-    "square": _case(nc.square, (3, 4)),
+    "squared_error": _case(lambda a: nc.squared_error(a, SQUARED_ERROR_TARGET.astype(a.dtype)),
+                           (3, 4)),
     "neg": _case(nc.neg, (3, 4)),
     "affine": _case(nc.affine, (2, 3, 4), (4, 5), (5,)),
     "concat": _case(lambda a, b: nc.concat([a, b], axis=1), (3, 2), (3, 4)),
@@ -211,52 +215,52 @@ def test_gelu_in_place_has_the_out_of_place_bits(dtype, with_slope):
         np.testing.assert_array_equal(inplace_slope.view(np.uint8), slope.view(np.uint8))
 
 
-# (rows n, elements a row, BLOCK): rows a block are max(2, BLOCK // row size)
+# (rows n, elements a row, BLOCK, block sizes): rows a block are
+# max(8, BLOCK // row size), and a last block under 8 rows joins the one before
 ROW_BLOCK_CASES = [
-    (0, 8, 64),                         # no rows: one empty block
-    (1, 8, 64),                         # a single row
-    (2, 8, 8),                          # at least two rows a block
-    (7, 8, 16),                         # 2 rows a block, last block 1 row
-    (37, 96, 600),                      # 6 rows a block, last block 1 row
-    (40, 96, 600),                      # last block 4 rows
-    (5, 0, 64),                         # empty rows count as one element
-    (9, 1, 1 << 40),                    # one block
+    (0, 8, 64, [0]),                    # no rows: one empty block
+    (1, 8, 64, [1]),                    # a single row
+    (7, 8, 8, [7]),                     # under 8 rows: one block
+    (9, 8, 16, [9]),                    # 8 rows a block, the last row joins the first
+    (37, 96, 600, [8, 8, 8, 13]),       # at least 8 rows a block, last 5 rows joined
+    (40, 96, 600, [8, 8, 8, 8, 8]),
+    (2049, 1024, 1 << 21, [2049]),      # 2048 rows a block, the last row joined
+    (1030, 64, 1 << 14, [256, 256, 256, 262]),
+    (538, 1, 1 << 40, [538]),           # one block
+    (5, 0, 64, [5]),                    # empty rows count as one element
 ]
 
 
-@pytest.mark.parametrize("n, row_size, block", ROW_BLOCK_CASES)
-def test_row_blocks_cover_the_rows_with_no_one_row_block(n, row_size, block, monkeypatch):
+@pytest.mark.parametrize("n, row_size, block, sizes", ROW_BLOCK_CASES)
+def test_row_blocks_are_disjoint_and_none_is_under_eight_rows(n, row_size, block, sizes,
+                                                               monkeypatch):
     monkeypatch.setattr(nc, "BLOCK", block)
-    rows = max(2, block // max(1, row_size))
-    blocks = list(nc._row_blocks(n, row_size))
-    if n == 0:
-        assert blocks == [slice(0, 0)]
-        return
-    sizes = [b.stop - b.start for b in blocks]
+    blocks = nc._row_blocks(n, row_size)
+    assert [b.stop - b.start for b in blocks] == sizes
     assert blocks[0].start == 0 and blocks[-1].stop == n
-    assert max(sizes) == sizes[0] == min(rows, n) and min(sizes) >= min(2, n)
-    # blocks follow one another; only a one-row last block reaches back a row
-    for a, b in zip(blocks[:-1], blocks[1:-1]):
-        assert b.start == a.stop
-    if len(blocks) > 1:
-        overlap = blocks[-2].stop - blocks[-1].start
-        assert overlap == (1 if (n - blocks[-2].stop) == 1 else 0)
+    assert all(b.start == a.stop for a, b in zip(blocks, blocks[1:]))
 
 
-# shapes spanning several query blocks once BLOCK is shrunk to 600
-# score elements; the last block is ragged, one row long in some cases
+# shapes spanning several query blocks once BLOCK is shrunk to 600 score
+# elements; blocks are at least 8 rows, and a shorter last block joins the one before
 ATTENTION_BLOCK_CASES = [
-    ((2, 37, 16), (2, 11, 16), 4),      # 6 rows a block, last block 1 row
-    ((2, 40, 16), (2, 11, 16), 4),      # last block 4 rows
-    ((1, 29, 16), (3, 11, 16), 2),      # one query set against a batch: 9 rows, last 2
-    ((23, 8), (45, 8), 2),              # no leading axes: 6 rows, last 5
+    ((2, 37, 16), (2, 11, 16), 4),      # 8 rows a block, the last 5 rows joined
+    ((2, 40, 16), (2, 11, 16), 4),      # five blocks of 8 rows
+    ((1, 29, 16), (3, 11, 16), 2),      # one query set against a batch: 9 rows, last 2 joined
+    ((23, 8), (45, 8), 2),              # no leading axes: 8 rows, last 7 joined
     ((1, 16), (5, 16), 4),              # a single query row
 ]
+# score elements up to which attention runs all heads in one pass: 0 runs
+# one head at a time, as at the larger workload shapes, and 2**16 every head at once
+GROUP_SCORES = [0, 1 << 16]
 
 
+@pytest.mark.parametrize("group_scores", GROUP_SCORES)
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("q_shape, kv_shape, heads", ATTENTION_BLOCK_CASES)
-def test_attention_blocks_match_unblocked_formula(q_shape, kv_shape, heads, dtype, monkeypatch):
+def test_attention_blocks_match_unblocked_formula(q_shape, kv_shape, heads, dtype, group_scores,
+                                                  monkeypatch):
+    monkeypatch.setattr(nc, "_GROUP_SCORES", group_scores)
     rng = np.random.default_rng(len(q_shape) * 100 + q_shape[-2])
     q, k, v = (rng.standard_normal(s).astype(dtype) for s in (q_shape, kv_shape, kv_shape))
     g = rng.standard_normal(oracles.attention_unblocked(q, k, v, heads).shape).astype(dtype)
@@ -329,20 +333,40 @@ def test_attention_backward_holds_one_head_at_a_time(q_shape, kv_shape, heads):
     assert held < 2 * head_scores_bytes + (out.data.nbytes - q.data.nbytes) + (1 << 20)
 
 
+def test_attention_backward_holds_one_group_of_small_scores():
+    # 4 clips x 4 heads x 64 queries x 64 keys make 2**16 score elements, so
+    # every head runs in one pass: backward holds all heads' weights and score
+    # gradient, two 2**16-element float64 arrays of 512 KB, besides the gradients
+    rng = np.random.default_rng(9)
+    q, k, v = (nc.parameter(rng.standard_normal((4, 64, 32))) for _ in range(3))
+    out = nc.attention(q, k, v, 4)
+    loss = nc.sum_(out * Tensor(rng.standard_normal(out.shape)))
+    tracemalloc.start()
+    try:
+        nc.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = peak - sum(t.grad.nbytes for t in (q, k, v)) - out.data.nbytes
+    assert held < 2 * nc._GROUP_SCORES * 8 + (1 << 20)
+
+
 # dtypes of (q, k, v)
 ATTENTION_DTYPES = [(F32,) * 3, (F64,) * 3]
 ATTENTION_GRAD_SUBSETS = [(0, 1, 2), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
 
 
+@pytest.mark.parametrize("group_scores", GROUP_SCORES)
 @pytest.mark.parametrize("block", [600, 1 << 40])
 @pytest.mark.parametrize("dtypes", ATTENTION_DTYPES)
 @pytest.mark.parametrize("q_shape, kv_shape, heads", ATTENTION_BLOCK_CASES)
 def test_attention_is_the_kept_weights_attention_bitwise(q_shape, kv_shape, heads, dtypes, block,
-                                                          monkeypatch):
+                                                          group_scores, monkeypatch):
     rng = np.random.default_rng(len(q_shape) * 100 + q_shape[-2])
     shapes = (q_shape, kv_shape, kv_shape)
     q, k, v = (rng.standard_normal(s).astype(d) for s, d in zip(shapes, dtypes))
     monkeypatch.setattr(nc, "BLOCK", block)
+    monkeypatch.setattr(nc, "_GROUP_SCORES", group_scores)
     expected, _ = oracles.attention_kept_weights(q, k, v, heads, None, ())
     g = rng.standard_normal(expected.shape).astype(expected.dtype)
     for subset in ATTENTION_GRAD_SUBSETS:
@@ -406,7 +430,7 @@ def test_attention_keeps_the_row_blocks_bits_at_bench_shapes(q_shape, kv_shape, 
     rng = np.random.default_rng(q_shape[-2])
     q, k, v = (rng.standard_normal(s, dtype=np.float32) for s in (q_shape, kv_shape, kv_shape))
     lead = np.broadcast_shapes(q_shape[:-2], kv_shape[:-2])
-    rows = max(2, nc.BLOCK // (math.prod(lead) * heads * kv_shape[-2]))
+    rows = max(8, nc.BLOCK // (math.prod(lead) * heads * kv_shape[-2]))
     if not grad:
         expected, _ = oracles.attention_kept_weights(q, k, v, heads, None, (), rows)
         with nc.no_grad():
@@ -473,27 +497,34 @@ def test_float32_model_code_loads_no_scipy_special():
     assert done.stdout.split() == ["False", "True"]
 
 
-# (x shape, hidden, BLOCK): 2-d and batched inputs whose rows span several
-# blocks once BLOCK is shrunk; a last block of one row takes the row before it
-MLP_BLOCK_CASES = [
-    ((37, 8), 12, 72),                  # 6 rows a block, last block 1 row
-    ((2, 37, 8), 12, 144),              # 6 rows a block over both leading rows, last 1
-    ((2, 40, 8), 12, 144),              # last block 4 rows
-    ((1, 29, 8), 12, 36),               # 3 rows a block, last 2
-    ((2, 1, 8), 12, 144),               # a single row
-    ((2, 3, 37, 8), 12, 1 << 40),       # two leading axes, one block
-]
 # inputs that take a gradient, by index into (x, w1, b1, w2, b2)
 MLP_GRAD_SUBSETS = [(0, 1, 2, 3, 4), (0,), (1, 2), (3, 4), (4,), (0, 3), (2,),
                     (1, 2, 3, 4)]     # a constant x: the readouts' query MLPs
+# (x shape, hidden, output width, BLOCK, gradient subsets): 2-d and batched
+# inputs whose rows span several blocks once BLOCK is shrunk, and inputs a
+# few rows past one default block of 2048 rows at hidden 1024, where a last
+# block of 2 or 3 rows would take other OpenBLAS kernels than the single pass
+MLP_BLOCK_CASES = [
+    ((37, 8), 12, 5, 96, MLP_GRAD_SUBSETS),             # 8 rows a block, last 5 joined
+    ((2, 37, 8), 12, 5, 240, MLP_GRAD_SUBSETS),         # 10 rows over both leading rows, last 7
+    ((2, 40, 8), 12, 5, 192, MLP_GRAD_SUBSETS),         # five blocks of 8 rows
+    ((1, 29, 8), 12, 5, 36, MLP_GRAD_SUBSETS),          # at least 8 rows a block, last 5
+    ((2, 1, 8), 12, 5, 144, MLP_GRAD_SUBSETS),          # a single row
+    ((2, 3, 37, 8), 12, 5, 1 << 40, MLP_GRAD_SUBSETS),  # two leading axes, one block
+    ((1, 2049, 256), 1024, 256, nc.BLOCK, MLP_GRAD_SUBSETS[:1]),
+    ((1, 2049, 128), 1024, 128, nc.BLOCK, MLP_GRAD_SUBSETS[:1]),
+    ((1, 2050, 128), 1024, 128, nc.BLOCK, MLP_GRAD_SUBSETS[:1]),
+    ((1, 2051, 128), 1024, 128, nc.BLOCK, MLP_GRAD_SUBSETS[:1]),
+]
 
 
 # dtypes of (x, w1, b1, w2, b2)
 @pytest.mark.parametrize("dtypes", [(F32,) * 5, (F64,) * 5])
-@pytest.mark.parametrize("x_shape, hidden, block", MLP_BLOCK_CASES)
-def test_mlp_is_the_chain_bitwise(x_shape, hidden, block, dtypes, monkeypatch):
+@pytest.mark.parametrize("x_shape, hidden, width, block, subsets", MLP_BLOCK_CASES)
+def test_mlp_is_the_chain_bitwise(x_shape, hidden, width, block, subsets, dtypes, monkeypatch):
     rng = np.random.default_rng(x_shape[-2] * 10 + len(x_shape))
-    shapes = [x_shape, (8, hidden), (hidden,), (hidden, 5), (5,)]
+    k = x_shape[-1]
+    shapes = [x_shape, (k, hidden), (hidden,), (hidden, width), (width,)]
     arrays = [(rng.standard_normal(s) * 2).astype(d) for s, d in zip(shapes, dtypes)]
     monkeypatch.setattr(nc, "BLOCK", block)
     with nc.no_grad():
@@ -502,7 +533,7 @@ def test_mlp_is_the_chain_bitwise(x_shape, hidden, block, dtypes, monkeypatch):
     assert frozen.dtype == expected.dtype
     np.testing.assert_array_equal(frozen, expected)
     g = rng.standard_normal(expected.shape).astype(expected.dtype)
-    for subset in MLP_GRAD_SUBSETS:
+    for subset in subsets:
         runs = []
         for build in (nc.mlp, oracles.mlp_chain):
             tensors = [nc.parameter(a) if i in subset else Tensor(a) for i, a in enumerate(arrays)]
@@ -543,7 +574,7 @@ def test_mlp_no_grad_memory_is_bounded():
     b1 = Tensor(np.zeros(4096, np.float32))
     w2 = Tensor(rng.standard_normal((4096, 1024), dtype=np.float32) * 0.02)
     b2 = Tensor(np.zeros(1024, np.float32))
-    block_bytes = max(2, nc.BLOCK // 4096) * 4096 * 4
+    block_bytes = max(8, nc.BLOCK // 4096) * 4096 * 4
     tracemalloc.start()
     try:
         with nc.no_grad():
@@ -636,22 +667,6 @@ def test_attention_gives_each_clip_its_lone_bits(n, width, heads, clips):
     q, k, v, g = (rng.standard_normal((clips, n, width), dtype=F32) for _ in range(4))
     _assert_each_clip_is_its_lone_run(lambda q, k, v: nc.attention(q, k, v, heads),
                                       [q, k, v], [], g)
-
-
-@pytest.mark.parametrize("dtype", [F32, F64])
-def test_square_is_mul_by_itself_bitwise(dtype):
-    rng = np.random.default_rng(12)
-    x = (rng.standard_normal((4, 7, 3)) * 3).astype(dtype)
-    weights = Tensor(rng.standard_normal((4, 7, 3)).astype(dtype))
-    runs = []
-    for build in (nc.square, lambda t: t * t):
-        t = nc.parameter(x)
-        out = build(t)
-        nc.backward(nc.sum_(out * weights))
-        runs.append((out.data, t.grad))
-    for got, expected in zip(*runs):
-        assert got.dtype == dtype
-        np.testing.assert_array_equal(got.view(np.uint8), expected.view(np.uint8))
 
 
 def test_layer_norm_moments():
@@ -998,6 +1013,14 @@ def _residual_chain(x, w):
     return y
 
 
+def _squared_error_read_thrice(x):
+    """A squared error read by two `mean`s and a `sum_`: it holds the first
+    mean's read-only broadcast as its gradient, and the other two
+    contributions are added to that out of place and then in place."""
+    y = nc.squared_error(x, np.linspace(-1.0, 1.0, x.data.size, dtype=x.dtype).reshape(x.shape))
+    return nc.mean(y) * nc.mean(y) + nc.sum_(y, axis=1)
+
+
 # Graphs that hand one array to two parents, or hand over views of the
 # incoming gradient; each maps leaf shapes to an output.
 ALIASING_CASES = {
@@ -1020,6 +1043,7 @@ ALIASING_CASES = {
     "mean-sum": (lambda x: nc.mean(x) * nc.sum_(x, axis=1), [(3, 4)]),
     "mean-sum-all": (lambda x: nc.mean(x) * nc.sum_(x) + x, [(3, 4)]),
     "sum-axis": (lambda x: nc.sum_(x, axis=1), [(3, 4)]),
+    "squared-error-read-thrice": (_squared_error_read_thrice, [(3, 4)]),
     "residual-chain": (_residual_chain, [(4, 6), (6, 6)]),
 }
 

@@ -434,13 +434,21 @@ def test_depth_head_blocks_keep_the_single_pass_bits_at_eval_size(eval_depth_hea
                                       depth_single_pass(head, feats).data)
 
 
-def test_depth_head_joins_a_last_block_of_one_row_to_the_one_before():
-    # 3 x 9 x 19 = 513 queries: the MLP's blocks are 512 rows and the last
-    # two rows, one of them taken along; the head reads rows 0-511 and 0-512
-    head = DepthHead(32, clip_size=(6, 72, 152), qkv_size=1024, heads=16, seed=23)
-    feats = Tensor(random_features(np.random.default_rng(24), b=1, t=16, k=4, c=32)
+# (clip size, qkv size, heads, clips): query grids a few rows past one block
+# of the residual MLP, whose short last block joins the one before
+SHORT_TAIL_DEPTH_CASES = {
+    "513-queries": ((6, 72, 152), 1024, 16, 1),     # 3 x 9 x 19 queries, blocks of 512
+    "258-queries": ((2, 16, 1032), 512, 8, 4),      # 1 x 2 x 129 queries, blocks of 256
+}
+
+
+@pytest.mark.parametrize("clip_size, qkv_size, heads, clips", SHORT_TAIL_DEPTH_CASES.values(),
+                         ids=SHORT_TAIL_DEPTH_CASES)
+def test_depth_head_joins_a_short_last_block_to_the_one_before(clip_size, qkv_size, heads, clips):
+    head = DepthHead(32, clip_size=clip_size, qkv_size=qkv_size, heads=heads, seed=23)
+    feats = Tensor(random_features(np.random.default_rng(24), b=clips, t=16, k=4, c=32)
                    .astype(np.float32))
-    assert [(s.start, s.stop) for s in query_blocks(head, 1)] == [(0, 512), (511, 513)]
+    assert query_blocks(head, clips) == [slice(0, len(head.query_positions))]
     with nc.no_grad():
         np.testing.assert_array_equal(head.forward(feats).data,
                                       depth_single_pass(head, feats).data)

@@ -17,7 +17,11 @@ neither). `gain_shown` applies the rule for claiming a gain: at least nine
 tenths of the pairs won, and medians further apart than the parent's
 interquartile range. `within_bound` says whether the change's median is no
 worse than the parent's by more than the metric's bound in
-BENCHMARK.json. The file also records the git revisions, numpy, scipy,
+BENCHMARK.json. `unresolved` marks a metric whose parent runs spread
+wider than that bound (their interquartile range against the bound's
+share of the parent median) unless every change run beats every parent
+run: there, a median within the bound does not show the metric
+unchanged. The file also records the git revisions, numpy, scipy,
 BLAS and thread counts of the runs, and whether each pair's output digests
 are equal.
 """
@@ -69,6 +73,8 @@ def compare(metric, before, after):
     parent, change = spread(before), spread(after)
     gap = change["median"] - parent["median"]
     gain = gap if higher else -gap
+    iqr = parent["q3"] - parent["q1"]
+    every_run_better = min(after) > max(before) if higher else max(after) < min(before)
     return {
         "unit": metric["unit"],
         "better": metric["better"],
@@ -78,8 +84,9 @@ def compare(metric, before, after):
         "median_change_pct": 100.0 * gap / parent["median"] if parent["median"] else 0.0,
         "wins": wins,
         "losses": losses,
-        "gain_shown": wins >= GAIN_SHARE * len(before) and gain > parent["q3"] - parent["q1"],
+        "gain_shown": wins >= GAIN_SHARE * len(before) and gain > iqr,
         "within_bound": gain >= -metric["bound"] * abs(parent["median"]),
+        "unresolved": iqr > metric["bound"] * abs(parent["median"]) and not every_run_better,
     }
 
 
@@ -133,7 +140,8 @@ def main(argv=None):
         for name, m in w["metrics"].items():
             print(f"  {name:14s} {m['parent']['median']:10.3f} -> {m['change']['median']:10.3f} "
                   f"{m['unit']:8s} ({m['median_change_pct']:+6.1f}%)  wins {m['wins']}/{w['pairs']}"
-                  f"  gain shown {m['gain_shown']}  within bound {m['within_bound']}")
+                  f"  gain shown {m['gain_shown']}  within bound {m['within_bound']}"
+                  f"{'  UNRESOLVED' if m['unresolved'] else ''}")
     return 0
 
 
