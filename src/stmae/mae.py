@@ -222,9 +222,11 @@ class Layers:
     owns `name.weight` (truncated normal) and `name.bias` (zeros); a norm
     owns `name.scale` (ones) and `name.bias` (zeros), keyed `namespace.name`
     in `params` (bare `name` for an empty namespace) and read back by `name`.
-    An MLP `name` is the two linear layers `name.fc1` and `name.fc2`, applied
-    with a GELU between as one `nc.mlp` node. Weights are drawn from `rng`
-    in declaration order, and `params` keeps it.
+    A norm is one `nc.layer_norm` node, whose output the linear layer or MLP
+    that reads it rebuilds in backward instead of keeping. An MLP `name` is
+    the two linear layers `name.fc1` and `name.fc2`, applied with a GELU
+    between as one `nc.mlp` node. Weights are drawn from `rng` in
+    declaration order, and `params` keeps it.
     """
 
     def __init__(self, rng, dtype, namespace):
@@ -251,7 +253,7 @@ class Layers:
         return nc.affine(x, self[f"{name}.weight"], self[f"{name}.bias"])
 
     def norm(self, name, x):
-        return nc.layer_norm(x) * self[f"{name}.scale"] + self[f"{name}.bias"]
+        return nc.layer_norm(x, self[f"{name}.scale"], self[f"{name}.bias"])
 
     def mlp(self, name, x):
         """The two linear layers `name.fc1` and `name.fc2` with a GELU between,

@@ -35,6 +35,15 @@ gradients straight into (..., n, d) arrays. `affine` is the one linear
 layer (`mae.Layers.linear`): one node and one output array, the bias
 added in place into the product.
 
+`layer_norm` is the one norm (`mae.Layers.norm`): normalization, scale
+and shift as one node, which keeps the normalized y and each row's
+inverse deviation. Its output is not kept. It carries a rebuild that
+makes y · scale + bias again with the forward's bits, and `affine` and
+`mlp`, the layers that read a norm, keep that rebuild for their weight
+gradients instead of the output: recompute instead of store (Chen et al.
+2016), so the output is freed after the forward and made again once in
+backward.
+
 `mlp` is the one MLP (`mae.Layers.mlp`), affine -> GELU -> affine as one
 node, used by every encoder block and readout. Its forward runs in
 blocks of rows along axis -2 of about `BLOCK` hidden elements, each over
@@ -42,10 +51,11 @@ every leading axis; each block's pre-activation is written into its
 activation buffer and goes through GELU in place. Without a gradient
 that buffer is one reused scratch block, so the output is the op's only
 full-size array. With one, backward writes the four weight gradients,
-and x's only when x takes one; its VJP keeps x, the GELU slope, the
-activation and w2, and w1 only for x's gradient. The full pre-activation
-is never held. Backward writes the hidden gradient over the spent
-activation and drops it and the slope after their last read. The weight
+and x's only when x takes one; its VJP keeps x (a norm's rebuild in its
+place), the GELU slope, the activation and w2, and w1 only for x's
+gradient. The full pre-activation is never held. Backward writes the
+hidden gradient over the spent activation and drops it and the slope
+after their last read. The weight
 gradients of `affine` and `mlp` over a batched input add one (k, m)
 product per leading index into one array instead of summing a stack of
 them. Values and all five gradients have the chain's bits. The row
@@ -65,11 +75,12 @@ is, so a loss `mean(squared_error(...))` makes one array in backward.
 Data is row-major float64 or float32; both dtypes run the same code
 path, except GELU, whose float32 kernel stays in float32 (within 3e-7
 absolute of the exact value) while float64 uses scipy's erf, imported only
-when a float64 GELU runs. The fused ops `affine`, `attention` and `mlp`
-and the elementwise `add`, `sub`, `mul` and `concat` take operands of one
-dtype, raise a ValueError naming the op and each operand's dtype
-otherwise, and make every output and gradient in that dtype; a python
-scalar operand of the operator sugar takes the tensor's dtype.
+when a float64 GELU runs. The fused ops `affine`, `attention`,
+`layer_norm` and `mlp` and the elementwise `add`, `sub`, `mul` and
+`concat` take operands of one dtype, raise a ValueError naming the op
+and each operand's dtype otherwise, and make every output and gradient
+in that dtype; a python scalar operand of the operator sugar takes the
+tensor's dtype.
 Reductions delegate to numpy, whose summation order over the row-major
 layout is fixed within one build, so results are bitwise reproducible
 for identical inputs.
@@ -147,16 +158,19 @@ class Tensor:
 
     A leaf (`_node` None) that requires grad keeps its gradient in `.grad`.
     An op result's `.grad` stays None: its gradient lives on `_node` only
-    while backward runs, and the node does not hold `data`.
+    while backward runs, and the node does not hold `data`. An op result
+    that can be made again from arrays its own node keeps carries that
+    rebuild in `_rebuild` (see `_make`); others hold None there.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_node")
+    __slots__ = ("data", "grad", "requires_grad", "_node", "_rebuild")
 
     def __init__(self, data):
         self.data = _as_float_array(data)
         self.grad = None
         self.requires_grad = False
         self._node = None
+        self._rebuild = None
 
     @property
     def shape(self):
@@ -208,13 +222,19 @@ def parameter(data):
     return leaf
 
 
-def _make(data, parents, any_layout=False):
+def _make(data, parents, any_layout=False, rebuild=None):
     """Build an op result; parents is a list of (tensor, vjp closure).
 
     The closures must hold arrays and plain values only, never a Tensor,
     so that the graph holds no op result's `data` that no VJP reads. With
     `any_layout` the closures read their g elementwise only, so backward
     may hand them a read-only broadcast.
+
+    `rebuild`, a zero-argument function that holds arrays only and returns
+    a fresh array with the bits of `data`, rides on a result that takes
+    part in a graph. A VJP that needs the result's values, such as a
+    weight gradient, keeps the rebuild (`_reader`) instead of `data`, so
+    the result is freed after the forward and made again once in backward.
     """
     out = Tensor(data)
     if _grad_enabled:
@@ -223,7 +243,17 @@ def _make(data, parents, any_layout=False):
         if edges:
             out.requires_grad = True
             out._node = _Node(edges, any_layout)
+            out._rebuild = rebuild
     return out
+
+
+def _reader(t):
+    """A zero-argument function that returns `t`'s values for a VJP: the
+    rebuild `t` carries, or else one that holds `t.data`."""
+    if t._rebuild is not None:
+        return t._rebuild
+    data = t.data
+    return lambda: data
 
 
 def _unbroadcast(grad, shape):
@@ -448,7 +478,9 @@ def affine(x, w, b):
     output array and one graph node; values and gradients have the bits
     of numpy's `x @ w` followed by `+ b`. The w gradient of a batched x is
     `_weight_grad`'s per-index sum, with no (..., k, m) stack. Backward
-    keeps w when x takes a gradient and x when w does.
+    keeps w when x takes a gradient, and for w's gradient x, or the
+    rebuild of a norm's output in its place (`_reader`), which it calls
+    once in its VJP.
     """
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
@@ -457,10 +489,11 @@ def affine(x, w, b):
     _one_dtype("affine", x=x, w=w, b=b)
     data = x.data @ w.data
     data += b.data
-    xd, wd, sx, sb = x.data, w.data, x.shape, b.shape
+    wd, sx, sb = w.data, x.shape, b.shape
+    xr = _reader(x)
     return _make(data, [
         (x, lambda g: _unbroadcast(g @ wd.swapaxes(-1, -2), sx)),
-        (w, lambda g: _weight_grad(xd, g)),
+        (w, lambda g: _weight_grad(xr(), g)),
         (b, lambda g: _unbroadcast(g, sb)),
     ])
 
@@ -548,22 +581,55 @@ def reshape(a, shape):
     return _make(data, [(a, lambda g: g.reshape(old))])
 
 
-def layer_norm(a):
-    """Normalize the last axis to zero mean / unit variance (no affine).
-    Backward keeps the output and the per-row inverse deviation."""
-    a = _wrap(a)
+def layer_norm(a, scale, bias):
+    """Normalize the last axis to zero mean and unit variance, then scale and
+    shift it: a (..., d), scale (d,) and bias (d,), one dtype, one node.
+
+    The forward writes the normalized y, then y · scale + bias into one
+    output array, the two roundings of a `mul` and an `add` after the
+    normalization. Backward shares one computation between the three
+    inputs: x's gradient is the normalization's VJP of g · scale, scale's
+    the sum of g · y over the leading axes and bias's that of g, the bits
+    of that three-node chain; x's is computed only when x takes one. It
+    keeps y, the per-row inverse deviation, and the data of scale and bias.
+
+    The output is not kept: an output that takes part in a graph carries
+    a rebuild (see `_make`) that makes y · scale + bias again with the
+    forward's bits, and `affine` and `mlp` keep that rebuild for their
+    weight gradients instead of the output itself.
+    """
+    a, scale, bias = _wrap(a), _wrap(scale), _wrap(bias)
+    if a.ndim < 1 or scale.shape != a.shape[-1:] or bias.shape != a.shape[-1:]:
+        raise ShapeError(f"layer_norm: x {a.shape}, scale {scale.shape} and bias {bias.shape} "
+                         f"need x (..., d), scale (d,) and bias (d,)")
+    _one_dtype("layer_norm", x=a, scale=scale, bias=bias)
     mu = a.data.mean(axis=-1, keepdims=True)
-    centered = a.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    y = centered * inv_std
+    y = a.data - mu
+    inv_std = 1.0 / np.sqrt((y * y).mean(axis=-1, keepdims=True) + LN_EPS)
+    y *= inv_std
+    sd, bd = scale.data, bias.data
 
-    def vjp(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gym = (g * y).mean(axis=-1, keepdims=True)
-        return inv_std * (g - gm - y * gym)
+    def rebuild():
+        out = y * sd
+        out += bd
+        return out
 
-    return _make(y, [(a, vjp)])
+    need_x = a.requires_grad
+    ss, sb = scale.shape, bias.shape
+
+    def grads(g):
+        out = {1: _unbroadcast(g * y, ss), 2: _unbroadcast(g, sb)}
+        if need_x:
+            gy = g * sd
+            gm = gy.mean(axis=-1, keepdims=True)
+            gym = (gy * y).mean(axis=-1, keepdims=True)
+            gy -= gm
+            gy -= y * gym
+            gy *= inv_std
+            out[0] = gy
+        return out
+
+    return _make(rebuild(), list(zip((a, scale, bias), _joint_vjps(grads, 3))), rebuild=rebuild)
 
 
 def _joint_vjps(grads, count):
@@ -828,11 +894,12 @@ def mlp(x, w1, b1, w2, b2):
 
     When any input takes a gradient, backward writes the four weight
     gradients, and x's only when x takes one (a constant x, such as a
-    readout's query coordinates, skips that product). It keeps x, z, the
-    slope and w2, and w1 only for x's gradient. It reads z for the w2
-    gradient, then writes the hidden gradient over it, multiplies that by
-    the slope in place and drops both; the w1 and w2 gradients of a
-    batched x are `_weight_grad`'s per-index sums. Values and gradients
+    readout's query coordinates, skips that product). It keeps x, or the
+    rebuild of a norm's output in its place (`_reader`), z, the slope and
+    w2, and w1 only for x's gradient. It reads z for the w2 gradient, then
+    writes the hidden gradient over it, multiplies that by the slope in
+    place and drops both; the w1 and w2 gradients of a batched x are
+    `_weight_grad`'s per-index sums. Values and gradients
     have the bits of the three-op chain (an affine, a GELU node and an
     affine), and the one dtype of the operands.
     """
@@ -861,7 +928,7 @@ def mlp(x, w1, b1, w2, b2):
             _gelu_into(zb[i], zb[i], None if sb is None else sb[i])
         np.matmul(zb, w2.data, out=out[..., block, :])
     out += b2.data
-    xd, w2d = x.data, w2.data
+    xr, w2d = _reader(x), w2.data
     w1d = w1.data if need_x else None
     sx, sb1, sb2 = x.shape, b1.shape, b2.shape
 
@@ -873,7 +940,7 @@ def mlp(x, w1, b1, w2, b2):
         z = slope = None                # neither is read again
         if need_x:
             out[0] = _unbroadcast(gh @ w1d.swapaxes(-1, -2), sx)
-        out[1] = _weight_grad(xd, gh)
+        out[1] = _weight_grad(xr(), gh)
         out[2] = _unbroadcast(gh, sb1)
         return out
 

@@ -119,6 +119,34 @@ def squared_error_chain(a, target):
     return nc.mul(diff, diff)
 
 
+def layer_norm_op(a):
+    """Normalization of the last axis alone as a graph node, with no scale or
+    bias; backward keeps the normalized output and the per-row inverse
+    deviation. The first op of `layer_norm_chain`."""
+    from stmae import numcore as nc
+    a = nc._wrap(a)
+    mu = a.data.mean(axis=-1, keepdims=True)
+    centered = a.data - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + nc.LN_EPS)
+    y = centered * inv_std
+
+    def vjp(g):
+        gm = g.mean(axis=-1, keepdims=True)
+        gym = (g * y).mean(axis=-1, keepdims=True)
+        return inv_std * (g - gm - y * gym)
+
+    return nc._make(y, [(a, vjp)])
+
+
+def layer_norm_chain(x, scale, bias):
+    """The affine layer norm as three graph nodes, `layer_norm_op` -> `mul`
+    by the scale -> `add` of the bias, each making its own full-size arrays:
+    what numcore.layer_norm fuses into one node that keeps no output."""
+    from stmae import numcore as nc
+    return nc.add(nc.mul(layer_norm_op(x), scale), bias)
+
+
 def attention_unblocked(q, k, v, heads):
     """Multi-head softmax attention over the whole score tensor at once, with
     the same per-row arithmetic as numcore.attention (so equal bits)."""

@@ -266,7 +266,8 @@ def test_a_pretrain_clip_graph_holds_only_what_backward_reads():
     # the benchmark's pretrain geometry: 26 kept tokens, 512 latents joining
     # for the last two blocks. A graph that kept every op result it reached
     # held 60.7 MB here, and one whose attention kept its weights 39.6 MB, of
-    # which the latent blocks' weights were 17.7 MB; it holds 22.9 MB
+    # which the latent blocks' weights were 17.7 MB. One whose layers kept
+    # each norm's output held 22.9 MB; they rebuild it, and it holds 20.2 MB
     cfg = ModelConfig(width=256, depth=4, mlp=1024, heads=8, input_size=(16, 128, 128),
                       input_patch=(2, 16, 16), latent_layers=2, mask_ratio=0.95)
     model = MaskedVideoModel(cfg, seed=0)
@@ -280,7 +281,63 @@ def test_a_pretrain_clip_graph_holds_only_what_backward_reads():
     finally:
         tracemalloc.stop()
     nc.backward(loss)
-    assert held < 25 * 2 ** 20
+    assert held < 21.5 * 2 ** 20
+
+
+def _graph_nodes(out):
+    """The nodes reachable from an op result's node."""
+    seen, stack = {}, [out._node]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(t for t, _ in node.edges if isinstance(t, nc._Node))
+    return list(seen.values())
+
+
+def test_every_norm_is_one_node(monkeypatch):
+    # an encoder block's two norms, the final norm, and a readout's feature
+    # and MLP norms: each node's edges end at its input, when that takes a
+    # gradient, and its layer's scale and bias
+    built = []
+    real = mae.Layers.norm
+
+    def spy(layers, name, x):
+        out = real(layers, name, x)
+        built.append((layers, name, x, out))
+        return out
+
+    monkeypatch.setattr(mae.Layers, "norm", spy)
+    model = small_nano()
+    frames = random_clip(np.random.default_rng(0), model.config.input_size).astype(np.float32)
+    model.reconstruct(frames, np.arange(model.config.num_tokens))
+    head = DepthHead(8, (4, 16, 16), qkv_size=16, heads=2)
+    head.forward(nc.parameter(np.zeros((1, 16, 4, 8), np.float32)))
+    head.forward(np.zeros((1, 16, 4, 8), np.float32))       # constant features
+    depth = model.config.depth
+    assert [name for _, name, _, _ in built] == [
+        f"blocks.{i}.ln{j}" for i in range(depth) for j in (1, 2)] + [
+        "final_norm"] + ["feat_norm", "mlp_norm"] * 2
+    for layers, name, x, out in built:
+        source = [x if x._node is None else x._node] if x.requires_grad else []
+        targets = [t for t, _ in out._node.edges]
+        assert targets == source + [layers[f"{name}.scale"], layers[f"{name}.bias"]], name
+    assert not built[-2][2].requires_grad               # the constant features' norm
+
+
+def test_a_pretrain_clip_graph_has_56_nodes():
+    # the benchmark's pretrain geometry: 11 nodes a block (two norms, the qkv
+    # affine and its three slices, attention, the projection, the MLP and two
+    # residual adds), 4 for the embedding and the latents' join, 6 for the
+    # latents' slice, the final norm, the decoder and unpatchify, and 2 for
+    # the loss. With a norm of three nodes, its nine norms made it 74
+    cfg = ModelConfig(width=256, depth=4, mlp=1024, heads=8, input_size=(16, 128, 128),
+                      input_patch=(2, 16, 16), latent_layers=2, mask_ratio=0.95)
+    model = MaskedVideoModel(cfg, seed=0)
+    rng = np.random.default_rng(3)
+    frames = random_clip(rng, cfg.input_size).astype(np.float32)
+    loss = mae_loss(model.reconstruct(frames, sample_mask(cfg.num_tokens, 0.95, rng))[0], frames)
+    assert len(_graph_nodes(loss)) == 56
 
 
 def test_every_mlp_is_one_node(monkeypatch):

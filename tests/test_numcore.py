@@ -65,7 +65,7 @@ OP_CASES = {
     "gather": _case(lambda a: nc.gather(a, np.array([0, 2, 2, 1])), (4, 5)),
     "transpose": _case(lambda a: nc.transpose(a, (2, 0, 1)), (2, 3, 4)),
     "reshape": _case(lambda a: nc.reshape(a, (2, 6)), (3, 4)),
-    "layer_norm": _case(nc.layer_norm, (4, 8)),
+    "layer_norm": _case(nc.layer_norm, (4, 8), (8,), (8,)),
     "attention": _case(lambda q, k, v: nc.attention(q, k, v, heads=2), (2, 3, 4), (2, 5, 4), (2, 5, 4)),
     "log_softmax": _case(nc.log_softmax, (3, 5)),
     "mlp": _case(nc.mlp, (2, 3, 4), (4, 6), (6,), (6, 5), (5,)),
@@ -673,7 +673,7 @@ def test_layer_norm_moments():
     # rows need variance well above eps=1e-6 for unit output variance
     rng = np.random.default_rng(2)
     x = rng.standard_normal((6, 64)) * 15.0
-    out = nc.layer_norm(Tensor(x)).data
+    out = nc.layer_norm(Tensor(x), np.ones(64), np.zeros(64)).data
     assert np.max(np.abs(out.mean(axis=-1))) < 1e-10
     assert np.max(np.abs(out.var(axis=-1) - 1.0)) < 1e-8
 
@@ -829,12 +829,16 @@ def _held(fn):
 
 @pytest.mark.parametrize("name", sorted(OP_CASES))
 def test_no_vjp_closure_holds_a_tensor(name):
-    # a Tensor held by a VJP pins its data until backward, read or not
+    # a Tensor held by a VJP or by a rebuild pins its data until backward,
+    # read or not
     build, arrays = OP_CASES[name](np.random.default_rng(0))
     out = build(*[nc.parameter(a) for a in arrays])
     assert out._node.edges
-    for _, vjp in out._node.edges:
-        assert not [h for h in _held(vjp) if isinstance(h, Tensor)], name
+    kept = [vjp for _, vjp in out._node.edges]
+    if out._rebuild is not None:
+        kept.append(out._rebuild)
+    for fn in kept:
+        assert not [h for h in _held(fn) if isinstance(h, Tensor)], name
 
 
 @pytest.mark.parametrize("consume", [
@@ -880,16 +884,111 @@ def test_layer_norm_gradient_on_4x8_random():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((4, 8))
     w = rng.standard_normal((4, 8))
+    scale, bias = rng.standard_normal(8), rng.standard_normal(8)
     t = nc.parameter(x)
-    loss = nc.sum_(nc.layer_norm(t) * Tensor(w))
+    loss = nc.sum_(nc.layer_norm(t, scale, bias) * Tensor(w))
     nc.backward(loss)
 
     def scalar(a):
         with nc.no_grad():
-            return float((nc.layer_norm(Tensor(a)).data * w).sum())
+            return float((nc.layer_norm(Tensor(a), scale, bias).data * w).sum())
 
     fd = oracles.finite_diff_grad(scalar, [x], 0)
     assert oracles.rel_err(t.grad, fd) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# The layer norm is one node, and the layers that read it rebuild its output
+# ---------------------------------------------------------------------------
+
+# an encoder block's rows at the pretrain latent geometry, the probe depth
+# head's batch, and a small odd shape
+@pytest.mark.parametrize("dtype", [F32, F64])
+@pytest.mark.parametrize("shape", [(538, 256), (2, 512, 384), (3, 5, 7)], ids=str)
+def test_layer_norm_is_the_chain_bitwise(shape, dtype):
+    rng = np.random.default_rng(shape[-1])
+    d = shape[-1]
+    x = (rng.standard_normal(shape) * 3 + 1).astype(dtype)
+    scale = (1 + rng.standard_normal(d) * 0.5).astype(dtype)
+    bias = rng.standard_normal(d).astype(dtype)
+    g = rng.standard_normal(shape).astype(dtype)
+    for x_grad in (True, False):
+        runs = []
+        for build in (nc.layer_norm, oracles.layer_norm_chain):
+            tensors = [nc.parameter(x) if x_grad else Tensor(x)] + [
+                nc.parameter(a) for a in (scale, bias)]
+            out = build(*tensors)
+            nc.backward(nc.sum_(out * Tensor(g)))
+            runs.append([out.data] + [t.grad for t in tensors if t.requires_grad])
+            if build is nc.layer_norm:
+                np.testing.assert_array_equal(out._rebuild(), out.data)
+        names = ["output"] + ["x"] * x_grad + ["scale", "bias"]
+        for name, a, b in zip(names, *runs):
+            assert a.dtype == b.dtype == dtype, name
+            np.testing.assert_array_equal(a, b, err_msg=f"{name}, x takes a gradient: {x_grad}")
+
+
+def test_layer_norm_is_one_node_with_an_edge_per_input():
+    rng = np.random.default_rng(14)
+    tensors = [nc.parameter(rng.standard_normal(s)) for s in [(3, 4), (4,), (4,)]]
+    out = nc.layer_norm(*tensors)
+    assert [t for t, _ in out._node.edges] == tensors
+    with pytest.raises(ShapeError, match="layer_norm"):
+        nc.layer_norm(tensors[0], np.ones(3), np.zeros(4))
+    with pytest.raises(ValueError, match="layer_norm: operands must share one dtype"):
+        nc.layer_norm(tensors[0], np.ones(4, F32), np.zeros(4))
+
+
+# the parameters after x of each layer that reads a norm
+READER_SHAPES = {"affine": [(16, 24), (24,)], "mlp": [(16, 48), (48,), (48, 16), (16,)]}
+
+
+@pytest.mark.parametrize("op", sorted(READER_SHAPES))
+def test_weight_gradients_through_a_rebuilt_input_are_those_through_a_kept_copy(op):
+    # the layer keeps the norm's rebuild, not its output, which is freed as
+    # soon as the caller drops it; a plain input is kept as it is
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((2, 37, 16)).astype(F32)
+    scale, bias = (rng.standard_normal(16).astype(F32) for _ in range(2))
+    weights = [(rng.standard_normal(s) * 0.1).astype(F32) for s in READER_SHAPES[op]]
+    g = rng.standard_normal((2, 37, weights[-1].shape[0])).astype(F32)
+    runs = []
+    for rebuilt in (True, False):
+        normed = nc.layer_norm(nc.parameter(x), scale, bias)
+        given = normed if rebuilt else Tensor(normed.data.copy())
+        assert (given._rebuild is not None) == rebuilt
+        data = weakref.ref(given.data)
+        params = [nc.parameter(w) for w in weights]
+        out = getattr(nc, op)(given, *params)
+        del normed, given
+        assert (data() is None) == rebuilt
+        nc.backward(nc.sum_(out * Tensor(g)))
+        runs.append([out.data] + [p.grad for p in params])
+    for i, (a, b) in enumerate(zip(*runs)):
+        np.testing.assert_array_equal(a, b, err_msg=f"{op} output or parameter {i - 1}")
+
+
+def test_a_norm_read_by_an_mlp_is_held_once():
+    # an encoder block's second norm and its MLP at the pretrain latent rows,
+    # (538, 256) -> 1024 in float32. The MLP keeps its activation and GELU
+    # slope and the norm its normalized y; the MLP rebuilds the norm's output
+    # for its w1 gradient, so the graph holds one (538, 256) array for the
+    # norm, where keeping the output would make two
+    rng = np.random.default_rng(16)
+    x = nc.parameter(rng.standard_normal((538, 256), dtype=F32))
+    scale, bias = nc.parameter(np.ones(256, F32)), nc.parameter(np.zeros(256, F32))
+    params = [nc.parameter(rng.standard_normal(s, dtype=F32) * 0.05)
+              for s in [(256, 1024), (1024,), (1024, 256), (256,)]]
+    tracemalloc.start()
+    try:
+        out = nc.mlp(nc.layer_norm(x, scale, bias), *params)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    hidden = 538 * 1024 * 4                 # the activation, and again the slope
+    assert held < out.data.nbytes + 2 * hidden + 1.5 * x.data.nbytes
+    nc.backward(nc.sum_(out))
+    assert x.grad.shape == x.data.shape
 
 
 # ---------------------------------------------------------------------------
