@@ -21,7 +21,7 @@ import numpy as np
 from . import numcore as nc
 from .checkpoint import load_tensors, save_tensors
 from .numcore import Tensor
-from .synthworld import _check_size, _is_int
+from .synthworld import _check_extents, _check_size
 
 
 # ---------------------------------------------------------------------------
@@ -45,15 +45,8 @@ class ModelConfig:
         for name in ("width", "depth", "mlp", "heads", "latent_layers"):
             _check_size(name, getattr(self, name))
             object.__setattr__(self, name, int(getattr(self, name)))
-        for name in ("input_size", "input_patch"):
-            value = getattr(self, name)
-            if not isinstance(value, (tuple, list)) or len(value) != 3 \
-                    or not all(map(_is_int, value)):
-                raise ValueError(f"{name} {value!r} must be three integers")
-            value = tuple(map(int, value))              # JSON configs carry lists
-            if min(value) < 1:
-                raise ValueError(f"{name} {value} must be >= 1 in each extent")
-            object.__setattr__(self, name, value)
+        for name in ("input_size", "input_patch"):       # JSON configs carry lists
+            object.__setattr__(self, name, _check_extents(name, getattr(self, name)))
         if isinstance(self.mask_ratio, bool) or not isinstance(self.mask_ratio, numbers.Real):
             raise ValueError(f"mask_ratio {self.mask_ratio!r} must be a real number")
         object.__setattr__(self, "mask_ratio", float(self.mask_ratio))
@@ -141,11 +134,12 @@ def count_parameters(config):
 
 def sample_mask(total, ratio, seed):
     """Sorted indices of the tokens a uniform without-replacement mask keeps:
-    total - floor(ratio * total) of 0..total-1.
+    total - floor(ratio * total) of 0..total-1, total an integer >= 1.
 
     The floor gets a 1e-9 nudge so ratios like 0.95 whose float product
     lands just under an integer still mask the intended count.
     """
+    _check_size("total", total)
     if not 0 < ratio < 1:
         raise ValueError(f"mask ratio must lie in (0, 1), got {ratio}")
     rng = np.random.default_rng(seed)

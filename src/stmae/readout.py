@@ -40,7 +40,7 @@ import numpy as np
 from . import numcore as nc
 from .mae import Layers, unpatchify
 from .numcore import Tensor
-from .synthworld import SE3Pose, _check_size
+from .synthworld import SE3Pose, _check_extents, _check_size
 
 FOURIER_BASES = 16
 FOURIER_MLP_SIZE = 512
@@ -278,6 +278,7 @@ class BoxTrackHead(CrossAttentionReadout):
 
     def __init__(self, feature_channels, num_frames=16, qkv_size=1024, heads=4,
                  seed=0, dtype=np.float32):
+        _check_size("num_frames", num_frames)
         self.num_frames = num_frames
         super().__init__(feature_channels, 4 * num_frames, qkv_size, heads, seed=seed, dtype=dtype)
 
@@ -317,10 +318,11 @@ class DepthHead(CrossAttentionReadout):
 
     def __init__(self, feature_channels, clip_size, qkv_size=1024, heads=16,
                  seed=0, dtype=np.float32):
+        clip_size = _check_extents("clip_size", clip_size)
         t, h, w = clip_size
         pt, ph, pw = self.PATCH
         if t % pt or h % ph or w % pw:
-            raise ValueError(f"clip size {clip_size} not divisible by depth patch {self.PATCH}")
+            raise ValueError(f"clip_size {clip_size} not divisible by depth patch {self.PATCH}")
         self.grid = (t // pt, h // ph, w // pw)
         centers = np.stack(np.meshgrid(
             (np.arange(self.grid[0]) + 0.5) / self.grid[0],

@@ -6,8 +6,8 @@ follows one of eight motion-pattern classes. Frames are rendered by
 z-buffered rasterization of the rectangles, with no ray casting: moved
 into camera coordinates once per frame, a rectangle gives the depth and
 texture coordinates of the point each pixel sees as ratios of forms that
-are affine in the pixel coordinates, so the depth map, the camera poses,
-the point tracks and the sprite boxes are exact by construction. A
+are affine in the pixel coordinates, so the depth map, the relative camera
+pose, the point tracks and the sprite boxes are exact by construction. A
 rectangle's forms are evaluated only inside its screen window, the padded
 bounding box of its projection clipped to the space in front of the
 camera, and each pixel is then shaded once, in float32, by the nearest
@@ -146,10 +146,8 @@ class VideoClip:
 class SceneLabels:
     depth: np.ndarray           # (T, H, W) camera-z depth, meters
     pose_first_to_last: SE3Pose
-    camera_poses: np.ndarray    # (T, 3, 4) world-to-camera [R | t]
     track_xy: np.ndarray        # (M, T, 2) continuous pixel coords
     track_vis: np.ndarray       # (M, T) bool
-    track_world: np.ndarray     # (M, T, 3) world positions
     boxes: np.ndarray           # (S, T, 4) normalized (xmin, xmax, ymin, ymax)
     class_id: int
 
@@ -512,15 +510,12 @@ def render_clip(spec, resolution, frames):
     boxes = np.zeros((n_sprites, frames, 4))
     track_xy = np.zeros((n_tracks, frames, 2))
     track_vis = np.zeros((n_tracks, frames), dtype=bool)
-    track_world = np.zeros((n_tracks, frames, 3))
     poses = np.zeros((frames, 3, 4))
 
     for f in range(frames):
         rgb[f], depth[f], _surf, boxes[:, f], poses[f] = render_frame(spec, f, width, height)
         r, t = poses[f, :, :3], poses[f, :, 3]
-        world = _track_positions(spec, f)
-        track_world[:, f] = world
-        xy, z = project(world, r, t, width, height)
+        xy, z = project(_track_positions(spec, f), r, t, width, height)
         track_xy[:, f] = xy
         in_front = z > 0.01
         xi = np.clip(np.floor(xy[:, 0]).astype(int), 0, width - 1)
@@ -533,9 +528,8 @@ def render_clip(spec, resolution, frames):
     first = SE3Pose(r=poses[0, :, :3], t=poses[0, :, 3])
     last = SE3Pose(r=poses[-1, :, :3], t=poses[-1, :, 3])
     rel = SE3Pose(r=last.r @ first.r.T, t=last.t - last.r @ first.r.T @ first.t)
-    labels = SceneLabels(depth=depth, pose_first_to_last=rel, camera_poses=poses,
-                         track_xy=track_xy, track_vis=track_vis, track_world=track_world,
-                         boxes=boxes, class_id=spec.class_id)
+    labels = SceneLabels(depth=depth, pose_first_to_last=rel, track_xy=track_xy,
+                         track_vis=track_vis, boxes=boxes, class_id=spec.class_id)
     return VideoClip(frames=rgb), labels
 
 
@@ -549,6 +543,17 @@ def _check_size(name, value):
         raise ValueError(f"{name} {value!r} must be an integer")
     if value < 1:
         raise ValueError(f"{name} {value} must be >= 1")
+
+
+def _check_extents(name, value):
+    """`value` as a tuple of python ints; ValueError naming it unless it is a
+    tuple or list of three ints (not bools), each at least 1."""
+    if not isinstance(value, (tuple, list)) or len(value) != 3 or not all(map(_is_int, value)):
+        raise ValueError(f"{name} {value!r} must be three integers")
+    value = tuple(map(int, value))
+    if min(value) < 1:
+        raise ValueError(f"{name} {value} must be >= 1 in each extent")
+    return value
 
 
 def generate(seed, count, resolution, frames=16):
@@ -672,21 +677,17 @@ def augment(clip, labels, rng, out_hw=None, crop=None, flip=None):
     degenerate = (boxes[..., 1] <= boxes[..., 0]) | (boxes[..., 3] <= boxes[..., 2])
     boxes[degenerate] = 0.0
 
-    pose, camera_poses = labels.pose_first_to_last, labels.camera_poses
+    pose = labels.pose_first_to_last
     if flip:
         frames, depth = frames[:, :, ::-1], depth[:, :, ::-1]
         xy[..., 0] = out_w - xy[..., 0]
         boxes[..., :2] = 1.0 - boxes[..., 1::-1]
         mirror = np.diag([-1.0, 1.0, 1.0])
         pose = SE3Pose(r=mirror @ pose.r @ mirror, t=mirror @ pose.t)
-        camera_poses = camera_poses.copy()
-        camera_poses[:, :, :3] = mirror @ camera_poses[:, :, :3] @ mirror
-        camera_poses[:, :, 3] = camera_poses[:, :, 3] @ mirror
 
     return VideoClip(frames=np.ascontiguousarray(frames)), SceneLabels(
         depth=depth.astype(labels.depth.dtype), pose_first_to_last=pose,
-        camera_poses=camera_poses, track_xy=xy, track_vis=vis,
-        track_world=labels.track_world, boxes=boxes, class_id=labels.class_id)
+        track_xy=xy, track_vis=vis, boxes=boxes, class_id=labels.class_id)
 
 
 def pretrain_view(clip, rng, out_size):
@@ -716,8 +717,8 @@ def pretrain_view(clip, rng, out_size):
 # Clip cache
 # ---------------------------------------------------------------------------
 
-_CLIP_TENSORS = frozenset({"frames", "depth", "pose_r", "pose_t", "camera_poses",
-                           "track_xy", "track_vis", "track_world", "boxes"})
+_CLIP_TENSORS = frozenset({"frames", "depth", "pose_r", "pose_t", "track_xy", "track_vis",
+                           "boxes"})
 
 
 def save_clip(path, clip, labels):
@@ -727,10 +728,8 @@ def save_clip(path, clip, labels):
         "depth": labels.depth,
         "pose_r": pose.r,
         "pose_t": pose.t,
-        "camera_poses": labels.camera_poses,
         "track_xy": labels.track_xy,
         "track_vis": labels.track_vis.astype(np.float32),
-        "track_world": labels.track_world,
         "boxes": labels.boxes,
     }, config={"class_id": int(labels.class_id)})
 
@@ -747,10 +746,8 @@ def load_clip(path):
         depth=tensors["depth"],
         pose_first_to_last=SE3Pose(r=tensors["pose_r"].astype(np.float64),
                                    t=tensors["pose_t"].astype(np.float64)),
-        camera_poses=tensors["camera_poses"],
         track_xy=tensors["track_xy"],
         track_vis=tensors["track_vis"] > 0.5,
-        track_world=tensors["track_world"],
         boxes=tensors["boxes"],
         class_id=int(cfg["class_id"]),
     )

@@ -8,7 +8,7 @@ _spec = importlib.util.spec_from_file_location("api_surface", TOOL)
 api_surface = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(api_surface)
 
-CEILING = 74                # keyword defaults plus dataclass fields; no change should add one
+CEILING = 72                # keyword defaults plus dataclass fields; no change should add one
 
 
 def test_counts_defaults_and_fields_of_public_names_only(capsys):

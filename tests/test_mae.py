@@ -80,6 +80,20 @@ def test_mask_ratio_bounds(ratio):
         sample_mask(100, ratio, seed=0)
 
 
+@pytest.mark.parametrize("total, message", [
+    (0, "total 0 must be >= 1"), (-4, "total -4 must be >= 1"),
+    (1.5, "total 1.5 must be an integer"), (100.0, "total 100.0 must be an integer"),
+    (True, "total True must be an integer")])
+def test_mask_total_is_an_integer_of_at_least_one(total, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sample_mask(total, 0.5, seed=0)
+
+
+def test_mask_of_one_token_keeps_it():
+    np.testing.assert_array_equal(sample_mask(1, 0.95, seed=0), [0])
+    assert sample_mask(np.int64(4), 0.5, seed=0).shape == (2,)
+
+
 def test_mask_is_uniform_without_replacement():
     # Monte-Carlo oracle: every index kept with frequency 0.05 +/- 0.01
     rng = np.random.default_rng(2024)

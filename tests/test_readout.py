@@ -158,14 +158,25 @@ def test_class_constants_fix_the_query_path():
                 CrossAttentionReadout(**{**common, name: bad})
     with pytest.raises(ValueError, match="^heads True must be an integer$"):
         ClassHead(8, 3, qkv_size=16, heads=True)
-    for num_frames, message in [(0, "num_frames 0 must be >= 1"),
-                                (16.0, "num_frames 16.0 must be an integer"),
-                                (True, "num_frames True must be an integer"),
-                                (3, "num_frames 3 must be even: the point head predicts 2 frames per query")]:
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            PointTrackHead(8, num_frames=num_frames, qkv_size=16, heads=2)
     with pytest.raises(ValueError, match="qkv_size 16 not divisible by heads 3"):
         CrossAttentionReadout(**{**common, "heads": 3})
+
+
+@pytest.mark.parametrize("head", [PointTrackHead, BoxTrackHead])
+@pytest.mark.parametrize("num_frames, message", [
+    (0, "num_frames 0 must be >= 1"), (-2, "num_frames -2 must be >= 1"),
+    (16.0, "num_frames 16.0 must be an integer"), (2.0, "num_frames 2.0 must be an integer"),
+    (True, "num_frames True must be an integer")])
+def test_track_heads_check_num_frames(head, num_frames, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        head(8, num_frames=num_frames, qkv_size=16, heads=2)
+
+
+def test_point_head_needs_an_even_frame_count():
+    with pytest.raises(ValueError, match="^num_frames 3 must be even: the point head predicts "
+                                         "2 frames per query$"):
+        PointTrackHead(8, num_frames=3, qkv_size=16, heads=2)
+    assert BoxTrackHead(8, num_frames=3, qkv_size=16, heads=2).num_frames == 3
 
 
 def test_forward_rejects_channel_mismatch():
@@ -360,6 +371,25 @@ def test_depth_head_query_grid_and_positivity():
         depth = head.forward(feats).data
     assert depth.shape == (2, 4, 16, 16)
     assert np.all(depth > 0.0)
+
+
+@pytest.mark.parametrize("clip_size, message", [
+    ((16.0, 64, 64), "clip_size (16.0, 64, 64) must be three integers"),
+    ((True, 64, 64), "clip_size (True, 64, 64) must be three integers"),
+    ((16, 64), "clip_size (16, 64) must be three integers"),
+    ((16, 64, 64, 1), "clip_size (16, 64, 64, 1) must be three integers"),
+    (16, "clip_size 16 must be three integers"),
+    ((0, 64, 64), "clip_size (0, 64, 64) must be >= 1 in each extent"),
+    ((16, -8, 64), "clip_size (16, -8, 64) must be >= 1 in each extent"),
+    ((16, 64, 60), "clip_size (16, 64, 60) not divisible by depth patch (2, 8, 8)")])
+def test_depth_head_checks_clip_size(clip_size, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DepthHead(8, clip_size=clip_size, qkv_size=16, heads=2)
+
+
+def test_depth_head_takes_a_clip_size_of_numpy_integers_as_a_list():
+    head = DepthHead(8, clip_size=[np.int64(4), 16, np.uint8(16)], qkv_size=16, heads=2)
+    assert head.grid == (2, 2, 2) and all(type(g) is int for g in head.grid)
 
 
 def test_depth_head_full_resolution_query_count():

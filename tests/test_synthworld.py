@@ -1,5 +1,6 @@
 """Independent oracles for the synthetic world, its augmentations and its clip cache."""
 
+import dataclasses
 import os
 import re
 import subprocess
@@ -11,20 +12,48 @@ import pytest
 import oracles
 from stmae import mae, synthworld
 
-RES, FRAMES = 48, 6
+SEED, RES, FRAMES = 11, 48, 6
+MIRROR = np.diag([-1.0, 1.0, 1.0])      # world x -> -x, what a horizontal flip of a view shows
 
 
 @pytest.fixture(scope="module")
 def clips():
-    return list(synthworld.generate(11, 8, RES, FRAMES))
+    return list(synthworld.generate(SEED, 8, RES, FRAMES))
+
+
+def scene_geometry(i, mirrored=False):
+    """Clip i of `clips` from its scene spec: each frame's world-to-camera
+    (r, t), and the track points in world coordinates, (M, T, 3). `mirrored`
+    reflects world x for cameras and points alike."""
+    spec = synthworld._sample_scene((SEED, i), i % synthworld.NUM_CLASSES, FRAMES)
+    cameras = [synthworld.camera_extrinsic(spec.camera_yaw[f], spec.camera_pitch[f],
+                                           spec.camera_centers[f]) for f in range(FRAMES)]
+    points = np.stack([synthworld._track_positions(spec, f) for f in range(FRAMES)], axis=1)
+    if mirrored:
+        cameras = [(MIRROR @ r @ MIRROR, MIRROR @ t) for r, t in cameras]
+        points = points @ MIRROR
+    return cameras, points
+
+
+def camera_coords(camera, world):
+    r, t = camera
+    return world @ r.T + t
+
+
+def label_arrays(labels):
+    """(name, array) for every field of `labels`; the pose gives its r and its t."""
+    for field in dataclasses.fields(synthworld.SceneLabels):
+        value = getattr(labels, field.name)
+        if isinstance(value, synthworld.SE3Pose):
+            yield f"{field.name}.r", value.r
+            yield f"{field.name}.t", value.t
+        else:
+            yield field.name, np.asarray(value)
 
 
 def assert_labels_equal(a, b):
-    for field in ("depth", "camera_poses", "track_xy", "track_vis", "track_world", "boxes"):
-        np.testing.assert_array_equal(getattr(a, field), getattr(b, field), err_msg=field)
-    np.testing.assert_array_equal(a.pose_first_to_last.r, b.pose_first_to_last.r)
-    np.testing.assert_array_equal(a.pose_first_to_last.t, b.pose_first_to_last.t)
-    assert a.class_id == b.class_id
+    for (name, x), (_, y) in zip(label_arrays(a), label_arrays(b), strict=True):
+        np.testing.assert_array_equal(x, y, err_msg=name)
 
 
 def test_clip_does_not_depend_on_stream_length(clips):
@@ -48,23 +77,18 @@ def test_save_load_clip_round_trip(clips, tmp_path):
     loaded, loaded_labels = synthworld.load_clip(path)
     assert isinstance(loaded, synthworld.VideoClip)
     np.testing.assert_array_equal(loaded.frames, clip.frames)
-    np.testing.assert_array_equal(loaded_labels.depth, labels.depth)
-    np.testing.assert_array_equal(loaded_labels.track_vis, labels.track_vis)
-    assert loaded_labels.class_id == labels.class_id
     # the container stores float32; float64 labels come back rounded once
-    for field in ("camera_poses", "track_xy", "track_world", "boxes"):
-        np.testing.assert_array_equal(getattr(loaded_labels, field),
-                                      getattr(labels, field).astype(np.float32), err_msg=field)
-    for part in ("r", "t"):
-        np.testing.assert_array_equal(getattr(loaded_labels.pose_first_to_last, part),
-                                      getattr(labels.pose_first_to_last, part).astype(np.float32))
+    for (name, got), (_, saved) in zip(label_arrays(loaded_labels), label_arrays(labels),
+                                       strict=True):
+        expected = saved.astype(np.float32) if saved.dtype == np.float64 else saved
+        np.testing.assert_array_equal(got, expected, err_msg=name)
 
 
 def test_load_clip_on_a_model_checkpoint_names_the_missing_keys(tmp_path):
     path = tmp_path / "model.ckpt"
     mae.save_model(path, mae.MaskedVideoModel(mae.preset("nano", input_size=(2, 16, 16)), seed=0))
-    with pytest.raises(ValueError, match=r"model\.ckpt: not a clip file: lacks \['boxes', 'camera_poses', "
-                                         r"'depth', 'frames', .*'track_xy', 'class_id'\]"):
+    with pytest.raises(ValueError, match=r"model\.ckpt: not a clip file: lacks \['boxes', 'depth', "
+                                         r"'frames', .*'track_xy', 'class_id'\]"):
         synthworld.load_clip(path)
 
 
@@ -184,7 +208,7 @@ def assert_same_clip(a, b):
     np.testing.assert_array_equal(clip_a.frames, clip_b.frames)
     np.testing.assert_array_equal(lab_a.depth, lab_b.depth)
     np.testing.assert_array_equal(lab_a.track_vis, lab_b.track_vis)
-    for field in ("track_xy", "boxes", "camera_poses"):
+    for field in ("track_xy", "boxes"):
         np.testing.assert_allclose(getattr(lab_a, field), getattr(lab_b, field),
                                    rtol=0, atol=1e-12, err_msg=field)
     np.testing.assert_allclose(lab_a.pose_first_to_last.r, lab_b.pose_first_to_last.r, atol=1e-12)
@@ -205,13 +229,13 @@ def test_flipping_twice_is_identity(clips):
 
 def test_depth_at_visible_track_pixels_matches_camera_z(clips):
     checked = 0
-    for _, labels in clips:
-        r, t = labels.camera_poses[..., :3], labels.camera_poses[..., 3]
-        cam = np.einsum("fij,mfj->mfi", r, labels.track_world) + t
+    for i, (_, labels) in enumerate(clips):
+        cameras, points = scene_geometry(i)
+        z = np.stack([camera_coords(cameras[f], points[:, f])[:, 2] for f in range(FRAMES)], axis=1)
         m, f = np.nonzero(labels.track_vis)
         x = np.clip(np.floor(labels.track_xy[m, f, 0]).astype(int), 0, RES - 1)
         y = np.clip(np.floor(labels.track_xy[m, f, 1]).astype(int), 0, RES - 1)
-        np.testing.assert_array_less(np.abs(labels.depth[f, y, x] - cam[m, f, 2]), 0.1)
+        np.testing.assert_array_less(np.abs(labels.depth[f, y, x] - z[m, f]), 0.1)
         checked += len(m)
     assert checked > 200
 
@@ -287,12 +311,13 @@ def test_render_clip_builds_each_pose_once(monkeypatch):
         calls.append(args)
         return extrinsic(*args)
     monkeypatch.setattr(synthworld, "camera_extrinsic", counting)
-    spec = synthworld._sample_scene((11, 4), 4, FRAMES)
+    spec = synthworld._sample_scene((SEED, 4), 4, FRAMES)
     _, labels = synthworld.render_clip(spec, RES, FRAMES)
     assert len(calls) == FRAMES
-    for f in range(FRAMES):
-        r, t = extrinsic(spec.camera_yaw[f], spec.camera_pitch[f], spec.camera_centers[f])
-        np.testing.assert_array_equal(labels.camera_poses[f], np.column_stack([r, t]))
+    (r0, t0), (r1, t1) = (extrinsic(spec.camera_yaw[f], spec.camera_pitch[f], spec.camera_centers[f])
+                          for f in (0, FRAMES - 1))
+    np.testing.assert_array_equal(labels.pose_first_to_last.r, r1 @ r0.T)
+    np.testing.assert_array_equal(labels.pose_first_to_last.t, t1 - r1 @ r0.T @ t0)
 
 
 def _corner_depths(rect, r, center):
@@ -366,28 +391,23 @@ def test_screen_windows_cover_few_pixels():
 # Relative camera pose
 # ---------------------------------------------------------------------------
 
-def _camera_coords(camera_poses, frame, world):
-    return world @ camera_poses[frame, :, :3].T + camera_poses[frame, :, 3]
-
-
 def test_pose_first_to_last_maps_static_points(clips):
-    mirror = np.diag([-1.0, 1.0, 1.0])
     checked = 0
-    for clip, labels in clips:
-        world = labels.track_world[:, 0]
-        static = np.all(labels.track_world == world[:, None], axis=(1, 2))
+    for i, (clip, labels) in enumerate(clips):
+        cameras, points = scene_geometry(i)
+        static = np.all(points == points[:, :1], axis=(1, 2))
         assert static.sum() >= 6          # the anchors on the back wall and panel
-        first = _camera_coords(labels.camera_poses, 0, world[static])
-        last = _camera_coords(labels.camera_poses, -1, world[static])
+        first = camera_coords(cameras[0], points[static, 0])
+        last = camera_coords(cameras[-1], points[static, 0])
         pose = labels.pose_first_to_last
         np.testing.assert_allclose(first @ pose.r.T + pose.t, last, rtol=0, atol=1e-9)
 
         _, flipped = full_view(clip, labels, flip=True)
         # mirrored world points seen by mirrored cameras give mirrored camera coords
-        mirrored = world[static] @ mirror
-        m_first = _camera_coords(flipped.camera_poses, 0, mirrored)
-        m_last = _camera_coords(flipped.camera_poses, -1, mirrored)
-        np.testing.assert_allclose(m_first, first @ mirror, rtol=0, atol=1e-12)
+        cameras, points = scene_geometry(i, mirrored=True)
+        m_first = camera_coords(cameras[0], points[static, 0])
+        m_last = camera_coords(cameras[-1], points[static, 0])
+        np.testing.assert_allclose(m_first, first @ MIRROR, rtol=0, atol=1e-12)
         pose = flipped.pose_first_to_last
         np.testing.assert_allclose(m_first @ pose.r.T + pose.t, m_last, rtol=0, atol=1e-9)
         checked += static.sum()
@@ -395,14 +415,12 @@ def test_pose_first_to_last_maps_static_points(clips):
 
 
 def test_flipped_cameras_project_the_flipped_tracks(clips):
-    mirror = np.diag([-1.0, 1.0, 1.0])
     checked = 0
-    for clip, labels in clips:
+    for i, (clip, labels) in enumerate(clips):
         _, flipped = full_view(clip, labels, flip=True)
-        world = flipped.track_world @ mirror
+        cameras, points = scene_geometry(i, mirrored=True)
         for f in range(FRAMES):
-            pose = flipped.camera_poses[f]
-            xy, _ = synthworld.project(world[:, f], pose[:, :3], pose[:, 3], RES, RES)
+            xy, _ = synthworld.project(points[:, f], *cameras[f], RES, RES)
             vis = flipped.track_vis[:, f]
             np.testing.assert_allclose(xy[vis], flipped.track_xy[vis, f], rtol=0, atol=1e-9)
             checked += vis.sum()
