@@ -137,13 +137,16 @@ def sample_mask(total, ratio, seed):
     total - floor(ratio * total) of 0..total-1, total an integer >= 1.
 
     The floor gets a 1e-9 nudge so ratios like 0.95 whose float product
-    lands just under an integer still mask the intended count.
+    lands just under an integer still mask the intended count; a ratio so
+    close to 1 that the count reaches total raises a ValueError.
     """
     _check_size("total", total)
     if not 0 < ratio < 1:
         raise ValueError(f"mask ratio must lie in (0, 1), got {ratio}")
-    rng = np.random.default_rng(seed)
     n_masked = int(np.floor(ratio * total + 1e-9))
+    if n_masked >= total:
+        raise ValueError(f"mask ratio {ratio} keeps no token of {total}")
+    rng = np.random.default_rng(seed)
     return np.sort(rng.permutation(total)[n_masked:])
 
 
@@ -403,10 +406,11 @@ def load_model(path):
 
 
 def params_digest(params):
-    """Order-independent content hash of a parameter dict."""
+    """Order-independent content hash of a parameter dict: each tensor's
+    name, dtype, shape and bytes, so a reshaped or recast tensor changes it."""
     digest = hashlib.sha256()
     for name in sorted(params):
-        data = params[name].data if isinstance(params[name], Tensor) else params[name]
-        digest.update(name.encode("utf-8"))
+        data = np.asarray(params[name].data if isinstance(params[name], Tensor) else params[name])
+        digest.update(f"{name}\0{data.dtype.str}\0{data.shape}\0".encode("utf-8"))
         digest.update(np.ascontiguousarray(data).tobytes())
     return digest.hexdigest()

@@ -56,9 +56,9 @@ place), the GELU slope, the activation and w2, and w1 only for x's
 gradient. The full pre-activation is never held. Backward writes the
 hidden gradient over the spent activation and drops it and the slope
 after their last read. The weight
-gradients of `affine` and `mlp` over a batched input add one (k, m)
-product per leading index into one array instead of summing a stack of
-them. Values and all five gradients have the chain's bits. The row
+gradients of `affine` and `mlp` are one (k, m) product over the rows of
+every leading index, so a batched input makes no (..., k, m) stack and
+one BLAS call. Values and all five gradients have the chain's bits. The row
 blocks of `attention` and `mlp` are disjoint and at least 8 rows long,
 so no product goes to the kernels OpenBLAS keeps for a few rows.
 
@@ -447,28 +447,14 @@ def neg(a):
 
 
 def _weight_grad(a, g):
-    """The weight gradient sum over i of a[i]ᵀ g[i], a (..., n, k) and g
-    (..., n, m) sharing their leading shape: one (k, m) product per leading
-    index i, added in row-major order into a zeroed (k, m) array.
-
-    Two (k, m) arrays, never the (..., k, m) stack of products. The bits
-    are the stack summed over its leading axes, as numpy adds them: from
-    zero, one index after another. The exception is k = m = 1 with 8 or
-    more leading indices, where numpy sums the stack pairwise. With one row
-    per index (n = 1) each term is the outer product, which a broadcast
-    multiply writes with the bits of numpy's one-row matmul in about half
-    its time.
+    """The weight gradient aᵀ g over every row: a (..., n, k) and g (..., n, m)
+    sharing their leading shape, as one (k, m) product of their (rows, k)
+    and (rows, m) reshapes, views of contiguous operands. A 2-D a, or a
+    lead of (1,), has the bits of `a.T @ g`; over several leading indices
+    the result equals the sum of per-index products up to rounding, not bit
+    for bit.
     """
-    at = a.swapaxes(-1, -2)
-    if a.ndim == 2:
-        return at @ g
-    total = np.zeros(at.shape[-2:-1] + g.shape[-1:], np.result_type(a, g))
-    product = np.multiply if a.shape[-2] == 1 else np.matmul
-    term = None
-    for i in np.ndindex(a.shape[:-2]):
-        term = product(at[i], g[i], out=term)
-        total += term
-    return total
+    return a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
 
 def affine(x, w, b):
@@ -476,8 +462,8 @@ def affine(x, w, b):
 
     The bias goes into the fresh product in place, so the layer makes one
     output array and one graph node; values and gradients have the bits
-    of numpy's `x @ w` followed by `+ b`. The w gradient of a batched x is
-    `_weight_grad`'s per-index sum, with no (..., k, m) stack. Backward
+    of numpy's `x @ w` followed by `+ b`, except that the w gradient of a
+    batched x is `_weight_grad`'s one product over all its rows. Backward
     keeps w when x takes a gradient, and for w's gradient x, or the
     rebuild of a norm's output in its place (`_reader`), which it calls
     once in its VJP.
@@ -671,6 +657,8 @@ def attention(q, k, v, heads):
     axes broadcast and the output is (..., nq, d). The last axis splits
     into `heads` contiguous slices of dh = d / heads channels, each
     attending on its own; their outputs are merged back in the same order.
+    `heads` is an integer of at least 1, and not a bool; any other value
+    raises a ValueError that names it.
 
     The heads run in groups: every head at once when the whole score
     tensor, lead × heads × nq × nk, has at most `_GROUP_SCORES` elements,
@@ -700,9 +688,11 @@ def attention(q, k, v, heads):
     large shapes, at most 2 × `_GROUP_SCORES` elements at small ones. It
     keeps the row statistics, views of q, k and v, and the output.
     """
+    if not isinstance(heads, (int, np.integer)) or isinstance(heads, bool) or heads < 1:
+        raise ValueError(f"attention: heads {heads!r} must be an integer >= 1")
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     if (q.ndim < 2 or k.ndim < 2 or k.shape != v.shape or q.shape[-1] != k.shape[-1]
-            or heads < 1 or q.shape[-1] % heads):
+            or q.shape[-1] % heads):
         raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape} need equal "
                          f"k and v shapes and a last axis shared and divisible by {heads} heads")
     try:
@@ -898,10 +888,10 @@ def mlp(x, w1, b1, w2, b2):
     rebuild of a norm's output in its place (`_reader`), z, the slope and
     w2, and w1 only for x's gradient. It reads z for the w2 gradient, then
     writes the hidden gradient over it, multiplies that by the slope in
-    place and drops both; the w1 and w2 gradients of a batched x are
-    `_weight_grad`'s per-index sums. Values and gradients
-    have the bits of the three-op chain (an affine, a GELU node and an
-    affine), and the one dtype of the operands.
+    place and drops both; the w1 and w2 gradients are each
+    `_weight_grad`'s one product over all rows. Values and gradients have
+    the bits of the three-op chain (an affine, a GELU node and an affine),
+    and the one dtype of the operands.
     """
     x, w1, b1, w2, b2 = inputs = [_wrap(t) for t in (x, w1, b1, w2, b2)]
     if (x.ndim < 2 or w1.ndim != 2 or w2.ndim != 2 or x.shape[-1] != w1.shape[0]

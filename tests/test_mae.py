@@ -1,6 +1,7 @@
 """Patch/mask arithmetic, model contracts, and trainedness-free model checks."""
 
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -87,6 +88,14 @@ def test_mask_ratio_bounds(ratio):
 def test_mask_total_is_an_integer_of_at_least_one(total, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         sample_mask(total, 0.5, seed=0)
+
+
+@pytest.mark.parametrize("total, ratio", [(512, 1 - 1e-12), (1, 1 - 1e-10)])
+def test_mask_that_would_keep_no_token_raises(total, ratio):
+    # the 1e-9 nudge floors ratio * total up to total
+    with pytest.raises(ValueError, match=f"^mask ratio {re.escape(str(ratio))} keeps no token "
+                                         f"of {total}$"):
+        sample_mask(total, ratio, seed=0)
 
 
 def test_mask_of_one_token_keeps_it():
@@ -669,3 +678,9 @@ def test_params_digest_tracks_changes():
     assert before == mae.params_digest(model.params)
     model.params["decode.bias"].data[0] += 1.0
     assert mae.params_digest(model.params) != before
+    # equal names and bytes, another shape or dtype
+    for x, y in [(np.arange(6.0).reshape(2, 3), np.arange(6.0).reshape(3, 2)),
+                 (np.arange(6.0), np.arange(6.0).reshape(1, 6)),
+                 (np.zeros(2, np.float32), np.zeros(2, np.int32))]:
+        assert x.tobytes() == y.tobytes()
+        assert mae.params_digest({"w": x}) != mae.params_digest({"w": y})

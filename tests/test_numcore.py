@@ -4,6 +4,7 @@ import ctypes
 import math
 import operator
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -140,9 +141,9 @@ def test_affine_matches_matmul_then_add_bitwise(dtypes):
     np.testing.assert_array_equal(out.data, ref)
     assert len(out._node.edges) == 3 and all(t in fused for t, _ in out._node.edges)
     nc.backward(nc.sum_(out * Tensor(weights)))
-    # the VJPs of the product, its leading axis summed for w, and of the broadcast add
+    # the VJPs of the product, one product over all rows for w, and of the broadcast add
     g = np.ones(ref.shape, ref.dtype) * weights
-    expected = [g @ w.T, (x.swapaxes(-1, -2) @ g).sum(axis=0), g.sum(axis=(0, 1))]
+    expected = [g @ w.T, x.reshape(-1, 16).T @ g.reshape(-1, 24), g.sum(axis=(0, 1))]
     for t, e in zip(fused, expected):
         assert t.grad.dtype == e.dtype
         np.testing.assert_array_equal(t.grad, e)
@@ -588,10 +589,10 @@ def test_mlp_no_grad_memory_is_bounded():
 def test_mlp_backward_reuses_the_activation_and_stacks_no_weight_gradients():
     # the probe depth head's MLP, (2, 512, 384) -> 1536 -> 384 in float32: the
     # hidden gradient goes over the kept activation, and each weight gradient
-    # is two (k, m) arrays, the sum and one leading index's product. The
-    # bound is what backward hands out (the loss's output gradient and the
-    # five input gradients) plus one w-sized product and 1 MB; a 6 MB
-    # (2, 512, 1536) hidden gradient or a 4.5 MB (2, k, m) stack breaks it
+    # is one (k, m) product over both clips' rows. The bound is what backward
+    # hands out (the loss's output gradient and the five input gradients)
+    # plus 1 MB; a 6 MB (2, 512, 1536) hidden gradient, a 4.5 MB (2, k, m)
+    # stack or a 2.25 MB product of one clip held beside the sum breaks it
     rng = np.random.default_rng(11)
     shapes = [(2, 512, 384), (384, 1536), (1536,), (1536, 384), (384,)]
     params = [nc.parameter(rng.standard_normal(s, dtype=np.float32) * 0.05) for s in shapes]
@@ -605,7 +606,7 @@ def test_mlp_backward_reuses_the_activation_and_stacks_no_weight_gradients():
     finally:
         tracemalloc.stop()
     assert [p.grad.shape for p in params] == shapes
-    assert peak < handed_out + params[1].data.nbytes + (1 << 20)
+    assert peak < handed_out + (1 << 20)
 
 
 @pytest.mark.parametrize("dtype", [F32, F64])
@@ -615,13 +616,19 @@ def test_weight_grad_is_the_summed_stack_bitwise(lead, dtype):
     for rows in (13, 1):                # one row per index: the class and pose heads' MLP
         a = rng.standard_normal(lead + (rows, 6)).astype(dtype)
         g = np.abs(rng.standard_normal(lead + (rows, 5))).astype(dtype)
-        a[..., 0] = -0.0                # a row of -0.0 products: summing from zero gives +0.0
-        stack = a.swapaxes(-1, -2) @ g
-        expected = stack.sum(axis=tuple(range(len(lead)))) if lead else stack
+        a[..., 0] = -0.0                # a row of -0.0 products, signed as the product signs it
         got = nc._weight_grad(a, g)
         assert got.shape == (6, 5) and got.dtype == dtype
+        # every index's rows stacked in row-major order, summed by one 2-D
+        # product; with leads () and (1,) that is the lone index's own product
+        pairs = [(a[i], g[i]) for i in np.ndindex(lead)]
+        expected = np.concatenate([x for x, _ in pairs]).T @ np.concatenate([y for _, y in pairs])
         np.testing.assert_array_equal(got.view(np.uint8), expected.view(np.uint8),
                                       err_msg=f"{rows} rows")
+        # and the per-index sum in float64, to the dtype's rounding
+        reference = sum(x.astype(F64).T @ y.astype(F64) for x, y in pairs)
+        tol = 1e-5 if dtype == F32 else 1e-12
+        np.testing.assert_allclose(got, reference, rtol=tol, atol=tol, err_msg=f"{rows} rows")
 
 
 def _assert_each_clip_is_its_lone_run(build, batched, fixed, g):
@@ -712,6 +719,15 @@ def test_shape_mismatch_raises_descriptive_error(build, shapes):
     with pytest.raises(ShapeError) as err:
         build(*tensors)
     assert str(shapes[0]).replace(" ", "") in str(err.value).replace(" ", "")
+
+
+@pytest.mark.parametrize("heads", [2.0, True, 0, -1, "2"], ids=repr)
+def test_attention_rejects_heads_not_an_integer_of_at_least_one(heads):
+    q = Tensor(np.zeros((3, 4)))
+    with pytest.raises(ValueError, match=f"^attention: heads {re.escape(repr(heads))} "
+                                         f"must be an integer >= 1$"):
+        nc.attention(q, q, q, heads)
+    assert nc.attention(q, q, q, np.int64(2)).shape == (3, 4)
 
 
 ONE_DTYPE_OPS = {
